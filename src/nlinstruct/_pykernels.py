@@ -2,7 +2,10 @@
 
 Fallback for :mod:`nlinstruct._ckernels`. Both backends must produce
 bit-identical floats: iteration is in sorted key order so that summation
-order never depends on dict insertion history.
+order never depends on dict insertion history. The parser's compiled
+scorer (:meth:`nlinstruct.features.UtteranceContext.scorer`) sums
+``weight * value`` in the same sorted key order, so its scores equal
+``dot`` over the feature dict bit for bit; change both or neither.
 """
 
 from __future__ import annotations

@@ -109,6 +109,8 @@ def _apply_flag_overrides(args, config) -> dict:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     domain = get_domain(args.domain)
     config = dataio.load_run_config(args.config) if args.config else dict(dataio.DEFAULTS)
     ranges = config.get("generation", {}).get(domain.id)
@@ -134,12 +136,13 @@ def cmd_tune(args) -> int:
     target = config.get("target_domain")
     if not target:
         raise ConfigError("tune needs a target_domain")
+    parser_config = _parser_config(config)
     registry = _registry(config)
     algorithm = config["algorithm"]
     sources = [d for d in registry.domain_ids if d != target]
     pipeline = Pipeline(
         registry.domain,
-        _parser_config(config),
+        parser_config,
         use_new_features=config["use_new_features"],
         use_filter=config["use_logic_filter"],
     )
@@ -156,6 +159,7 @@ def cmd_tune(args) -> int:
 
 def cmd_train(args) -> int:
     config = _apply_flag_overrides(args, dataio.load_run_config(args.config))
+    parser_config = _parser_config(config)
     registry = _registry(config)
     if args.tuned:
         with open(args.tuned, "r", encoding="utf-8") as fh:
@@ -164,7 +168,7 @@ def cmd_train(args) -> int:
         tconfig = _train_config(config)
     pipeline = Pipeline(
         registry.domain,
-        _parser_config(config),
+        parser_config,
         use_new_features=config["use_new_features"],
         use_filter=config["use_logic_filter"],
     )
@@ -204,12 +208,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _apply_flag_overrides(args, dataio.load_run_config(args.config))
+    parser_config = _parser_config(config)
     registry = _registry(config)
     if args.ablation_suite:
         from .evaluation import ablation_table
 
         table = ablation_table(
-            registry, _parser_config(config), config.get("grid"), config["seed"]
+            registry, parser_config, config.get("grid"), config["seed"]
         )
         dataio.atomic_write_json(args.out, table)
         width = max(len(d) for d in table["domains"])
@@ -229,7 +234,7 @@ def cmd_eval(args) -> int:
         in_domain=config["in_domain"],
         seed=config["seed"],
     )
-    report = run_experiment(spec, registry, _parser_config(config), config.get("grid"))
+    report = run_experiment(spec, registry, parser_config, config.get("grid"))
     dataio.atomic_write_json(args.out, report)
     accuracy = report["accuracy"]
     shown = "no data" if accuracy is None else f"{accuracy:.1f}"
@@ -240,6 +245,9 @@ def cmd_eval(args) -> int:
 def cmd_parse(args) -> int:
     from .domains.base import validate_state_for_domain
 
+    if args.nbest < 1:
+        raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
+    config = ParserConfig(beam_size=args.beam_size, max_rules=args.max_rules)
     domain = get_domain(args.domain)
     with open(args.state, "r", encoding="utf-8") as fh:
         state = dataio.state_from_json(domain.id, json.load(fh))
@@ -247,7 +255,6 @@ def cmd_parse(args) -> int:
     weights = {}
     if args.model:
         weights, _, _ = training.load_model(args.model)
-    config = ParserConfig(beam_size=args.beam_size, max_rules=args.max_rules)
     try:
         prediction = predict(args.utterance, state, domain, config, weights,
                              use_filter=not args.no_logic_filter)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from typing import Callable
 
 from .domains.base import Domain
 
@@ -156,6 +157,93 @@ class UtteranceContext:
         for rule, count in deriv.rules.items():
             feats[f"rule|{rule}"] = float(count)
         return feats
+
+    def scorer(self, weights: dict) -> Callable[[object, bool], float]:
+        """``score(deriv, is_root)``, equal bit for bit to
+        ``kernels.dot(weights, self.features(deriv, is_root))`` but without
+        building the feature dict.
+
+        Only the weighted keys of the templates above are compiled, since
+        ``dot`` skips the others. A derivation's values for those keys are
+        integer counts, added up exactly, and ``weight * value`` is then
+        summed in sorted key order, the order ``dot`` uses. Scores are
+        memoized on (root flag, size, predicate counts, rule counts), so
+        ``weights`` must not change while the scorer is in use.
+        """
+        new = self.use_new_features
+        # triggered predicate -> ((weighted cooc key, count), ...)
+        cooc: dict[tuple[str, str], tuple[tuple[str, int], ...]] = {}
+        # (triggered predicate, weighted keys set to 1 at a root without it)
+        missing: list[tuple[tuple[str, str], tuple[str, ...]]] = []
+        for key, entry in self.triggers.items():
+            kind, name = key
+            terms: list[tuple[str, int]] = []
+            absent: list[str] = []
+            for phrase, (count, is_name, in_lex) in entry.items():
+                terms.append((f"cooc|{phrase}|{name}", count))
+                if in_lex:
+                    terms.append((f"cooc-any|{kind}|desc", count))
+                    absent.append(f"missing|{phrase}|{name}")
+                if is_name:
+                    terms.append((f"cooc-any|{kind}|name", count))
+            if absent:
+                absent.append(f"missing-any|{kind}")
+            cooc[key] = tuple((k, c) for k, c in terms if k in weights)
+            absent_weighted = tuple(k for k in absent if k in weights)
+            if absent_weighted:
+                missing.append((key, absent_weighted))
+        rule_keys: dict[str, str] = {}
+        unevoked_keys: dict[str, str] = {}
+        for k in weights:
+            if k.startswith("rule|"):
+                rule_keys[k[5:]] = k
+            elif new and k.startswith("unevoked|"):
+                unevoked_keys[k[9:]] = k
+        size_keys: dict[int, tuple[str, ...]] = {}
+        memo: dict[tuple, float] = {}
+
+        def score(deriv, is_root: bool) -> float:
+            preds = deriv.lf.preds
+            size_used = deriv.size_used
+            rules = deriv.rules
+            memo_key = (is_root, size_used, tuple(preds.items()), tuple(rules.items()))
+            total = memo.get(memo_key)
+            if total is not None:
+                return total
+            values: dict[str, int] = {}
+            for key, uses in preds.items():
+                terms = cooc.get(key)
+                if terms is None:
+                    k = unevoked_keys.get(key[0])
+                    if k is not None:
+                        values[k] = values.get(k, 0) + uses
+                    continue
+                for k, count in terms:
+                    values[k] = values.get(k, 0) + count
+            if is_root:
+                for key, absent in missing:
+                    if key not in preds:
+                        for k in absent:
+                            values[k] = 1
+            if new:
+                sizes = size_keys.get(size_used)
+                if sizes is None:
+                    sizes = size_keys[size_used] = tuple(
+                        k for k in (f"size>{n}" for n in range(2, size_used)) if k in weights
+                    )
+                for k in sizes:
+                    values[k] = 1
+            for rule, count in rules.items():
+                k = rule_keys.get(rule)
+                if k is not None:
+                    values[k] = count
+            total = 0.0
+            for k in sorted(values):
+                total += weights[k] * values[k]
+            memo[memo_key] = total
+            return total
+
+        return score
 
 
 class Featurizer:

@@ -20,9 +20,18 @@ that no feature can separate.
 Each cell keeps at most ``beam_size`` derivations, ranked by model score
 with ties broken on the printed form, so runs are reproducible. Derivations
 are deduplicated chart-wide on (category, printed form, anchored spans),
-keeping the smallest size. Root derivations are scored with the full
-feature set (including missing-predicate features); partial derivations
-with the templates that are well defined on fragments.
+keeping the smallest size.
+
+Every derivation is scored when it is built, by the scorer that
+:meth:`UtteranceContext.scorer` compiles once per parse from the weights:
+it reads the derivation's predicate counts, rule counts and size and gives
+the same float, bit for bit, as ``kernels.dot`` over its feature dict. Root
+derivations get the full feature set (including missing-predicate
+features); partial derivations the templates that are well defined on
+fragments. The feature dict itself (``Derivation.feats``) is built only
+when something reads it: the gradient, ``Candidate.features`` and
+``parse --explain``, all of which see only the candidates that survive the
+beams and the filter.
 """
 
 from __future__ import annotations
@@ -30,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import kernels
 from .domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE, Domain, invoke
-from .errors import DomainLogicError, ExecutionError, ParseFailure
-from .features import Featurizer, tokenize
+from .errors import ConfigError, DomainLogicError, ExecutionError, ParseFailure
+from .features import Featurizer, UtteranceContext, tokenize
 from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
     Call,
@@ -82,24 +90,35 @@ class ParserConfig:
 
     def __post_init__(self):
         if self.beam_size is not None and self.beam_size <= 0:
-            raise ValueError("beam_size must be positive")
+            raise ConfigError(f"beam size must be positive, got {self.beam_size}")
         if self.max_rules <= 0:
-            raise ValueError("max_rules must be positive")
+            raise ConfigError(f"max rule applications must be positive, got {self.max_rules}")
 
 
 class Derivation:
-    __slots__ = ("lf", "category", "size_used", "spans", "children", "rules", "feats", "score")
+    __slots__ = ("lf", "category", "size_used", "spans", "children", "rules", "score",
+                 "_context", "_feats")
 
     def __init__(self, lf: LogicalForm, category: str, size_used: int,
-                 spans: tuple, children: tuple, rules: dict):
+                 spans: tuple, children: tuple, rules: dict,
+                 context: UtteranceContext | None = None):
         self.lf = lf
         self.category = category
         self.size_used = size_used
         self.spans = spans
         self.children = children
         self.rules = rules  # rule name -> application count; sums to size_used
-        self.feats: dict | None = None
         self.score = 0.0
+        self._context = context
+        self._feats: dict | None = None
+
+    @property
+    def feats(self) -> dict | None:
+        """The feature dict, built from the parse's utterance context on
+        first read and kept; None for a derivation built without one."""
+        if self._feats is None and self._context is not None:
+            self._feats = self._context.features(self, self.category == CAT_ROOT)
+        return self._feats
 
     def __repr__(self):
         return f"Derivation({self.category}, size={self.size_used}, {self.lf.printed})"
@@ -148,7 +167,7 @@ def generate_candidates(
 
     cells: dict[tuple[str, int], list[Derivation]] = {}
     seen: set = set()
-    dot = kernels.dot
+    score = ctx.scorer(weights)
 
     def add(category: str, lf: LogicalForm, size_used: int, spans: tuple,
             children: tuple, rule: str) -> None:
@@ -156,9 +175,8 @@ def generate_candidates(
         if key in seen:
             return
         seen.add(key)
-        d = Derivation(lf, category, size_used, spans, children, _merge_rules(rule, children))
-        d.feats = ctx.features(d, category == CAT_ROOT)
-        d.score = dot(weights, d.feats)
+        d = Derivation(lf, category, size_used, spans, children, _merge_rules(rule, children), ctx)
+        d.score = score(d, category == CAT_ROOT)
         cells.setdefault((category, size_used), []).append(d)
 
     def prune(category: str, size_used: int) -> None:

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from nlinstruct import dataio
 from nlinstruct.cli import main
 from nlinstruct.domains import get_domain
 from nlinstruct.kb import states_equal
 from nlinstruct.synthetic import build_domain_corpus
+from nlinstruct.training import TrainConfig, save_model
+
+from conftest import lighting_paper_state
 
 
 def _write_config(path, **overrides):
@@ -99,8 +104,6 @@ def test_train_then_parse_round_trip(tmp_path, capsys):
 
 
 def test_parse_ranks_fixture_weights(tmp_path, capsys):
-    from nlinstruct.training import TrainConfig, save_model
-
     domain = get_domain("lighting")
     state = domain.generate_state(__import__("random").Random(3), domain.default_ranges)
     state_file = tmp_path / "state.json"
@@ -178,3 +181,87 @@ def test_flag_overrides_reach_the_experiment(tmp_path):
     assert report["experiment"]["target_domain"] == "lighting"
     assert report["experiment"]["use_new_features"] is False
     assert report["experiment"]["use_logic_filter"] is False
+
+
+def _paper_state_parse_args(tmp_path) -> list[str]:
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(dataio.state_to_json(lighting_paper_state())))
+    model = tmp_path / "m.json"
+    save_model(model, {"cooc-any|method|desc": 2.0, "cooc|off|turnLightOff": 1.5,
+                       "missing-any|method": -1.0, "unevoked|relation": -0.25,
+                       "size>3": -0.5, "rule|intersect": 0.125}, TrainConfig())
+    return ["parse", "turn off the light in the bedroom", "--domain", "lighting",
+            "--state", str(state_file), "--model", str(model),
+            "--beam-size", "20", "--max-rules", "7"]
+
+
+# feature dicts are built lazily, for printed candidates only; the lines
+# must not change
+EXPLAIN_LINES = """\
+1. score=+1.7500 size=3  turnLightOff(R[type].Room)
+     cooc-any|method|desc = 1
+     cooc|turn off|turnLightOff = 1
+     missing-any|relation = 1
+     missing|light|lightMode = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-type = 1
+     size>2 = 1
+     unevoked|relation = 1
+2. score=+1.5000 size=5  turnLightOff(R[lightMode].ON)
+     cooc-any|method|desc = 1
+     cooc-any|relation|desc = 1
+     cooc|light|lightMode = 1
+     cooc|turn off|turnLightOff = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-relation = 1
+     rule|float-sym = 1
+     rule|rjoin = 1
+     size>2 = 1
+     size>3 = 1
+     size>4 = 1
+""".splitlines()
+
+
+def test_parse_explain_prints_exact_feature_lines(tmp_path, capsys):
+    args = _paper_state_parse_args(tmp_path) + ["--nbest", "2", "--explain"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == EXPLAIN_LINES
+
+
+def _assert_config_error(capsys, code, words):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("config error:") and "\n" not in err and words in err
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--beam-size", "0"], "beam size"),
+    (["--max-rules", "0"], "max rule applications"),
+    (["--nbest", "0"], "--nbest"),
+    (["--nbest", "-2"], "--nbest"),
+])
+def test_parse_rejects_out_of_range_flags(tmp_path, capsys, flags, words):
+    code = main(_paper_state_parse_args(tmp_path) + flags)
+    _assert_config_error(capsys, code, words)
+
+
+@pytest.mark.parametrize("key, words", [
+    ("beam_size", "beam size"),
+    ("max_rule_applications", "max rule applications"),
+])
+def test_run_config_with_zero_parser_setting_exits_2(tmp_path, capsys, key, words):
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1), **{key: 0})
+    code = main(["eval", "--config", config, "--out", str(tmp_path / "r.json")])
+    _assert_config_error(capsys, code, words)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_generate_rejects_negative_count(tmp_path, capsys):
+    out = tmp_path / "pairs.jsonl"
+    code = main(["generate", "--domain", "list", "--count", "-1", "--out", str(out)])
+    _assert_config_error(capsys, code, "--count")
+    assert not out.exists()
