@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dataio, training
@@ -57,6 +56,15 @@ def _load_splits(path) -> dict[str, dict[str, list]]:
     if not by_domain:
         raise DataError(f"{path}: dataset is empty")
     return by_domain
+
+
+def _domain(domain_id: str):
+    """A built-in domain; an unknown id is a configuration error."""
+    try:
+        return get_domain(domain_id)
+    except KeyError:
+        known = ", ".join(d.id for d in builtin_domains())
+        raise ConfigError(f"unknown domain {domain_id!r} (known: {known})") from None
 
 
 def _registry(config) -> InstrumentedRegistry:
@@ -111,7 +119,7 @@ def _apply_flag_overrides(args, config) -> dict:
 def cmd_generate(args) -> int:
     if args.count < 0:
         raise ConfigError(f"--count must be >= 0, got {args.count}")
-    domain = get_domain(args.domain)
+    domain = _domain(args.domain)
     config = dataio.load_run_config(args.config) if args.config else dict(dataio.DEFAULTS)
     ranges = config.get("generation", {}).get(domain.id)
     rng = random.Random(args.seed)
@@ -160,12 +168,15 @@ def cmd_tune(args) -> int:
 def cmd_train(args) -> int:
     config = _apply_flag_overrides(args, dataio.load_run_config(args.config))
     parser_config = _parser_config(config)
-    registry = _registry(config)
     if args.tuned:
-        with open(args.tuned, "r", encoding="utf-8") as fh:
-            tconfig = TrainConfig.from_json(json.load(fh))
+        tuned = dataio.read_json_object(args.tuned, "tuned configuration")
+        try:
+            tconfig = TrainConfig.from_json(tuned)
+        except (TypeError, ValueError, NlinstructError) as exc:
+            raise DataError(f"{args.tuned}: not a tuned configuration ({exc})") from None
     else:
         tconfig = _train_config(config)
+    registry = _registry(config)
     pipeline = Pipeline(
         registry.domain,
         parser_config,
@@ -248,10 +259,13 @@ def cmd_parse(args) -> int:
     if args.nbest < 1:
         raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
     config = ParserConfig(beam_size=args.beam_size, max_rules=args.max_rules)
-    domain = get_domain(args.domain)
-    with open(args.state, "r", encoding="utf-8") as fh:
-        state = dataio.state_from_json(domain.id, json.load(fh))
-    validate_state_for_domain(state, domain)
+    domain = _domain(args.domain)
+    obj = dataio.read_json_object(args.state, "state")
+    try:
+        state = dataio.state_from_json(domain.id, obj)
+        validate_state_for_domain(state, domain)
+    except DataError as exc:
+        raise DataError(f"{args.state}: {exc}") from None
     weights = {}
     if args.model:
         weights, _, _ = training.load_model(args.model)
@@ -272,12 +286,17 @@ def cmd_parse(args) -> int:
 
 def cmd_significance(args) -> int:
     def scores(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        return [
-            ExampleScore(r["id"], r["credit"], r["tie_count"], r["correct_in_tie"], r["parse_failed"])
-            for r in report["per_example"]
-        ]
+        report = dataio.read_json_object(path, "report")
+        try:
+            return [
+                ExampleScore(r["id"], r["credit"], r["tie_count"], r["correct_in_tie"],
+                             r["parse_failed"])
+                for r in report["per_example"]
+            ]
+        except KeyError as exc:
+            raise DataError(f"{path}: report lacks {exc}") from None
+        except TypeError as exc:
+            raise DataError(f"{path}: malformed report ({exc})") from None
 
     p, significant = paired_bootstrap(
         scores(args.report_a), scores(args.report_b),

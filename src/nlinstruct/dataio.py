@@ -42,6 +42,19 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; :class:`DataError` naming the path when
+    the file is not valid JSON or holds something other than an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: a {what} must be a JSON object")
+    return obj
+
+
 def atomic_write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -27,13 +27,18 @@ is exact lowercase 1-2-grams; there is deliberately no stemming, so e.g.
 With ``use_new_features=False`` the extractor reverts to the pre-adaptation
 template set: description-phrase and operator entries leave the lexicon
 (name-token matching remains) and size features are dropped.
+
+:meth:`UtteranceContext.features` is the reference. The parser's chart
+scores derivations without it, through :class:`ChartScorer`: a
+derivation's weighted feature values depend only on a two-int key that
+composes from its children's keys, and the scorer turns a key into the
+same float, bit for bit, as ``kernels.dot`` over the feature dict.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Callable
 
 from .domains.base import Domain
 
@@ -158,24 +163,74 @@ class UtteranceContext:
             feats[f"rule|{rule}"] = float(count)
         return feats
 
-    def scorer(self, weights: dict) -> Callable[[object, bool], float]:
-        """``score(deriv, is_root)``, equal bit for bit to
-        ``kernels.dot(weights, self.features(deriv, is_root))`` but without
-        building the feature dict.
+    def scorer(self, weights: dict, max_rules: int) -> "ChartScorer":
+        """The scorer for one parse under ``weights`` whose derivations use
+        at most ``max_rules`` rule applications (see :class:`ChartScorer`)."""
+        return ChartScorer(self, weights, max_rules)
 
-        Only the weighted keys of the templates above are compiled, since
-        ``dot`` skips the others. A derivation's values for those keys are
-        integer counts, added up exactly, and ``weight * value`` is then
-        summed in sorted key order, the order ``dot`` uses. Scores are
-        memoized on (root flag, size, predicate counts, rule counts), so
-        ``weights`` must not change while the scorer is in use.
-        """
-        new = self.use_new_features
+
+#: Predicate kinds, in their order among the fields of a score key.
+KINDS = (KIND_RELATION, KIND_METHOD, KIND_OPERATOR)
+
+
+class ChartScorer:
+    """Scores derivations from a two-int *score key*, equal bit for bit to
+    ``kernels.dot(weights, ctx.features(deriv, is_root))``.
+
+    Of a derivation, the templates read only five things:
+
+    - which triggered predicates (entries of ``ctx.triggers``) its form
+      uses: ``cooc``/``cooc-any`` add each distinct predicate's terms once,
+      ``missing``/``missing-any`` fire at a root for each one it lacks;
+    - how many uses of untriggered predicates it has, per kind
+      (``unevoked|kind``);
+    - its rule counts (``rule|name``), of which only weighted ones matter;
+    - its size (``size>n``);
+    - whether it is a root.
+
+    The key holds the first four as two ints: ``bits`` has one bit per
+    trigger, and ``packed`` holds, in fields of ``width`` bits from the
+    lowest, the count of each weighted rule (sorted by key), the
+    untriggered uses of each kind in :data:`KINDS`, and the size. Each
+    field is at most the size: every rule application adds at most one
+    predicate use (an ``argmax``/``argmin`` adds its operator, a leaf its
+    one predicate), so the uses of a kind and each rule's count are
+    bounded by it. The size is at most ``max_rules`` and
+    ``width = max_rules.bit_length()``, so no field overflows into the
+    next.
+
+    Keys compose: a form's predicate multiset is the union of its
+    children's plus its rule's own, and its rule counts and size are its
+    children's plus one application. So a composite's key is its rule's
+    local key (:meth:`key` of the rule's own predicates, ``{rule: 1}`` and
+    size 1) with the children's ``bits`` OR-ed in and their ``packed``
+    added; the chart never reads a composite's ``preds`` or ``rules``.
+
+    :meth:`score` is memoized on (root flag, key). On a miss the key is
+    decoded and the integer feature values of every weighted key are
+    rebuilt exactly as the templates would count them, then
+    ``weight * value`` is summed in sorted key order, the order ``dot``
+    uses. ``weights`` must not change while the scorer is in use.
+    """
+
+    def __init__(self, ctx: UtteranceContext, weights: dict, max_rules: int):
+        assert max_rules >= 1, max_rules
+        self.weights = weights
+        self.max_rules = max_rules
+        self.width = width = max_rules.bit_length()
+        self._mask = (1 << width) - 1
+        self._new = ctx.use_new_features
+        self._bit = {key: 1 << i for i, key in enumerate(ctx.triggers)}
+        self._rule_keys = tuple(sorted(k for k in weights if k.startswith("rule|")))
+        self._rule_shift = {k[5:]: i * width for i, k in enumerate(self._rule_keys)}
+        base = len(self._rule_keys) * width
+        self._kind_shift = {kind: base + i * width for i, kind in enumerate(KINDS)}
+        self._size_shift = base + len(KINDS) * width
         # triggered predicate -> ((weighted cooc key, count), ...)
-        cooc: dict[tuple[str, str], tuple[tuple[str, int], ...]] = {}
-        # (triggered predicate, weighted keys set to 1 at a root without it)
-        missing: list[tuple[tuple[str, str], tuple[str, ...]]] = []
-        for key, entry in self.triggers.items():
+        self._cooc: dict[tuple[str, str], tuple[tuple[str, int], ...]] = {}
+        # (bit of a triggered predicate, weighted keys set to 1 at a root without it)
+        self._missing: list[tuple[int, tuple[str, ...]]] = []
+        for key, entry in ctx.triggers.items():
             kind, name = key
             terms: list[tuple[str, int]] = []
             absent: list[str] = []
@@ -188,62 +243,91 @@ class UtteranceContext:
                     terms.append((f"cooc-any|{kind}|name", count))
             if absent:
                 absent.append(f"missing-any|{kind}")
-            cooc[key] = tuple((k, c) for k, c in terms if k in weights)
+            self._cooc[key] = tuple((k, c) for k, c in terms if k in weights)
             absent_weighted = tuple(k for k in absent if k in weights)
             if absent_weighted:
-                missing.append((key, absent_weighted))
-        rule_keys: dict[str, str] = {}
-        unevoked_keys: dict[str, str] = {}
-        for k in weights:
-            if k.startswith("rule|"):
-                rule_keys[k[5:]] = k
-            elif new and k.startswith("unevoked|"):
-                unevoked_keys[k[9:]] = k
-        size_keys: dict[int, tuple[str, ...]] = {}
-        memo: dict[tuple, float] = {}
+                self._missing.append((self._bit[key], absent_weighted))
+        # the weighted key each field below the size counts for, or None
+        self._field_keys = self._rule_keys + tuple(
+            k if self._new and k in weights else None
+            for k in (f"unevoked|{kind}" for kind in KINDS))
+        self._size_keys: dict[int, tuple[str, ...]] = {}
+        self._memo: tuple[dict, dict] = ({}, {})  # fragments, roots
 
-        def score(deriv, is_root: bool) -> float:
-            preds = deriv.lf.preds
-            size_used = deriv.size_used
-            rules = deriv.rules
-            memo_key = (is_root, size_used, tuple(preds.items()), tuple(rules.items()))
-            total = memo.get(memo_key)
-            if total is not None:
-                return total
-            values: dict[str, int] = {}
-            for key, uses in preds.items():
-                terms = cooc.get(key)
-                if terms is None:
-                    k = unevoked_keys.get(key[0])
-                    if k is not None:
-                        values[k] = values.get(k, 0) + uses
-                    continue
-                for k, count in terms:
+    def key(self, preds: dict, rules: dict, size_used: int) -> tuple[int, int]:
+        """``(bits, packed)`` of a derivation with these predicate counts,
+        rule counts and size."""
+        bits = 0
+        packed = size_used << self._size_shift
+        for pred, uses in preds.items():
+            bit = self._bit.get(pred)
+            if bit is None:
+                packed += uses << self._kind_shift[pred[0]]
+            else:
+                bits |= bit
+        for rule, count in rules.items():
+            shift = self._rule_shift.get(rule)
+            if shift is not None:
+                packed += count << shift
+        return bits, packed
+
+    def decode(self, bits: int, packed: int) -> tuple[frozenset, dict, dict, int]:
+        """(triggered predicates, untriggered uses per kind, weighted rule
+        counts, size) of a key; zero counts are left out."""
+        mask, width = self._mask, self.width
+        triggered = frozenset(pred for pred, bit in self._bit.items() if bits & bit)
+        rules = {}
+        for k in self._rule_keys:
+            if packed & mask:
+                rules[k[5:]] = packed & mask
+            packed >>= width
+        untriggered = {}
+        for kind in KINDS:
+            if packed & mask:
+                untriggered[kind] = packed & mask
+            packed >>= width
+        # a field that overflowed would carry up into the size
+        assert packed <= self.max_rules, f"size {packed} exceeds max_rules {self.max_rules}"
+        return triggered, untriggered, rules, packed
+
+    def score(self, is_root: bool, bits: int, packed: int) -> float:
+        memo = self._memo[is_root]
+        total = memo.get((bits, packed))
+        if total is None:
+            total = memo[bits, packed] = self._total(is_root, bits, packed)
+        return total
+
+    def _total(self, is_root: bool, bits: int, packed: int) -> float:
+        """``dot`` over the weighted feature values of a key, which are
+        rebuilt as the templates count them (see :meth:`decode` for the
+        field walk)."""
+        weights = self.weights
+        values: dict[str, int] = {}
+        for pred, bit in self._bit.items():
+            if bits & bit:
+                for k, count in self._cooc[pred]:
                     values[k] = values.get(k, 0) + count
-            if is_root:
-                for key, absent in missing:
-                    if key not in preds:
-                        for k in absent:
-                            values[k] = 1
-            if new:
-                sizes = size_keys.get(size_used)
-                if sizes is None:
-                    sizes = size_keys[size_used] = tuple(
-                        k for k in (f"size>{n}" for n in range(2, size_used)) if k in weights
-                    )
-                for k in sizes:
-                    values[k] = 1
-            for rule, count in rules.items():
-                k = rule_keys.get(rule)
-                if k is not None:
-                    values[k] = count
-            total = 0.0
-            for k in sorted(values):
-                total += weights[k] * values[k]
-            memo[memo_key] = total
-            return total
-
-        return score
+        if is_root:
+            for bit, absent in self._missing:
+                if not bits & bit:
+                    for k in absent:
+                        values[k] = 1
+        mask, width = self._mask, self.width
+        for k in self._field_keys:
+            if k is not None and packed & mask:
+                values[k] = packed & mask
+            packed >>= width
+        assert packed <= self.max_rules, f"size {packed} exceeds max_rules {self.max_rules}"
+        sizes = self._size_keys.get(packed)
+        if sizes is None:
+            sizes = self._size_keys[packed] = tuple(
+                f"size>{n}" for n in range(2, packed) if self._new and f"size>{n}" in weights)
+        for k in sizes:
+            values[k] = 1
+        total = 0.0
+        for k in sorted(values):
+            total += weights[k] * values[k]
+        return total
 
 
 class Featurizer:

@@ -59,9 +59,24 @@ def _merge_preds(*parts):
 class LogicalForm:
     """Base node. ``printed`` is the canonical text, ``node_count`` the
     rule-application count of the canonical derivation, ``preds`` the
-    multiset of (kind, name) predicates occurring in the tree."""
+    multiset of (kind, name) predicates occurring in the tree.
 
-    __slots__ = ("printed", "node_count", "preds")
+    ``preds`` is collected on first read and kept: the parser's chart
+    builds many forms whose predicates nobody reads (it scores them from
+    its own composed counts), so building the dict eagerly is waste."""
+
+    __slots__ = ("printed", "node_count", "_preds")
+
+    @property
+    def preds(self) -> dict[tuple[str, str], int]:
+        try:
+            return self._preds
+        except AttributeError:
+            self._preds = preds = self._collect_preds()
+            return preds
+
+    def _collect_preds(self) -> dict[tuple[str, str], int]:
+        raise NotImplementedError
 
     def __eq__(self, other):
         return type(other) is type(self) and other.printed == self.printed
@@ -80,7 +95,9 @@ class ValueLit(LogicalForm):
         self.value = value
         self.printed = print_value(value)
         self.node_count = 1
-        self.preds = {}
+
+    def _collect_preds(self):
+        return {}
 
 
 class TypeSet(LogicalForm):
@@ -92,7 +109,9 @@ class TypeSet(LogicalForm):
         self.etype = etype
         self.printed = f"R[{TYPE_RELATION}].{etype}"
         self.node_count = 1
-        self.preds = {(REL, TYPE_RELATION): 1}
+
+    def _collect_preds(self):
+        return {(REL, TYPE_RELATION): 1}
 
 
 class RelationRef(LogicalForm):
@@ -104,7 +123,9 @@ class RelationRef(LogicalForm):
         self.name = name
         self.printed = f"R[{name}]"
         self.node_count = 1
-        self.preds = {(REL, name): 1}
+
+    def _collect_preds(self):
+        return {(REL, self.name): 1}
 
 
 class MethodRef(LogicalForm):
@@ -116,7 +137,9 @@ class MethodRef(LogicalForm):
         self.method = method
         self.printed = method.name
         self.node_count = 1
-        self.preds = {(METH, method.name): 1}
+
+    def _collect_preds(self):
+        return {(METH, self.method.name): 1}
 
 
 class ReverseJoin(LogicalForm):
@@ -127,7 +150,9 @@ class ReverseJoin(LogicalForm):
         self.child = child
         self.printed = f"R[{relation}].{child.printed}"
         self.node_count = 2 + child.node_count
-        self.preds = _merge_preds({(REL, relation): 1}, child.preds)
+
+    def _collect_preds(self):
+        return _merge_preds({(REL, self.relation): 1}, self.child.preds)
 
 
 class ForwardJoin(LogicalForm):
@@ -138,7 +163,9 @@ class ForwardJoin(LogicalForm):
         self.child = child
         self.printed = f"F[{relation}].{child.printed}"
         self.node_count = 2 + child.node_count
-        self.preds = _merge_preds({(REL, relation): 1}, child.preds)
+
+    def _collect_preds(self):
+        return _merge_preds({(REL, self.relation): 1}, self.child.preds)
 
 
 class Intersect(LogicalForm):
@@ -154,7 +181,9 @@ class Intersect(LogicalForm):
         self.right = b
         self.printed = f"Intersect({a.printed}, {b.printed})"
         self.node_count = 1 + a.node_count + b.node_count
-        self.preds = _merge_preds(a.preds, b.preds)
+
+    def _collect_preds(self):
+        return _merge_preds(self.left.preds, self.right.preds)
 
 
 ARGMAX = "argmax"
@@ -171,7 +200,9 @@ class Superlative(LogicalForm):
         self.key = key
         self.printed = f"{kind}({set_lf.printed}, R[{key}])"
         self.node_count = 2 + set_lf.node_count
-        self.preds = _merge_preds({(OP, kind): 1, (REL, key): 1}, set_lf.preds)
+
+    def _collect_preds(self):
+        return _merge_preds({(OP, self.kind): 1, (REL, self.key): 1}, self.set_lf.preds)
 
 
 class Call(LogicalForm):
@@ -188,7 +219,9 @@ class Call(LogicalForm):
         self.args = args
         self.printed = f"{method.name}({', '.join(a.printed for a in args)})"
         self.node_count = 2 + sum(a.node_count for a in args)
-        self.preds = _merge_preds({(METH, method.name): 1}, *(a.preds for a in args))
+
+    def _collect_preds(self):
+        return _merge_preds({(METH, self.method.name): 1}, *(a.preds for a in self.args))
 
 
 def size(lf: LogicalForm) -> int:

@@ -22,16 +22,26 @@ with ties broken on the printed form, so runs are reproducible. Derivations
 are deduplicated chart-wide on (category, printed form, anchored spans),
 keeping the smallest size.
 
-Every derivation is scored when it is built, by the scorer that
-:meth:`UtteranceContext.scorer` compiles once per parse from the weights:
-it reads the derivation's predicate counts, rule counts and size and gives
-the same float, bit for bit, as ``kernels.dot`` over its feature dict. Root
-derivations get the full feature set (including missing-predicate
-features); partial derivations the templates that are well defined on
-fragments. The feature dict itself (``Derivation.feats``) is built only
-when something reads it: the gradient, ``Candidate.features`` and
-``parse --explain``, all of which see only the candidates that survive the
-beams and the filter.
+Every derivation is scored when it is built, from a two-int *score key*
+rather than from its predicates and rules. The key (``bits``: the
+triggered predicates its form uses; ``packed``: its size, its untriggered
+predicate uses per kind and its weighted rule counts, in fixed-width
+fields) composes: a leaf's key comes from its form's ``preds``, and a
+composite's is its rule's local key with its children's ``bits`` OR-ed in
+and their ``packed`` added, because a form's predicates, rule counts and
+size are its children's plus its rule's own. The scorer that
+:meth:`UtteranceContext.scorer` compiles once per parse maps a key to the
+same float, bit for bit, as ``kernels.dot`` over the feature dict (see
+:class:`~nlinstruct.features.ChartScorer` for why the key determines every
+weighted feature value and why no field overflows). Root derivations get
+the full feature set (including missing-predicate features); partial
+derivations the templates that are well defined on fragments.
+
+So the chart never builds a composite's predicate or rule dict: a form's
+``preds`` and a derivation's ``rules`` are built on first read, as is
+the feature dict (``Derivation.feats``). Readers are the gradient,
+``Candidate.features`` and ``parse --explain``, all of which see only the
+candidates that survive the beams and the filter.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ from .errors import ConfigError, DomainLogicError, ExecutionError, ParseFailure
 from .features import Featurizer, UtteranceContext, tokenize
 from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
+    ARGMAX,
+    ARGMIN,
+    OP,
     Call,
     ForwardJoin,
     Intersect,
@@ -96,21 +109,42 @@ class ParserConfig:
 
 
 class Derivation:
-    __slots__ = ("lf", "category", "size_used", "spans", "children", "rules", "score",
-                 "_context", "_feats")
+    """A chart entry. ``rules`` maps rule name to application count and
+    sums to ``size_used``. A derivation the chart builds records only the
+    ``rule`` it applied last; its counts are that one application plus its
+    children's, summed on first read. ``bits`` and ``packed`` are its
+    score key (see :class:`~nlinstruct.features.ChartScorer`), set by
+    the chart."""
+
+    __slots__ = ("lf", "category", "size_used", "spans", "children", "rule", "score",
+                 "bits", "packed", "_rules", "_context", "_feats")
 
     def __init__(self, lf: LogicalForm, category: str, size_used: int,
-                 spans: tuple, children: tuple, rules: dict,
-                 context: UtteranceContext | None = None):
+                 spans: tuple, children: tuple, rules: dict | None = None,
+                 context: UtteranceContext | None = None, rule: str | None = None):
         self.lf = lf
         self.category = category
         self.size_used = size_used
         self.spans = spans
         self.children = children
-        self.rules = rules  # rule name -> application count; sums to size_used
+        self.rule = rule
         self.score = 0.0
+        if rules is not None:
+            self._rules = rules
         self._context = context
         self._feats: dict | None = None
+
+    @property
+    def rules(self) -> dict:
+        try:
+            return self._rules
+        except AttributeError:
+            rules = {self.rule: 1}
+            for c in self.children:
+                for name, n in c.rules.items():
+                    rules[name] = rules.get(name, 0) + n
+            self._rules = rules
+            return rules
 
     @property
     def feats(self) -> dict | None:
@@ -137,14 +171,6 @@ def merge_spans(a: tuple, b: tuple) -> tuple | None:
     return tuple(sorted(set(a) | set(b)))
 
 
-def _merge_rules(rule: str, children: tuple) -> dict:
-    merged = {rule: 1}
-    for c in children:
-        for name, n in c.rules.items():
-            merged[name] = merged.get(name, 0) + n
-    return merged
-
-
 def generate_candidates(
     tokens,
     state: State,
@@ -167,7 +193,14 @@ def generate_candidates(
 
     cells: dict[tuple[str, int], list[Derivation]] = {}
     seen: set = set()
-    score = ctx.scorer(weights)
+    scorer = ctx.scorer(weights, max_rules)
+    score = scorer.score
+    # a composite's own share of its score key: one application of its
+    # rule, plus the operator predicate that a superlative introduces
+    local = {rule: scorer.key({}, {rule: 1}, 1)
+             for rule in ("rjoin", "fjoin", "intersect", "call")}
+    for kind in (ARGMAX, ARGMIN):
+        local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
 
     def add(category: str, lf: LogicalForm, size_used: int, spans: tuple,
             children: tuple, rule: str) -> None:
@@ -175,8 +208,17 @@ def generate_candidates(
         if key in seen:
             return
         seen.add(key)
-        d = Derivation(lf, category, size_used, spans, children, _merge_rules(rule, children), ctx)
-        d.score = score(d, category == CAT_ROOT)
+        if children:
+            bits, packed = local[rule]
+            for c in children:
+                bits |= c.bits
+                packed += c.packed
+        else:
+            bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+        d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
+        d.bits = bits
+        d.packed = packed
+        d.score = score(category == CAT_ROOT, bits, packed)
         cells.setdefault((category, size_used), []).append(d)
 
     def prune(category: str, size_used: int) -> None:
@@ -266,7 +308,7 @@ def generate_candidates(
                     # twins that no feature can tell apart
                     if isinstance(c.lf, Superlative):
                         continue
-                    for kind in ("argmax", "argmin"):
+                    for kind in (ARGMAX, ARGMIN):
                         add(CAT_SET, Superlative(kind, c.lf, rd.lf.name), k,
                             c.spans, (c, rd), kind)
 
@@ -406,8 +448,12 @@ def predict(
 
 class Candidate(NamedTuple):
     deriv: Derivation
-    features: dict
     denotation: State | None  # None: rejected call (only kept when unfiltered)
+
+    @property
+    def features(self) -> dict | None:
+        """The derivation's feature dict, built on first read."""
+        return self.deriv.feats
 
 
 class Pipeline:
@@ -467,5 +513,5 @@ class Pipeline:
             denot = _denotation(d, state, domain, memo)
             if denot is None and self.use_filter:
                 continue
-            out.append(Candidate(d, d.feats, denot))
+            out.append(Candidate(d, denot))
         return out

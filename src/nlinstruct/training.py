@@ -20,7 +20,6 @@ saw, which is also how the trained parser will be used.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import random
@@ -377,17 +376,20 @@ def save_model(path, weights: dict, config: TrainConfig,
 
 
 def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    from .dataio import read_json_object
+
+    payload = read_json_object(path, "model")
     if payload.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a model file")
     if payload.get("version") != MODEL_VERSION:
         raise DataError(f"{path}: unsupported model version {payload.get('version')}")
-    weights = {str(k): float(v) for k, v in payload["weights"].items()}
-    config = TrainConfig.from_json(payload["train_config"])
-    part = payload.get("partition")
-    partition = DomainPartition(tuple(part["d1"]), tuple(part["d2"])) if part else None
+    try:
+        weights = {str(k): float(v) for k, v in payload["weights"].items()}
+        config = TrainConfig.from_json(payload["train_config"])
+        part = payload.get("partition")
+        partition = DomainPartition(tuple(part["d1"]), tuple(part["d2"])) if part else None
+    except KeyError as exc:
+        raise DataError(f"{path}: model file lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from None
     return weights, config, partition

@@ -247,7 +247,7 @@ def test_criterion_8_fractional_credit():
     def cand(score, denotation):
         d = Derivation(ValueLit(TextVal("x")), "Root", 3, (), (), {})
         d.score = score
-        return Candidate(d, {}, denotation)
+        return Candidate(d, denotation)
 
     fixture = [
         cand(4.0, "desired"), cand(4.0, "desired"),

@@ -265,3 +265,70 @@ def test_generate_rejects_negative_count(tmp_path, capsys):
     code = main(["generate", "--domain", "list", "--count", "-1", "--out", str(out)])
     _assert_config_error(capsys, code, "--count")
     assert not out.exists()
+
+
+def _model_without(tmp_path, key):
+    path = tmp_path / "m.json"
+    save_model(path, {"size>2": 1.0}, TrainConfig())
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _bad_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _parse_with_state(tmp_path, state_text):
+    args = _paper_state_parse_args(tmp_path)
+    args[args.index("--state") + 1] = _bad_file(tmp_path, "bad_state.json", state_text)
+    return args
+
+
+def _parse_with_model(tmp_path, key):
+    args = _paper_state_parse_args(tmp_path)
+    args[args.index("--model") + 1] = _model_without(tmp_path, key)
+    return args
+
+
+def _train_with_tuned(tmp_path, text):
+    config = _write_config(tmp_path / "c.json", dataset=str(tmp_path / "unused.jsonl"))
+    return ["train", "--config", config, "--tuned", _bad_file(tmp_path, "tuned.json", text),
+            "--out", str(tmp_path / "model.json")]
+
+
+def _significance(tmp_path, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"per_example": []}))
+    return ["significance", _bad_file(tmp_path, "report.json", text), str(good)]
+
+
+@pytest.mark.parametrize("make_args, code, words", [
+    (lambda p: _parse_with_state(p, '{"entities": ['), 3, "bad_state.json: not valid JSON"),
+    (lambda p: _parse_with_state(p, "[1, 2]"), 3, "bad_state.json: a state must be"),
+    (lambda p: _parse_with_state(p, '{"entities": []}'), 3, "bad_state.json: malformed state"),
+    (lambda p: _parse_with_model(p, "weights"), 3, "m.json: model file lacks 'weights'"),
+    (lambda p: _parse_with_model(p, "train_config"), 3, "m.json: model file lacks 'train_config'"),
+    (lambda p: _train_with_tuned(p, '{"l1": '), 3, "tuned.json: not valid JSON"),
+    (lambda p: _train_with_tuned(p, '{"no_such_field": 1}'), 3, "tuned.json: not a tuned"),
+    (lambda p: _train_with_tuned(p, '{"l1": -1}'), 3, "tuned.json: not a tuned"),
+    (lambda p: _significance(p, "{"), 3, "report.json: not valid JSON"),
+    (lambda p: _significance(p, '{"accuracy": 1.0}'), 3, "report.json: report lacks 'per_example'"),
+    (lambda p: ["parse", "turn off the light", "--domain", "toaster", "--state", "x.json"],
+     2, "unknown domain 'toaster'"),
+    (lambda p: ["generate", "--domain", "toaster", "--count", "1", "--out", str(p / "o.jsonl")],
+     2, "unknown domain 'toaster'"),
+], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
+        "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example", "parse-domain",
+        "generate-domain"])
+def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
+    rc = main(make_args(tmp_path))
+    captured = capsys.readouterr()
+    assert rc == code
+    assert "Traceback" not in captured.out + captured.err
+    err = captured.err.strip()
+    assert err.startswith("data error:" if code == 3 else "config error:")
+    assert "\n" not in err and words in err

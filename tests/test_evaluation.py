@@ -26,7 +26,7 @@ from conftest import make_toy_domain
 def _fake_candidate(score: float, denotation) -> Candidate:
     deriv = Derivation(ValueLit(TextVal("x")), "Root", 3, (), (), {})
     deriv.score = score
-    return Candidate(deriv, {}, denotation)
+    return Candidate(deriv, denotation)
 
 
 def test_unique_correct_candidate_scores_full_credit():

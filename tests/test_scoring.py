@@ -1,10 +1,12 @@
 """The parser's compiled scorer against the reference scoring.
 
-The chart scores every derivation with the function that
-``UtteranceContext.scorer`` compiles from the weights, and builds feature
-dicts only on demand. The reference is ``kernels.dot`` over
-``UtteranceContext.features``; every score must equal it bit for bit,
-because fractional credit and the beams compare scores with ``==``.
+The chart scores every derivation from a score key it composes from the
+children's keys, with the scorer that ``UtteranceContext.scorer``
+compiles from the weights, and builds feature dicts only on demand. The
+reference is ``kernels.dot`` over ``UtteranceContext.features``; every
+score must equal it bit for bit, because fractional credit and the beams
+compare scores with ``==``. Every composed key must also decode to the
+counts taken from the derivation's own ``lf.preds`` and ``rules``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import pytest
 
 from nlinstruct import kernels
 from nlinstruct.domains import get_domain
-from nlinstruct.features import Featurizer, UtteranceContext, tokenize
+from nlinstruct.evaluation import mean_credit
+from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
 from nlinstruct.logic import TypeSet
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
-from nlinstruct.training import TrainConfig, adagrad
+from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
 
@@ -105,6 +108,39 @@ def _busy_examples():
             for a, b in zip(examples[::2], examples[1::2])]
 
 
+def _check_chart(built: list, ctx: UtteranceContext, weights: dict, max_rules: int,
+                 label) -> None:
+    """Every built derivation's score equals the reference, and its
+    composed key is the one its own predicate and rule counts give."""
+    scorer = ctx.scorer(weights, max_rules)
+    for d in built:
+        want = kernels.dot(weights, ctx.features(d, d.category == "Root"))
+        assert d.score == want and repr(d.score) == repr(want), (label, d)
+        preds, rules = d.lf.preds, d.rules
+        assert sum(rules.values()) == d.size_used <= max_rules, (label, d)
+        assert (d.bits, d.packed) == scorer.key(preds, rules, d.size_used), (label, d)
+        untriggered: Counter = Counter()
+        for (kind, name), uses in preds.items():
+            if (kind, name) not in ctx.triggers:
+                untriggered[kind] += uses
+        assert scorer.decode(d.bits, d.packed) == (
+            frozenset(p for p in preds if p in ctx.triggers),
+            dict(untriggered),
+            {r: n for r, n in rules.items() if f"rule|{r}" in weights},
+            d.size_used,
+        ), (label, d)
+
+
+def _run_chart(built, ex, weights, config, use_new_features=True):
+    domain = get_domain(ex.domain_id)
+    featurizer = Featurizer(domain, use_new_features)
+    tokens = tokenize(ex.utterance)
+    built.clear()
+    roots = generate_candidates(tokens, ex.initial, domain, config, weights, featurizer)
+    assert len(built) > len(roots)  # pruned derivations are checked too
+    return featurizer.context(tokens)
+
+
 @pytest.mark.parametrize("use_new_features", [True, False])
 def test_every_chart_score_equals_the_reference_dot(trained, built, use_new_features):
     examples = _busy_examples()
@@ -112,18 +148,68 @@ def test_every_chart_score_equals_the_reference_dot(trained, built, use_new_feat
     checked = 0
     for label, weights in _weight_vectors(trained).items():
         for ex in examples:
-            domain = get_domain(ex.domain_id)
-            featurizer = Featurizer(domain, use_new_features)
-            tokens = tokenize(ex.utterance)
-            ctx = featurizer.context(tokens)
-            built.clear()
-            roots = generate_candidates(tokens, ex.initial, domain, CONFIG, weights, featurizer)
-            assert len(built) > len(roots)  # pruned derivations are checked too
-            for d in built:
-                want = kernels.dot(weights, ctx.features(d, d.category == "Root"))
-                assert d.score == want and repr(d.score) == repr(want), (label, ex.id, d)
+            ctx = _run_chart(built, ex, weights, CONFIG, use_new_features)
+            _check_chart(built, ctx, weights, CONFIG.max_rules, (label, ex.id))
             checked += len(built)
     assert checked > 10_000
+
+
+def _ordinal_examples():
+    """One example per domain with an ``index`` relation, its utterance
+    extended with several ordinals, so that ``anchor-ordinal`` leaves (size
+    1, three nodes) feed joins, intersections and superlatives."""
+    out = []
+    for did in ("container", "list", "messenger"):
+        assert "index" in get_domain(did).relations
+        (ex, _), = build_domain_corpus(get_domain(did), 1, seed=19)
+        out.append(dataclasses.replace(
+            ex, utterance=f"{ex.utterance} then the first and the third not the second"))
+    return out
+
+
+def test_ordinal_leaves_compose_with_exact_scores(trained, built):
+    weights = dict(_weight_vectors(trained)["explicit"], **{"rule|anchor-ordinal": -0.3})
+    composed = 0
+    for ex in _ordinal_examples():
+        ctx = _run_chart(built, ex, weights, CONFIG)
+        _check_chart(built, ctx, weights, CONFIG.max_rules, ex.id)
+        ordinal = {id(d) for d in built if d.rule == "anchor-ordinal"}
+        assert len(ordinal) >= 3
+        composed += sum(1 for d in built if any(id(c) in ordinal for c in d.children))
+    assert composed > 100
+
+
+def test_scores_are_exact_at_fifteen_rule_applications(trained, built):
+    config = ParserConfig(beam_size=4, max_rules=15)
+    vectors = _weight_vectors(trained)
+    examples = _busy_examples()[::3] + _ordinal_examples()[:1]
+    for label in ("trained", "explicit"):
+        for ex in examples:
+            ctx = _run_chart(built, ex, vectors[label], config)
+            assert max(d.size_used for d in built) > 9
+            _check_chart(built, ctx, vectors[label], config.max_rules, (label, ex.id))
+
+
+@pytest.mark.parametrize("max_rules", [1, 7, 8, 9, 15, 16, 1000])
+def test_key_fields_hold_counts_up_to_max_rules(max_rules):
+    ctx = Featurizer(get_domain("file")).context(tuple(tokenize("delete the largest file")))
+    weights = {"rule|call": 1.0, "rule|rjoin": 1.0, "rule|argmax": 1.0}
+    scorer = ctx.scorer(weights, max_rules)
+    assert scorer.width == max_rules.bit_length()
+    m = max_rules
+    preds = {("relation", "noSuchRelation"): m, ("method", "noSuchMethod"): m,
+             ("operator", "noSuchOperator"): m, ("method", "removeFiles"): m}
+    assert ("method", "removeFiles") in ctx.triggers
+    bits, packed = scorer.key(preds, {"call": m, "rjoin": m, "argmax": m, "fjoin": m}, m)
+    assert packed < 1 << scorer.width * (len(weights) + len(KINDS) + 1)
+    assert scorer.decode(bits, packed) == (
+        frozenset({("method", "removeFiles")}), {kind: m for kind in KINDS},
+        {"argmax": m, "call": m, "rjoin": m}, m)
+    too_big = scorer.key({}, {}, m + 1)
+    with pytest.raises(AssertionError, match="exceeds max_rules"):
+        scorer.decode(*too_big)
+    with pytest.raises(AssertionError, match="exceeds max_rules"):
+        scorer.score(True, *too_big)
 
 
 def test_scorer_memo_never_mixes_roots_and_fragments():
@@ -132,11 +218,12 @@ def test_scorer_memo_never_mixes_roots_and_fragments():
     domain = get_domain("file")
     ctx = Featurizer(domain).context(tuple(tokenize("delete the largest file")))
     weights = {"missing|delete|removeFiles": 1.5, "missing-any|method": 0.25}
-    score = ctx.scorer(weights)
+    scorer = ctx.scorer(weights, CONFIG.max_rules)
     frag = Derivation(TypeSet("File"), "EntitySet", 1, (), (),
                       {"float-type": 1})
-    assert score(frag, False) == 0.0
-    assert score(frag, True) == kernels.dot(weights, ctx.features(frag, True)) == 1.75
+    key = scorer.key(frag.lf.preds, frag.rules, frag.size_used)
+    assert scorer.score(False, *key) == 0.0
+    assert scorer.score(True, *key) == kernels.dot(weights, ctx.features(frag, True)) == 1.75
 
 
 def test_analyze_builds_features_only_for_returned_candidates(built, monkeypatch):
@@ -173,3 +260,50 @@ def test_scores_do_not_depend_on_dict_insertion_order(trained):
     a = generate_candidates(tokenize(ex.utterance), ex.initial, domain, CONFIG, trained)
     b = generate_candidates(tokenize(ex.utterance), ex.initial, domain, CONFIG, reordered)
     assert [(d.lf.printed, repr(d.score)) for d in a] == [(d.lf.printed, repr(d.score)) for d in b]
+
+
+def test_mean_credit_builds_no_feature_dict(trained, monkeypatch):
+    calls = []
+    original = UtteranceContext.features
+
+    def counting(self, deriv, is_root):
+        calls.append(deriv)
+        return original(self, deriv, is_root)
+
+    monkeypatch.setattr(UtteranceContext, "features", counting)
+    pipeline = Pipeline(get_domain, CONFIG)
+    examples = _examples(1, seed=19)
+    assert mean_credit(pipeline, trained, examples) > 0
+    assert calls == []
+
+
+def test_gradient_reads_the_reference_feature_dicts(trained):
+    pipeline = Pipeline(get_domain, CONFIG)
+    gradients = 0
+    for ex in _examples(1, seed=19):
+        cands = pipeline.analyze(ex, trained)
+        domain = get_domain(ex.domain_id)
+        ctx = pipeline.featurizer(domain).context(tuple(pipeline.tokens_of(ex.utterance)))
+        want = [(c.deriv, ctx.features(c.deriv, True)) for c in cands]
+        denots = [c.denotation for c in cands]
+        got = example_log_likelihood(trained, cands, denots, ex.desired)
+        assert got == example_log_likelihood(trained, want, denots, ex.desired)
+        gradients += got is not None
+        for c, (_, f) in zip(cands, want):
+            assert c.features == f and list(c.features) == list(f)
+    assert gradients >= 5
+
+
+def test_lazy_rules_keep_the_application_order(paper_state):
+    # counts are summed on first read: the last rule first, then each
+    # child's counts in child order, as when they were merged eagerly
+    roots = generate_candidates(tokenize("turn off the light in the bedroom"), paper_state,
+                                get_domain("lighting"), ParserConfig(beam_size=20, max_rules=7))
+    by_form = {d.lf.printed: d for d in roots}
+    d = by_form["turnLightOff(R[lightMode].ON)"]
+    assert list(d.rules.items()) == [("call", 1), ("float-method", 1), ("rjoin", 1),
+                                     ("float-relation", 1), ("float-sym", 1)]
+    assert d.rules is d.rules
+    d = by_form["turnLightOff(Intersect(R[name].bedroom, R[type].Room))"]
+    assert list(d.rules) == ["call", "float-method", "intersect", "float-type", "rjoin",
+                             "float-relation", "anchor-text"]
