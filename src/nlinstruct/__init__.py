@@ -8,7 +8,6 @@ from .errors import (
     ExecutionError,
     GenerationError,
     NlinstructError,
-    ParseFailure,
 )
 from .kb import Entity, IntVal, State, SymVal, TextVal, Triple, states_equal
 
@@ -23,7 +22,6 @@ __all__ = [
     "GenerationError",
     "IntVal",
     "NlinstructError",
-    "ParseFailure",
     "State",
     "SymVal",
     "TextVal",

@@ -19,7 +19,7 @@ import sys
 
 from . import dataio, training
 from .domains import builtin_domains, generate_state_pair, get_domain
-from .errors import ConfigError, DataError, NlinstructError, ParseFailure
+from .errors import ConfigError, DataError, NlinstructError
 from .evaluation import (
     ExampleScore,
     ExperimentSpec,
@@ -28,7 +28,8 @@ from .evaluation import (
     paired_bootstrap,
     run_experiment,
 )
-from .parser import ParserConfig, Pipeline, predict
+from .features import tokenize
+from .parser import ParserConfig, Pipeline, infer
 from .training import DomainPartition, TrainConfig, adagrad, gmdp
 
 import os
@@ -94,8 +95,6 @@ def _parser_config(config) -> ParserConfig:
 
 def _train_config(config) -> TrainConfig:
     section = dict(config.get("train", {}))
-    if "domain_ordering" in section and section["domain_ordering"] is not None:
-        section["domain_ordering"] = tuple(section["domain_ordering"])
     section.setdefault("seed", config["seed"])
     return TrainConfig(**section)
 
@@ -269,13 +268,12 @@ def cmd_parse(args) -> int:
     weights = {}
     if args.model:
         weights, _, _ = training.load_model(args.model)
-    try:
-        prediction = predict(args.utterance, state, domain, config, weights,
-                             use_filter=not args.no_logic_filter)
-    except ParseFailure:
+    cands = infer(tokenize(args.utterance), state, domain, config, weights,
+                  use_filter=not args.no_logic_filter)
+    if not cands:
         print("parse failure: no surviving candidate")
         return 4
-    ranked = sorted(prediction.candidates, key=lambda d: (-d.score, d.lf.printed))
+    ranked = sorted((c.deriv for c in cands), key=lambda d: (-d.score, d.lf.printed))
     for rank, deriv in enumerate(ranked[: args.nbest], start=1):
         print(f"{rank}. score={deriv.score:+.4f} size={deriv.size_used}  {deriv.lf.printed}")
         if args.explain:

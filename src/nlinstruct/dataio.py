@@ -42,14 +42,24 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_input_text(path) -> str:
+    """The text of an input file; :class:`DataError` naming the path when
+    it is missing, unreadable or not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
+
+
 def read_json_object(path, what: str) -> dict:
     """The JSON object in ``path``; :class:`DataError` naming the path when
-    the file is not valid JSON or holds something other than an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    the file cannot be read, is not valid JSON or holds something other
+    than an object."""
+    try:
+        obj = json.loads(read_input_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a {what} must be a JSON object")
     return obj
@@ -113,7 +123,7 @@ def state_from_json(domain_id: str, obj: dict) -> State:
             if subject is None:
                 raise DataError(f"triple subject {sid!r} is not a declared entity")
             triples.append(Triple(subject, relation, _value_from_json(raw, entities)))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed state object: {exc}") from None
     return State(domain_id, entities.values(), triples)
 
@@ -157,19 +167,24 @@ def write_dataset(path, examples: Iterable[Example], header: dict | None = None)
 
 
 def read_dataset(path) -> list[Example]:
+    """The examples in a dataset file; :class:`DataError` naming the path,
+    and the line for a bad row, when the file or a row is invalid."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+    for lineno, line in enumerate(read_input_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise DataError("a dataset row must be a JSON object")
             if "header" in obj:
                 continue
             out.append(example_from_json(obj))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

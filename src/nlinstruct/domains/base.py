@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import DataError, ExecutionError, NlinstructError
-from ..kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Triple, Value
+from ..kb import TYPE_RELATION, Entity, IntVal, State, SymVal, Triple, Value
 
 # Parameter kinds
 COLLECTION = "collection"
@@ -228,12 +228,6 @@ def int_of(state: State, e: Entity, relation: str) -> int:
     return objs[0].value
 
 
-def set_object(state: State, e: Entity, relation: str, value: Value) -> State:
-    """Replace the object of a single-valued relation on one entity."""
-    old = [Triple(e, relation, o) for o in state.objects(e, relation)]
-    return state.replace_triples(old, [Triple(e, relation, value)])
-
-
 def reindex(state: State, entities_in_order: list[Entity]) -> State:
     """Reassign the ``index`` relation contiguously from 1 over the given order."""
     remove = []
@@ -246,9 +240,3 @@ def reindex(state: State, entities_in_order: list[Entity]) -> State:
 def by_index(state: State, entities) -> list[Entity]:
     return sorted(entities, key=lambda e: (int_of(state, e, "index"), e.id))
 
-
-def text_of(state: State, e: Entity, relation: str) -> str:
-    objs = [o for o in state.objects(e, relation) if isinstance(o, TextVal)]
-    if len(objs) != 1:
-        raise NlinstructError(f"{e.id}: expected one text {relation}")
-    return objs[0].value

@@ -15,10 +15,6 @@ class ExecutionError(NlinstructError):
     argument sets, arity or kind mismatches, unexecutable fragments."""
 
 
-class ParseFailure(NlinstructError):
-    """Raised when no candidate logical form survives inference."""
-
-
 class GenerationError(NlinstructError):
     """Raised when random state-pair generation exhausts its retry budget."""
 

@@ -24,7 +24,7 @@ values, so weights transfer to domains unseen in training. Phrase matching
 is exact lowercase 1-2-grams; there is deliberately no stemming, so e.g.
 "longest" only matches through the operator phrase list.
 
-With ``use_new_features=False`` the extractor reverts to the pre-adaptation
+With ``use_new_features=False`` features revert to the pre-adaptation
 template set: description-phrase and operator entries leave the lexicon
 (name-token matching remains) and size features are dropped.
 
@@ -72,16 +72,6 @@ class Lexicon:
 
     def __init__(self, entries: dict[tuple[str, str], frozenset[str]]):
         self.entries = entries
-
-    def __getitem__(self, predicate: str) -> frozenset[str]:
-        out: set[str] = set()
-        for (_, name), phrases in self.entries.items():
-            if name == predicate:
-                out.update(phrases)
-        return frozenset(out)
-
-    def __contains__(self, predicate: str) -> bool:
-        return any(name == predicate for _, name in self.entries)
 
 
 def build_lexicon(domain: Domain, use_new_features: bool = True) -> Lexicon:
@@ -349,8 +339,3 @@ class Featurizer:
             self._cache[key] = ctx
         return ctx
 
-
-def extract(tokens, deriv, lexicon: Lexicon, root: bool = True,
-            use_new_features: bool = True) -> dict[str, float]:
-    """One-shot extraction over a prebuilt lexicon."""
-    return UtteranceContext(tuple(tokens), lexicon, use_new_features).features(deriv, root)

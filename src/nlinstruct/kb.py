@@ -210,14 +210,6 @@ class State:
         return State(self.domain_id, self.entities | {entity}, self.triples | frozenset(triples))
 
 
-def query_objects(state: State, subject: Value, relation: str) -> frozenset[Value]:
-    return state.objects(subject, relation)
-
-
-def query_subjects(state: State, relation: str, obj: Value) -> frozenset[Entity]:
-    return state.subjects(relation, obj)
-
-
 def states_equal(a: State, b: State) -> bool:
     """Value equality of two same-domain states."""
     if a.domain_id != b.domain_id:

@@ -224,11 +224,6 @@ class Call(LogicalForm):
         return _merge_preds({(METH, self.method.name): 1}, *(a.preds for a in self.args))
 
 
-def size(lf: LogicalForm) -> int:
-    """Rule applications of the canonical derivation of a standalone form."""
-    return lf.node_count
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------

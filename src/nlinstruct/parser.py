@@ -42,6 +42,11 @@ So the chart never builds a composite's predicate or rule dict: a form's
 the feature dict (``Derivation.feats``). Readers are the gradient,
 ``Candidate.features`` and ``parse --explain``, all of which see only the
 candidates that survive the beams and the filter.
+
+Inference has one path, :func:`infer`: parse, execute each root's call
+against the state and, with the logic filter on, drop the calls that fail
+to assemble, raise, or change nothing. Training and evaluation reach it
+through :meth:`Pipeline.analyze`, ``nlinstruct parse`` directly.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE, Domain, invoke
-from .errors import ConfigError, DomainLogicError, ExecutionError, ParseFailure
+from .errors import ConfigError, DomainLogicError, ExecutionError
 from .features import Featurizer, UtteranceContext, tokenize
 from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
@@ -377,18 +382,6 @@ def generate_candidates(
     return roots
 
 
-def filter_by_application_logic(candidates: list[Derivation], state: State,
-                                domain: Domain) -> list[Derivation]:
-    """Drop candidates whose call fails to assemble, raises, or leaves the
-    state unchanged. Invocation outcomes are memoized per distinct call."""
-    survivors = []
-    memo: dict = {}
-    for d in candidates:
-        if _denotation(d, state, domain, memo) is not None:
-            survivors.append(d)
-    return survivors
-
-
 _REJECTED = object()
 
 
@@ -412,40 +405,6 @@ def _denotation(d: Derivation, state: State, domain: Domain, memo: dict) -> Stat
     return out
 
 
-class Prediction(NamedTuple):
-    best: list[Derivation]  # every maximal-score survivor (ties preserved)
-    result: State | None  # denotation of the first best derivation
-    candidates: list[Derivation]  # all scored survivors
-
-
-def predict(
-    utterance: str | list[str],
-    state: State,
-    domain: Domain,
-    config: ParserConfig | None = None,
-    weights: dict | None = None,
-    featurizer: Featurizer | None = None,
-    use_filter: bool = True,
-) -> Prediction:
-    """Full inference for one instruction. Raises :class:`ParseFailure`
-    when the (filtered) candidate set is empty."""
-    tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
-    cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
-    if use_filter:
-        cands = filter_by_application_logic(cands, state, domain)
-    if not cands:
-        raise ParseFailure("no surviving candidate logical form")
-    top = max(d.score for d in cands)
-    best = sorted((d for d in cands if d.score == top), key=lambda d: (d.lf.printed, d.spans))
-    memo: dict = {}
-    result = None
-    for d in best:
-        result = _denotation(d, state, domain, memo)
-        if result is not None:
-            break
-    return Prediction(best, result, cands)
-
-
 class Candidate(NamedTuple):
     deriv: Derivation
     denotation: State | None  # None: rejected call (only kept when unfiltered)
@@ -454,6 +413,31 @@ class Candidate(NamedTuple):
     def features(self) -> dict | None:
         """The derivation's feature dict, built on first read."""
         return self.deriv.feats
+
+
+def infer(
+    tokens,
+    state: State,
+    domain: Domain,
+    config: ParserConfig | None = None,
+    weights: dict | None = None,
+    featurizer: Featurizer | None = None,
+    use_filter: bool = True,
+) -> list[Candidate]:
+    """Full inference for one instruction: parse, execute every root
+    derivation, and with ``use_filter`` drop those whose call fails to
+    assemble, raises, or leaves the state unchanged. Invocation outcomes
+    are memoized per distinct call. Candidates keep the chart's order; an
+    empty list is a parse failure."""
+    cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
+    memo: dict = {}
+    out = []
+    for d in cands:
+        denot = _denotation(d, state, domain, memo)
+        if denot is None and use_filter:
+            continue
+        out.append(Candidate(d, denot))
+    return out
 
 
 class Pipeline:
@@ -496,22 +480,11 @@ class Pipeline:
         return t
 
     def analyze(self, example, weights: dict) -> list[Candidate]:
-        """Parse, filter per configuration, and execute every candidate.
+        """:func:`infer` on one example under this pipeline's settings.
 
         Denotations are computed for all kept candidates because both the
         training objective and scoring need them. Empty result = parse
         failure."""
         domain = self.domain_source(example.domain_id)
-        state = example.initial
-        cands = generate_candidates(
-            self.tokens_of(example.utterance), state, domain,
-            self.config, weights, self.featurizer(domain),
-        )
-        memo: dict = {}
-        out = []
-        for d in cands:
-            denot = _denotation(d, state, domain, memo)
-            if denot is None and self.use_filter:
-                continue
-            out.append(Candidate(d, denot))
-        return out
+        return infer(self.tokens_of(example.utterance), example.initial, domain,
+                     self.config, weights, self.featurizer(domain), self.use_filter)

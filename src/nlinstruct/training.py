@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import DataError, NlinstructError
+from .errors import ConfigError, DataError, NlinstructError
 from .parser import Pipeline
 
 log = logging.getLogger(__name__)
@@ -34,8 +34,20 @@ log = logging.getLogger(__name__)
 ADAGRAD_EPS = 1e-8
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
 @dataclass
 class TrainConfig:
+    """Trainer hyper-parameters. Invalid types or values raise
+    :class:`ConfigError`; a ``domain_ordering`` list becomes a tuple, and
+    an empty one None."""
+
     l1: float = 0.001
     step_size: float = 0.1
     iterations: int = 3  # second-step passes for two-step training
@@ -46,12 +58,25 @@ class TrainConfig:
     reset_accumulators: bool = True
 
     def __post_init__(self):
+        for name in ("l1", "step_size"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("iterations", "iterations_step1", "partition_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.reset_accumulators, bool):
+            raise ConfigError(f"reset_accumulators must be true or false, got {self.reset_accumulators!r}")
+        ordering = self.domain_ordering
+        if ordering is not None:
+            if not isinstance(ordering, (list, tuple)) or not all(isinstance(d, str) for d in ordering):
+                raise ConfigError(f"domain_ordering must be a list of domain ids, got {ordering!r}")
+            self.domain_ordering = tuple(ordering) or None
         if self.l1 < 0:
-            raise NlinstructError("l1 coefficient must be >= 0")
+            raise ConfigError("l1 coefficient must be >= 0")
         if self.step_size <= 0:
-            raise NlinstructError("step size must be > 0")
+            raise ConfigError("step size must be > 0")
         if self.iterations < 0 or self.iterations_step1 < 0:
-            raise NlinstructError("iteration counts must be >= 0")
+            raise ConfigError("iteration counts must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -67,9 +92,6 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        ordering = data.get("domain_ordering")
-        data["domain_ordering"] = tuple(ordering) if ordering else None
         return cls(**data)
 
 
@@ -83,10 +105,6 @@ class DomainPartition:
             raise NlinstructError("both partition sides must be non-empty")
         if set(self.d1) & set(self.d2):
             raise NlinstructError("partition sides overlap")
-
-
-def score(weights: dict, feats: dict) -> float:
-    return kernels.dot(weights, feats)
 
 
 def candidate_distribution(weights: dict, candidates: list) -> list[float]:

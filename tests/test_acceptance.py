@@ -35,8 +35,8 @@ from nlinstruct.parser import (
     Derivation,
     ParserConfig,
     Pipeline,
-    filter_by_application_logic,
     generate_candidates,
+    infer,
 )
 from nlinstruct.synthetic import EXPERIMENT_DOMAINS, build_corpus
 from nlinstruct.training import DomainPartition, TrainConfig, adagrad, gmdp
@@ -154,17 +154,16 @@ def test_criterion_3_filter_soundness():
         domain, method = methods[i % len(methods)]
         i += 1
         state, call, desired = generate_state_pair(domain, method, rng)
-        cands = generate_candidates(
-            _anchor_tokens(state, call), state, domain, EXPERIMENT_PARSER, {},
-        )
-        survivors = filter_by_application_logic(cands, state, domain)
-        kept = {id(d) for d in survivors}
+        tokens = _anchor_tokens(state, call)
+        cands = generate_candidates(tokens, state, domain, EXPERIMENT_PARSER, {})
+        kept = {(c.deriv.lf.printed, c.deriv.spans)
+                for c in infer(tokens, state, domain, EXPERIMENT_PARSER, {})}
         for d in cands:
             try:
                 result = invoke(domain, state, execute_to_call(d.lf, state))
             except (DomainLogicError, ExecutionError):
                 result = None
-            if id(d) in kept:
+            if (d.lf.printed, d.spans) in kept:
                 if result is None or result == state:
                     violations += 1  # survivor fails the contract
             elif result is not None and result == desired:

@@ -80,7 +80,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_missing_dataset_exits_3(tmp_path):
     config = _write_config(tmp_path / "c.json", dataset=str(tmp_path / "missing.jsonl"))
-    assert main(["eval", "--config", config, "--out", str(tmp_path / "r.json")]) in (3, 4)
+    assert main(["eval", "--config", config, "--out", str(tmp_path / "r.json")]) == 3
 
 
 def test_train_then_parse_round_trip(tmp_path, capsys):
@@ -224,10 +224,89 @@ EXPLAIN_LINES = """\
 """.splitlines()
 
 
+# the same parse without the logic filter: no-op calls such as switching
+# off a light that is already off stay among the candidates
+UNFILTERED_EXPLAIN_LINES = """\
+1. score=+1.7500 size=3  turnLightOff(R[type].Room)
+     cooc-any|method|desc = 1
+     cooc|turn off|turnLightOff = 1
+     missing-any|relation = 1
+     missing|light|lightMode = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-type = 1
+     size>2 = 1
+     unevoked|relation = 1
+2. score=+1.5000 size=5  turnLightOff(R[lightMode].OFF)
+     cooc-any|method|desc = 1
+     cooc-any|relation|desc = 1
+     cooc|light|lightMode = 1
+     cooc|turn off|turnLightOff = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-relation = 1
+     rule|float-sym = 1
+     rule|rjoin = 1
+     size>2 = 1
+     size>3 = 1
+     size>4 = 1
+3. score=+1.5000 size=5  turnLightOff(R[lightMode].ON)
+     cooc-any|method|desc = 1
+     cooc-any|relation|desc = 1
+     cooc|light|lightMode = 1
+     cooc|turn off|turnLightOff = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-relation = 1
+     rule|float-sym = 1
+     rule|rjoin = 1
+     size>2 = 1
+     size>3 = 1
+     size>4 = 1
+4. score=+1.3750 size=7  turnLightOff(Intersect(R[lightMode].OFF, R[type].Room))
+     cooc-any|method|desc = 1
+     cooc-any|relation|desc = 1
+     cooc|light|lightMode = 1
+     cooc|turn off|turnLightOff = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-relation = 1
+     rule|float-sym = 1
+     rule|float-type = 1
+     rule|intersect = 1
+     rule|rjoin = 1
+     size>2 = 1
+     size>3 = 1
+     size>4 = 1
+     size>5 = 1
+     size>6 = 1
+     unevoked|relation = 1
+5. score=+1.3750 size=7  turnLightOff(Intersect(R[lightMode].ON, R[type].Room))
+     cooc-any|method|desc = 1
+     cooc-any|relation|desc = 1
+     cooc|light|lightMode = 1
+     cooc|turn off|turnLightOff = 1
+     rule|call = 1
+     rule|float-method = 1
+     rule|float-relation = 1
+     rule|float-sym = 1
+     rule|float-type = 1
+     rule|intersect = 1
+     rule|rjoin = 1
+     size>2 = 1
+     size>3 = 1
+     size>4 = 1
+     size>5 = 1
+     size>6 = 1
+     unevoked|relation = 1
+""".splitlines()
+
+
 def test_parse_explain_prints_exact_feature_lines(tmp_path, capsys):
-    args = _paper_state_parse_args(tmp_path) + ["--nbest", "2", "--explain"]
-    assert main(args) == 0
-    assert capsys.readouterr().out.splitlines() == EXPLAIN_LINES
+    for flags, lines in ((["--nbest", "2"], EXPLAIN_LINES),
+                         (["--nbest", "5", "--no-logic-filter"], UNFILTERED_EXPLAIN_LINES)):
+        assert main(_paper_state_parse_args(tmp_path) + flags + ["--explain"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines, flags
 
 
 def _assert_config_error(capsys, code, words):
@@ -260,6 +339,19 @@ def test_run_config_with_zero_parser_setting_exits_2(tmp_path, capsys, key, word
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("section, words", [
+    ({"iterations": 2.5}, "iterations must be an integer"),
+    ({"iterations_step1": True}, "iterations_step1 must be an integer"),
+    ({"l1": "x"}, "l1 must be a finite number"),
+    ({"domain_ordering": 5}, "domain_ordering must be a list"),
+], ids=["float-iterations", "bool-iterations", "string-l1", "int-ordering"])
+def test_run_config_with_mistyped_train_setting_exits_2(tmp_path, capsys, section, words):
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1), train=section)
+    code = main(["train", "--config", config, "--out", str(tmp_path / "m.json")])
+    _assert_config_error(capsys, code, words)
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_generate_rejects_negative_count(tmp_path, capsys):
     out = tmp_path / "pairs.jsonl"
     code = main(["generate", "--domain", "list", "--count", "-1", "--out", str(out)])
@@ -277,8 +369,10 @@ def _model_without(tmp_path, key):
 
 
 def _bad_file(tmp_path, name, text):
+    """The path of a file holding ``text``; None leaves the file missing."""
     path = tmp_path / name
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     return str(path)
 
 
@@ -294,6 +388,12 @@ def _parse_with_model(tmp_path, key):
     return args
 
 
+def _parse_with_missing(tmp_path, flag):
+    args = _paper_state_parse_args(tmp_path)
+    args[args.index(flag) + 1] = str(tmp_path / "absent.json")
+    return args
+
+
 def _train_with_tuned(tmp_path, text):
     config = _write_config(tmp_path / "c.json", dataset=str(tmp_path / "unused.jsonl"))
     return ["train", "--config", config, "--tuned", _bad_file(tmp_path, "tuned.json", text),
@@ -304,6 +404,21 @@ def _significance(tmp_path, text):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"per_example": []}))
     return ["significance", _bad_file(tmp_path, "report.json", text), str(good)]
+
+
+def _eval_with_dataset(tmp_path, rows):
+    dataset = tmp_path / "data.jsonl"
+    if rows is not None:
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    config = _write_config(tmp_path / "c.json", dataset=str(dataset))
+    return ["eval", "--config", config, "--out", str(tmp_path / "r.json")]
+
+
+def _row_without(key):
+    (ex, _), = build_domain_corpus(get_domain("list"), 1, seed=4)
+    row = dataio.example_to_json(ex)
+    del row[key]
+    return row
 
 
 @pytest.mark.parametrize("make_args, code, words", [
@@ -317,13 +432,25 @@ def _significance(tmp_path, text):
     (lambda p: _train_with_tuned(p, '{"l1": -1}'), 3, "tuned.json: not a tuned"),
     (lambda p: _significance(p, "{"), 3, "report.json: not valid JSON"),
     (lambda p: _significance(p, '{"accuracy": 1.0}'), 3, "report.json: report lacks 'per_example'"),
+    (lambda p: _parse_with_missing(p, "--state"), 3, "absent.json: cannot read"),
+    (lambda p: _parse_with_missing(p, "--model"), 3, "absent.json: cannot read"),
+    (lambda p: _train_with_tuned(p, None), 3, "tuned.json: cannot read"),
+    (lambda p: _significance(p, None), 3, "report.json: cannot read"),
+    (lambda p: _eval_with_dataset(p, None), 3, "data.jsonl: cannot read"),
+    (lambda p: _train_with_tuned(p, '{"iterations": 2.5}'), 3, "tuned.json: not a tuned"),
+    (lambda p: _eval_with_dataset(p, [{"header": {}}, [1, 2]]), 3,
+     "data.jsonl:2: a dataset row must be a JSON object"),
+    (lambda p: _eval_with_dataset(p, [_row_without("initial")]), 3,
+     "data.jsonl:1: dataset record missing field 'initial'"),
     (lambda p: ["parse", "turn off the light", "--domain", "toaster", "--state", "x.json"],
      2, "unknown domain 'toaster'"),
     (lambda p: ["generate", "--domain", "toaster", "--count", "1", "--out", str(p / "o.jsonl")],
      2, "unknown domain 'toaster'"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
-        "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example", "parse-domain",
-        "generate-domain"])
+        "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
+        "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
+        "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
+        "parse-domain", "generate-domain"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

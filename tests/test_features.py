@@ -7,8 +7,8 @@ from nlinstruct.domains import get_domain
 from nlinstruct.features import (
     OPERATOR_PHRASES,
     Featurizer,
+    UtteranceContext,
     build_lexicon,
-    extract,
     tokenize,
 )
 from nlinstruct.logic import parse_lf
@@ -17,6 +17,10 @@ from nlinstruct.parser import Derivation
 
 def _root_deriv(lf, size_used=None, rules=None) -> Derivation:
     return Derivation(lf, "Root", size_used or lf.node_count, (), (), rules or {})
+
+
+def _root_features(tokens, deriv, lexicon) -> dict[str, float]:
+    return UtteranceContext(tuple(tokens), lexicon, True).features(deriv, True)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -35,7 +39,7 @@ def test_cooc_fires_for_description_phrase_match():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
     lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
-    feats = extract(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
+    feats = _root_features(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
     assert feats["cooc|delete|removeFiles"] == 1.0
     assert feats["cooc-any|method|desc"] >= 1.0
     assert "missing|delete|removeFiles" not in feats
@@ -45,7 +49,7 @@ def test_missing_fires_when_method_is_absent():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
     lf = parse_lf("moveFiles(R[type].File, R[name].documents)", domain)
-    feats = extract(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
+    feats = _root_features(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
     assert feats["missing|delete|removeFiles"] == 1.0
     assert feats["missing-any|method"] == 1.0
     assert "cooc|delete|removeFiles" not in feats
@@ -55,20 +59,20 @@ def test_size_indicators_fire_strictly_below_size():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
     lf = parse_lf("removeFiles(R[type].File)", domain)
-    feats = extract([], _root_deriv(lf, size_used=5), lexicon)
+    feats = _root_features([], _root_deriv(lf, size_used=5), lexicon)
     assert {k for k in feats if k.startswith("size>")} == {"size>2", "size>3", "size>4"}
     assert all(feats[k] == 1.0 for k in ("size>2", "size>3", "size>4"))
 
 
 def test_build_lexicon_calendar_remove_events():
     lexicon = build_lexicon(get_domain("calendar"))
-    assert lexicon["removeEvents"] == {"remove", "cancel"}
+    assert lexicon.entries[("method", "removeEvents")] == {"remove", "cancel"}
 
 
 def test_build_lexicon_copies_method_phrases():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    assert lexicon["moveFiles"] == set(domain.method("moveFiles").phrases)
+    assert lexicon.entries[("method", "moveFiles")] == set(domain.method("moveFiles").phrases)
 
 
 def test_lexicon_without_relations_has_method_and_operator_entries(toy_domain):
@@ -76,7 +80,7 @@ def test_lexicon_without_relations_has_method_and_operator_entries(toy_domain):
     lexicon = build_lexicon(toy_domain)
     kinds = {kind for kind, _ in lexicon.entries}
     assert kinds == {"method", "operator"}
-    assert lexicon["argmax"] == set(OPERATOR_PHRASES["argmax"])
+    assert lexicon.entries[("operator", "argmax")] == set(OPERATOR_PHRASES["argmax"])
 
 
 def test_operator_phrases_are_the_fixed_global_lists():
@@ -107,8 +111,8 @@ def test_extraction_is_deterministic():
     lexicon = build_lexicon(domain)
     lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
     tokens = tokenize("delete the largest file please")
-    a = extract(tokens, _root_deriv(lf), lexicon)
-    b = extract(tokens, _root_deriv(lf), lexicon)
+    a = _root_features(tokens, _root_deriv(lf), lexicon)
+    b = _root_features(tokens, _root_deriv(lf), lexicon)
     assert a == b
 
 
@@ -119,7 +123,7 @@ def test_cooc_and_missing_are_exclusive_per_lexicon_pair():
     with_method = parse_lf("unloadContainers(R[index].4)", domain)
     without = parse_lf("loadContainers(R[index].4)", domain)
     for lf in (with_method, without):
-        feats = extract(tokens, _root_deriv(lf), lexicon)
+        feats = _root_features(tokens, _root_deriv(lf), lexicon)
         for (kind, name), phrases in lexicon.entries.items():
             for p in phrases:
                 both = {f"cooc|{p}|{name}", f"missing|{p}|{name}"}
@@ -130,8 +134,8 @@ def test_size_features_grow_monotonically():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
     lf = parse_lf("removeFiles(R[type].File)", domain)
-    small = extract([], _root_deriv(lf, size_used=4), lexicon)
-    large = extract([], _root_deriv(lf, size_used=7), lexicon)
+    small = _root_features([], _root_deriv(lf, size_used=4), lexicon)
+    large = _root_features([], _root_deriv(lf, size_used=7), lexicon)
     small_sizes = {k for k in small if k.startswith("size>")}
     large_sizes = {k for k in large if k.startswith("size>")}
     assert small_sizes < large_sizes
@@ -157,7 +161,7 @@ def test_rule_applications_are_counted():
     lexicon = build_lexicon(domain)
     lf = parse_lf("remove(R[value].2)", domain)
     rules = {"call": 1, "float-method": 1, "rjoin": 1, "float-relation": 1, "anchor-int": 1}
-    feats = extract(tokenize("remove the number 2"), _root_deriv(lf, rules=rules), lexicon)
+    feats = _root_features(tokenize("remove the number 2"), _root_deriv(lf, rules=rules), lexicon)
     assert feats["rule|anchor-int"] == 1.0
     assert feats["rule|rjoin"] == 1.0
     assert "rule|anchor-text" not in feats

@@ -12,8 +12,6 @@ from nlinstruct.kb import (
     SymVal,
     TextVal,
     Triple,
-    query_objects,
-    query_subjects,
     states_equal,
 )
 from nlinstruct.domains.base import typed_entity
@@ -37,26 +35,26 @@ def _two_room_state():
 
 def test_query_objects_floor(paper_state):
     room1 = paper_state.entity("room1")
-    assert query_objects(paper_state, room1, "floor") == {IntVal(2)}
+    assert paper_state.objects(room1, "floor") == {IntVal(2)}
 
 
 def test_query_objects_empty_state():
     empty = State("lighting", [], [])
-    assert query_objects(empty, Entity("room1", "Room"), "floor") == frozenset()
+    assert empty.objects(Entity("room1", "Room"), "floor") == frozenset()
 
 
 def test_query_objects_second_room():
     state, _, r2 = _two_room_state()
-    assert query_objects(state, r2, "floor") == {IntVal(2)}
+    assert state.objects(r2, "floor") == {IntVal(2)}
 
 
 def test_query_subjects_floor(paper_state):
-    assert query_subjects(paper_state, "floor", IntVal(2)) == {paper_state.entity("room1")}
+    assert paper_state.subjects("floor", IntVal(2)) == {paper_state.entity("room1")}
 
 
 def test_query_subjects_no_match_all_on():
     state, _, _ = _two_room_state()
-    assert query_subjects(state, "lightMode", SymVal("OFF")) == frozenset()
+    assert state.subjects("lightMode", SymVal("OFF")) == frozenset()
 
 
 def test_query_subjects_shared_length():
@@ -67,7 +65,7 @@ def test_query_subjects_shared_length():
         [c1, c2],
         [t1, t2, Triple(c1, "length", IntVal(3)), Triple(c2, "length", IntVal(3))],
     )
-    assert query_subjects(state, "length", IntVal(3)) == {c1, c2}
+    assert state.subjects("length", IntVal(3)) == {c1, c2}
 
 
 def test_states_equal_reflexive(paper_state):
@@ -142,10 +140,10 @@ def test_query_directions_are_mutually_consistent():
         relations = {t.relation for t in state.triples}
         for e in state.entities:
             for rel in relations:
-                for o in query_objects(state, e, rel):
-                    assert e in query_subjects(state, rel, o)
+                for o in state.objects(e, rel):
+                    assert e in state.subjects(rel, o)
         for t in state.triples:
-            assert t.object in query_objects(state, t.subject, t.relation)
+            assert t.object in state.objects(t.subject, t.relation)
 
 
 def test_serialization_round_trip_preserves_state_equality():

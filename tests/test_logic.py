@@ -20,7 +20,6 @@ from nlinstruct.logic import (
     execute,
     execute_to_call,
     parse_lf,
-    size,
 )
 
 from oracles import brute_force_denotation
@@ -96,9 +95,9 @@ def test_remove_by_value_binding():
 
 
 def test_size_counts_canonical_rules():
-    assert size(ValueLit(IntVal(4))) == 1
-    assert size(parse_lf("R[floor].2")) == 3
-    assert size(parse_lf("Intersect(R[name].bedroom, R[floor].2)")) == 7
+    assert ValueLit(IntVal(4)).node_count == 1
+    assert parse_lf("R[floor].2").node_count == 3
+    assert parse_lf("Intersect(R[name].bedroom, R[floor].2)").node_count == 7
 
 
 def test_superlative_ties_keep_all_extremes():

@@ -2,11 +2,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from nlinstruct.domains import get_domain, invoke
 from nlinstruct.domains.base import typed_entity
-from nlinstruct.errors import ParseFailure
 from nlinstruct.features import tokenize
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
 from nlinstruct.logic import execute_to_call, parse_lf
@@ -14,10 +11,9 @@ from nlinstruct.parser import (
     Derivation,
     ParserConfig,
     Pipeline,
-    filter_by_application_logic,
     generate_candidates,
+    infer,
     merge_spans,
-    predict,
 )
 
 from oracles import EnumerationBudget, enumerate_all_forms
@@ -98,6 +94,21 @@ def test_sibling_spans_never_overlap():
     assert merge_spans(((0, 1),), ((2, 3),)) == ((0, 1), (2, 3))
 
 
+def _survivors(tokens, state, domain, config) -> list[Derivation]:
+    return [c.deriv for c in infer(tokens, state, domain, config, {})]
+
+
+def _keys(derivs) -> set:
+    return {(d.lf.printed, d.spans) for d in derivs}
+
+
+def _best(cands):
+    """Every maximal-score candidate, ties kept, in printed order."""
+    top = max(c.deriv.score for c in cands)
+    return sorted((c for c in cands if c.deriv.score == top),
+                  key=lambda c: (c.deriv.lf.printed, c.deriv.spans))
+
+
 def test_filter_drops_no_change_calls():
     domain = get_domain("lighting")
     r1, t1 = typed_entity("room1", "Room")
@@ -107,12 +118,10 @@ def test_filter_drops_no_change_calls():
         [t1, Triple(r1, "name", TextVal("bedroom")), Triple(r1, "floor", IntVal(1)),
          Triple(r1, "lightMode", SymVal("OFF"))],
     )
-    cands = generate_candidates(
-        tokenize("turn off the bedroom light"), state, domain,
-        ParserConfig(beam_size=50, max_rules=9), {},
-    )
-    survivors = filter_by_application_logic(cands, state, domain)
-    assert {id(d) for d in survivors} <= {id(d) for d in cands}
+    tokens, config = tokenize("turn off the bedroom light"), ParserConfig(beam_size=50, max_rules=9)
+    cands = generate_candidates(tokens, state, domain, config, {})
+    survivors = _survivors(tokens, state, domain, config)
+    assert _keys(survivors) <= _keys(cands)
     assert any(d.lf.method.name == "turnLightOff" for d in cands)
     assert all(d.lf.method.name != "turnLightOff" for d in survivors)
     for d in survivors:
@@ -123,11 +132,9 @@ def test_filter_drops_no_change_calls():
 def test_filter_drops_domain_exceptions():
     domain = get_domain("workforce")
     state = domain.generate_state(random.Random(13), {"employees": (5, 5)})
-    cands = generate_candidates(
-        tokenize("assign bob to carol"), state, domain,
-        ParserConfig(beam_size=60, max_rules=9), {},
-    )
-    survivors = filter_by_application_logic(cands, state, domain)
+    tokens, config = tokenize("assign bob to carol"), ParserConfig(beam_size=60, max_rules=9)
+    cands = generate_candidates(tokens, state, domain, config, {})
+    survivors = _survivors(tokens, state, domain, config)
     assert len(survivors) < len(cands)
     for d in survivors:
         invoke(domain, state, execute_to_call(d.lf, state))  # must not raise
@@ -143,7 +150,7 @@ def test_filter_never_drops_the_gold_candidate():
         for method in domain.methods:
             state, call, desired = generate_state_pair(domain, method, rng)
             cands = generate_candidates([], state, domain, config, {})
-            survivors = filter_by_application_logic(cands, state, domain)
+            survivors = _survivors([], state, domain, config)
             dropped = {d.lf.printed for d in cands} - {d.lf.printed for d in survivors}
             for printed in dropped:
                 lf = parse_lf(printed, domain)
@@ -164,11 +171,12 @@ def test_predict_single_survivor():
          Triple(r1, "lightMode", SymVal("OFF"))],
     )
     weights = {"cooc-any|method|desc": 5.0, "size>2": -1.0, "size>3": -1.0, "size>4": -1.0}
-    pred = predict("turn on the light", state, domain,
-                   ParserConfig(beam_size=50, max_rules=7), weights)
-    assert pred.best[0].lf.printed == "turnLightOn(R[type].Room)"
-    assert pred.result is not None
-    (mode,) = pred.result.objects(pred.result.entity("room1"), "lightMode")
+    best = _best(infer(tokenize("turn on the light"), state, domain,
+                       ParserConfig(beam_size=50, max_rules=7), weights))
+    assert best[0].deriv.lf.printed == "turnLightOn(R[type].Room)"
+    result = best[0].denotation
+    assert result is not None
+    (mode,) = result.objects(result.entity("room1"), "lightMode")
     assert mode.name == "ON"
 
 
@@ -183,11 +191,11 @@ def test_predict_preserves_score_ties():
          Triple(e1, "attendees", IntVal(3)), Triple(e1, "index", IntVal(1))],
     )
     weights = {"cooc|recolor|setEventColor": 1.0}
-    pred = predict("recolor everything", state, domain,
-                   ParserConfig(beam_size=80, max_rules=7), weights)
-    assert len({d.score for d in pred.best}) == 1
-    assert all(d.lf.printed.startswith("setEventColor(") for d in pred.best)
-    printed = {d.lf.printed for d in pred.best}
+    best = [c.deriv for c in _best(infer(tokenize("recolor everything"), state, domain,
+                                         ParserConfig(beam_size=80, max_rules=7), weights))]
+    assert len({d.score for d in best}) == 1
+    assert all(d.lf.printed.startswith("setEventColor(") for d in best)
+    printed = {d.lf.printed for d in best}
     # repainting with the current color was filtered; the other three tie
     for color in ("GREEN", "BLUE", "YELLOW"):
         assert f"setEventColor(R[type].Event, {color})" in printed
@@ -195,10 +203,11 @@ def test_predict_preserves_score_ties():
 
 
 def test_predict_raises_on_empty_candidates():
+    # a parse failure is an empty candidate list; `nlinstruct parse` exits 4 on it
     domain = get_domain("lighting")
     state = State("lighting", [], [])
-    with pytest.raises(ParseFailure):
-        predict("turn off the light", state, domain, ParserConfig(beam_size=10, max_rules=7), {})
+    assert infer(tokenize("turn off the light"), state, domain,
+                 ParserConfig(beam_size=10, max_rules=7), {}) == []
 
 
 def test_inference_is_deterministic():

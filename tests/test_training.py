@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from nlinstruct import kernels
 from nlinstruct.errors import NlinstructError
 from nlinstruct.training import (
     DomainPartition,
@@ -19,7 +20,6 @@ from nlinstruct.training import (
     load_model,
     partition_for_fold,
     save_model,
-    score,
     tune_hyperparameters,
 )
 
@@ -33,15 +33,15 @@ class FakeCandidate:
 
 
 def test_score_is_a_sparse_dot_product():
-    assert score({}, {}) == 0.0
-    assert score({"a": 2.0}, {"a": 1.0, "b": 5.0}) == 2.0
+    assert kernels.dot({}, {}) == 0.0
+    assert kernels.dot({"a": 2.0}, {"a": 1.0, "b": 5.0}) == 2.0
 
 
 def test_score_is_linear():
     theta = {"a": 1.5, "b": -0.5}
     f1, f2 = {"a": 2.0}, {"a": 1.0, "b": 4.0}
     merged = {"a": 3.0, "b": 4.0}
-    assert math.isclose(score(theta, merged), score(theta, f1) + score(theta, f2))
+    assert math.isclose(kernels.dot(theta, merged), kernels.dot(theta, f1) + kernels.dot(theta, f2))
 
 
 def test_distribution_single_candidate():
