@@ -82,8 +82,11 @@ def _registry(config) -> InstrumentedRegistry:
     for domain_id, by_split in splits.items():
         for examples in by_split.values():
             for ex in examples:
-                validate_state_for_domain(ex.initial, domains[domain_id])
-                validate_state_for_domain(ex.desired, domains[domain_id])
+                for side, state in (("initial", ex.initial), ("desired", ex.desired)):
+                    try:
+                        validate_state_for_domain(state, domains[domain_id])
+                    except DataError as exc:
+                        raise DataError(f"{dataset}: example {ex.id!r}, {side} state: {exc}") from None
     return InstrumentedRegistry(domains, splits)
 
 

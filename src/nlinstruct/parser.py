@@ -37,6 +37,17 @@ weighted feature value and why no field overflows). Root derivations get
 the full feature set (including missing-predicate features); partial
 derivations the templates that are well defined on fragments.
 
+Candidates are scored before they are built. A composite candidate is
+first deduplicated on a key that holds its children's printed forms in
+the shape of its own printed form (``("R", rel, child)``, ``("I", lo,
+hi)``, ...), so two keys are equal exactly when the printed forms are;
+then it is scored from its composed key and offered to its cell. When a
+cell is settled, only the offers that survive its beam get a logical form
+and a ``Derivation``: all of them when the cell fits the beam, else those
+scored above the beam's last score plus the ones tied with it, which need
+their printed forms to break the tie. Pruned candidates keep their dedup
+keys, so a later duplicate of a pruned form is still rejected.
+
 So the chart never builds a composite's predicate or rule dict: a form's
 ``preds`` and a derivation's ``rules`` are built on first read, as is
 the feature dict (``Derivation.feats``). Readers are the gradient,
@@ -57,7 +68,7 @@ from typing import Callable, NamedTuple
 from .domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE, Domain, invoke
 from .errors import ConfigError, DomainLogicError, ExecutionError
 from .features import Featurizer, UtteranceContext, tokenize
-from .kb import IntVal, State, SymVal, TextVal
+from .kb import TYPE_RELATION, IntVal, State, SymVal, TextVal
 from .logic import (
     ARGMAX,
     ARGMIN,
@@ -176,6 +187,23 @@ def merge_spans(a: tuple, b: tuple) -> tuple | None:
     return tuple(sorted(set(a) | set(b)))
 
 
+def _rank(d: Derivation) -> tuple:
+    return (-d.score, d.lf.printed, d.spans)
+
+
+def _compose(rule: str, children: tuple) -> LogicalForm:
+    """The logical form a composite rule builds from its children."""
+    if rule == "intersect":
+        return Intersect(children[0].lf, children[1].lf)
+    if rule == "rjoin":
+        return ReverseJoin(children[0].lf.name, children[1].lf)
+    if rule == "fjoin":
+        return ForwardJoin(children[0].lf.name, children[1].lf)
+    if rule == "call":
+        return Call(children[0].lf.method, tuple(c.lf for c in children[1:]))
+    return Superlative(rule, children[0].lf, children[1].lf.name)
+
+
 def generate_candidates(
     tokens,
     state: State,
@@ -196,7 +224,9 @@ def generate_candidates(
     beam = config.beam_size
     max_rules = config.max_rules
 
-    cells: dict[tuple[str, int], list[Derivation]] = {}
+    # a cell holds offers, (score, spans, children, rule, bits, packed, lf),
+    # until it is settled, then the derivations that survive its beam
+    cells: dict[tuple[str, int], list] = {}
     seen: set = set()
     scorer = ctx.scorer(weights, max_rules)
     score = scorer.score
@@ -207,31 +237,58 @@ def generate_candidates(
     for kind in (ARGMAX, ARGMIN):
         local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
 
-    def add(category: str, lf: LogicalForm, size_used: int, spans: tuple,
-            children: tuple, rule: str) -> None:
-        key = (category, lf.printed, spans)
+    def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str, form=None) -> None:
+        key = (category, lf.printed if form is None else form, spans)
         if key in seen:
             return
         seen.add(key)
-        if children:
-            bits, packed = local[rule]
-            for c in children:
-                bits |= c.bits
-                packed += c.packed
-        else:
-            bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+        bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+        cells.setdefault((category, 1), []).append(
+            (score(False, bits, packed), spans, (), rule, bits, packed, lf))
+
+    def offer(cell: list, category: str, form: tuple, spans: tuple, children: tuple,
+              rule: str) -> None:
+        key = (category, form, spans)
+        if key in seen:
+            return
+        seen.add(key)
+        bits, packed = local[rule]
+        for c in children:
+            bits |= c.bits
+            packed += c.packed
+        cell.append((score(category == CAT_ROOT, bits, packed), spans, children, rule,
+                     bits, packed, None))
+
+    def build(category: str, size_used: int, offered: tuple) -> Derivation:
+        s, spans, children, rule, bits, packed, lf = offered
+        if lf is None:
+            lf = _compose(rule, children)
         d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
         d.bits = bits
         d.packed = packed
-        d.score = score(category == CAT_ROOT, bits, packed)
-        cells.setdefault((category, size_used), []).append(d)
+        d.score = s
+        return d
 
-    def prune(category: str, size_used: int) -> None:
+    def settle(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
-        if cell is None or beam is None or len(cell) <= beam:
+        if cell is None:
             return
-        cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
-        del cell[beam:]
+        if beam is None or len(cell) <= beam:
+            cells[category, size_used] = [build(category, size_used, o) for o in cell]
+            return
+        # the first `beam` offers by (-score, printed, spans), as sorting
+        # the whole cell would pick them: every offer scored above the
+        # beam-th best score, then the ties with it by (printed, spans);
+        # only the ties need their printed forms before they are chosen
+        cut = sorted([o[0] for o in cell], reverse=True)[beam - 1]
+        kept = [build(category, size_used, o) for o in cell if o[0] > cut]
+        ties = [build(category, size_used, o) for o in cell if o[0] == cut]
+        if len(kept) + len(ties) > beam:
+            ties.sort(key=lambda d: (d.lf.printed, d.spans))
+            del ties[beam - len(kept):]
+        kept += ties
+        kept.sort(key=_rank)
+        cells[category, size_used] = kept
 
     # ---- size 1: anchored and floating leaves -----------------------------
 
@@ -241,12 +298,15 @@ def generate_candidates(
         n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
         span = ((i, i + 1),)
         if n is not None:
-            add(CAT_VALUE, ValueLit(IntVal(n)), 1, span, (), "anchor-int")
+            leaf(CAT_VALUE, ValueLit(IntVal(n)), span, "anchor-int")
         k = ORDINAL_WORDS.get(tok)
         if k is not None:
-            add(CAT_VALUE, ValueLit(IntVal(k)), 1, span, (), "anchor-int")
+            value = ValueLit(IntVal(k))
+            leaf(CAT_VALUE, value, span, "anchor-int")
             if has_index:
-                add(CAT_SET, ReverseJoin("index", ValueLit(IntVal(k))), 1, span, (), "anchor-ordinal")
+                # keyed like the rjoin that builds the same form at size 3
+                leaf(CAT_SET, ReverseJoin("index", value), span, "anchor-ordinal",
+                     ("R", "index", value.printed))
 
     text_values: dict[tuple, list[TextVal]] = {}
     for t in state.triples:
@@ -259,21 +319,23 @@ def generate_candidates(
         for i in range(len(toks)):
             for j in range(i + 1, min(i + longest, len(toks)) + 1):
                 for v in text_values.get(tuple(toks[i:j]), ()):
-                    add(CAT_VALUE, ValueLit(v), 1, ((i, j),), (), "anchor-text")
+                    leaf(CAT_VALUE, ValueLit(v), ((i, j),), "anchor-text")
 
     for rel in sorted(domain.relations):
-        add(CAT_REL, RelationRef(rel), 1, (), (), "float-relation")
+        leaf(CAT_REL, RelationRef(rel), (), "float-relation")
     for etype in sorted(domain.entity_types):
-        add(CAT_SET, TypeSet(etype), 1, (), (), "float-type")
+        leaf(CAT_SET, TypeSet(etype), (), "float-type", ("R", TYPE_RELATION, etype))
     for method in domain.methods:
-        add(CAT_METHOD, MethodRef(method), 1, (), (), "float-method")
+        leaf(CAT_METHOD, MethodRef(method), (), "float-method")
     for sym in sorted(domain.enum_symbols):
-        add(CAT_VALUE, ValueLit(SymVal(sym)), 1, (), (), "float-sym")
+        leaf(CAT_VALUE, ValueLit(SymVal(sym)), (), "float-sym")
 
     for cat in (CAT_VALUE, CAT_SET, CAT_REL, CAT_METHOD):
-        prune(cat, 1)
+        settle(cat, 1)
 
     # ---- sizes 2..max: composition -----------------------------------------
+    # each dedup key below must equal another exactly when the printed
+    # forms they stand for are equal
 
     rel_specs = domain.relations
     rel_derivs = cells.get((CAT_REL, 1), [])
@@ -291,31 +353,33 @@ def generate_candidates(
         return out
 
     for k in range(2, max_rules + 1):
+        sets = cells.setdefault((CAT_SET, k), [])
         child_size = k - 2
         if child_size >= 1:
             for rd in rel_derivs:
-                spec = rel_specs[rd.lf.name]
+                rel = rd.lf.name
+                spec = rel_specs[rel]
                 want = _VALUE_KIND.get(spec.object_kind)
                 if want is not None:
                     for c in cells.get((CAT_VALUE, child_size), ()):
                         if isinstance(c.lf.value, want):
-                            add(CAT_SET, ReverseJoin(rd.lf.name, c.lf), k,
-                                c.spans, (rd, c), "rjoin")
+                            offer(sets, CAT_SET, ("R", rel, c.lf.printed), c.spans,
+                                  (rd, c), "rjoin")
                 elif spec.object_kind == OBJ_ENTITY:
                     for c in cells.get((CAT_SET, child_size), ()):
-                        add(CAT_SET, ReverseJoin(rd.lf.name, c.lf), k,
-                            c.spans, (rd, c), "rjoin")
-                        add(CAT_SET, ForwardJoin(rd.lf.name, c.lf), k,
-                            c.spans, (rd, c), "fjoin")
+                        printed = c.lf.printed
+                        offer(sets, CAT_SET, ("R", rel, printed), c.spans, (rd, c), "rjoin")
+                        offer(sets, CAT_SET, ("F", rel, printed), c.spans, (rd, c), "fjoin")
             for rd in int_rels:
+                rel = rd.lf.name
                 for c in cells.get((CAT_SET, child_size), ()):
                     # directly nested superlatives only breed permutation
                     # twins that no feature can tell apart
                     if isinstance(c.lf, Superlative):
                         continue
                     for kind in (ARGMAX, ARGMIN):
-                        add(CAT_SET, Superlative(kind, c.lf, rd.lf.name), k,
-                            c.spans, (c, rd), kind)
+                        offer(sets, CAT_SET, (kind, c.lf.printed, rel), c.spans,
+                              (c, rd), kind)
 
         for i in range(1, (k - 1) // 2 + 1):
             j = k - 1 - i
@@ -323,28 +387,22 @@ def generate_candidates(
                 continue
             left = cells.get((CAT_SET, i), ())
             right = cells.get((CAT_SET, j), ())
-            if i == j:
-                for x in range(len(left)):
-                    for y in range(x, len(right)):
-                        a, b = left[x], right[y]
-                        if a.lf.printed == b.lf.printed:
-                            continue  # x-with-x adds nothing
-                        spans = merge_spans(a.spans, b.spans)
-                        if spans is not None:
-                            add(CAT_SET, Intersect(a.lf, b.lf), k, spans, (a, b),
-                                "intersect")
-            else:
-                for a in left:
-                    for b in right:
-                        if a.lf.printed == b.lf.printed:
-                            continue
-                        spans = merge_spans(a.spans, b.spans)
-                        if spans is not None:
-                            add(CAT_SET, Intersect(a.lf, b.lf), k, spans, (a, b),
-                                "intersect")
+            for x, a in enumerate(left):
+                ap = a.lf.printed
+                # x-with-x adds nothing; at i == j each pair is met once
+                for b in (right[x:] if i == j else right):
+                    bp = b.lf.printed
+                    if ap == bp:
+                        continue
+                    spans = merge_spans(a.spans, b.spans)
+                    if spans is not None:
+                        offer(sets, CAT_SET, ("I", ap, bp) if ap < bp else ("I", bp, ap),
+                              spans, (a, b), "intersect")
 
+        roots = cells.setdefault((CAT_ROOT, k), [])
         for md in cells.get((CAT_METHOD, 1), ()):
             method = md.lf.method
+            name = method.name
             params = method.params
             budget = k - 2
             if len(params) == 1:
@@ -352,7 +410,7 @@ def generate_candidates(
                 pool = (cells.get((CAT_SET, budget), ())
                         if param.kind in (COLLECTION, SINGLE) else lit_pool(param, budget))
                 for a in pool:
-                    add(CAT_ROOT, Call(method, (a.lf,)), k, a.spans, (md, a), "call")
+                    offer(roots, CAT_ROOT, ("C", name, a.lf.printed), a.spans, (md, a), "call")
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
@@ -367,19 +425,19 @@ def generate_candidates(
                         for b in pool1:
                             spans = merge_spans(a.spans, b.spans)
                             if spans is not None:
-                                add(CAT_ROOT, Call(method, (a.lf, b.lf)), k, spans,
-                                    (md, a, b), "call")
+                                offer(roots, CAT_ROOT, ("C", name, a.lf.printed, b.lf.printed),
+                                      spans, (md, a, b), "call")
 
         for cat in (CAT_VALUE, CAT_SET, CAT_ROOT):
-            prune(cat, k)
+            settle(cat, k)
 
-    roots: list[Derivation] = []
+    out: list[Derivation] = []
     for k in range(1, max_rules + 1):
         cell = cells.get((CAT_ROOT, k))
         if cell:
-            cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
-            roots.extend(cell)
-    return roots
+            cell.sort(key=_rank)
+            out.extend(cell)
+    return out
 
 
 _REJECTED = object()

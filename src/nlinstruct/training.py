@@ -265,8 +265,16 @@ def build_grid(
     For two-step training the grid crosses regularization, step size,
     second-step iterations, first-step size of the partition, a few random
     domain orderings, and first-step iterations (144 points by default).
-    ``overrides`` replaces any of the axes with explicit value lists."""
+    ``overrides`` replaces any of the axes with explicit value lists
+    (``num_orderings`` with a count); a given axis that is not a non-empty
+    list, or a count that is not a positive integer, is a ``ConfigError``."""
     o = overrides or {}
+    for axis, values in o.items():
+        if axis == "num_orderings":
+            if isinstance(values, bool) or not isinstance(values, int) or values < 1:
+                raise ConfigError(f"grid.num_orderings must be a positive integer, got {values!r}")
+        elif not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"grid.{axis} must be a non-empty list, got {values!r}")
     l1s = tuple(o.get("l1", GRID_L1))
     steps = tuple(o.get("step_size", GRID_STEP_SIZE))
     iters = tuple(o.get("iterations", GRID_ITERATIONS))
@@ -410,4 +418,8 @@ def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
         raise DataError(f"{path}: model file lacks {exc}") from None
     except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
+    # a NaN score has no rank, so the chart's beams could not order it
+    bad = sorted(k for k, w in weights.items() if not math.isfinite(w))
+    if bad:
+        raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
     return weights, config, partition

@@ -2,7 +2,9 @@
 
 Deliberately slow and index-free: denotations come from exhaustive triple
 scans, and the candidate space comes from plain recursive enumeration with
-no beams and no scoring. These stay out of the installed package so they
+no beams and no scoring. The one beam-search reference,
+``eager_generate_candidates``, is the chart that builds every candidate
+before pruning. These stay out of the installed package so they
 can never become fallbacks.
 """
 
@@ -10,21 +12,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nlinstruct.domains.base import MethodCall, invoke
+from nlinstruct.domains.base import Domain, MethodCall, invoke
 from nlinstruct.domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE
 from nlinstruct.errors import ExecutionError
-from nlinstruct.features import tokenize
-from nlinstruct.kb import Entity, IntVal, SymVal, TextVal
+from nlinstruct.features import Featurizer, tokenize
+from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal
 from nlinstruct.logic import (
+    ARGMAX,
+    ARGMIN,
+    OP,
     Call,
     ForwardJoin,
     Intersect,
+    LogicalForm,
+    MethodRef,
+    RelationRef,
     ReverseJoin,
     Superlative,
     TypeSet,
     ValueLit,
 )
-from nlinstruct.parser import NUMBER_WORDS, ORDINAL_WORDS
+from nlinstruct.parser import (
+    CAT_METHOD,
+    CAT_REL,
+    CAT_ROOT,
+    CAT_SET,
+    CAT_VALUE,
+    NUMBER_WORDS,
+    ORDINAL_WORDS,
+    Derivation,
+    ParserConfig,
+    merge_spans,
+)
 
 
 def _object_matches(obj, wanted) -> bool:
@@ -218,3 +237,210 @@ def enumerate_all_forms(domain, state, tokens, budget: EnumerationBudget):
             for printed, _spans in cell:
                 roots.add(printed)
     return roots, truncated
+
+
+def eager_generate_candidates(
+    tokens,
+    state: State,
+    domain: Domain,
+    config: ParserConfig | None = None,
+    weights: dict | None = None,
+    featurizer: Featurizer | None = None,
+) -> list[Derivation]:
+    """The eager chart, the reference for ``generate_candidates``: it
+    builds a logical form and a ``Derivation`` for every candidate, pruned
+    ones included, and prunes by sorting whole cells. The score-first
+    chart must return the same roots, in the same order, with the same
+    scores, spans and rules.
+    """
+    config = config or ParserConfig()
+    weights = weights if weights is not None else {}
+    featurizer = featurizer or Featurizer(domain)
+    ctx = featurizer.context(tuple(tokens))
+    beam = config.beam_size
+    max_rules = config.max_rules
+
+    cells: dict[tuple[str, int], list[Derivation]] = {}
+    seen: set = set()
+    scorer = ctx.scorer(weights, max_rules)
+    score = scorer.score
+    # a composite's own share of its score key: one application of its
+    # rule, plus the operator predicate that a superlative introduces
+    local = {rule: scorer.key({}, {rule: 1}, 1)
+             for rule in ("rjoin", "fjoin", "intersect", "call")}
+    for kind in (ARGMAX, ARGMIN):
+        local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
+
+    def add(category: str, lf: LogicalForm, size_used: int, spans: tuple,
+            children: tuple, rule: str) -> None:
+        key = (category, lf.printed, spans)
+        if key in seen:
+            return
+        seen.add(key)
+        if children:
+            bits, packed = local[rule]
+            for c in children:
+                bits |= c.bits
+                packed += c.packed
+        else:
+            bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+        d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
+        d.bits = bits
+        d.packed = packed
+        d.score = score(category == CAT_ROOT, bits, packed)
+        cells.setdefault((category, size_used), []).append(d)
+
+    def prune(category: str, size_used: int) -> None:
+        cell = cells.get((category, size_used))
+        if cell is None or beam is None or len(cell) <= beam:
+            return
+        cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
+        del cell[beam:]
+
+    # ---- size 1: anchored and floating leaves -----------------------------
+
+    toks = list(tokens)
+    has_index = "index" in domain.relations
+    for i, tok in enumerate(toks):
+        n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+        span = ((i, i + 1),)
+        if n is not None:
+            add(CAT_VALUE, ValueLit(IntVal(n)), 1, span, (), "anchor-int")
+        k = ORDINAL_WORDS.get(tok)
+        if k is not None:
+            add(CAT_VALUE, ValueLit(IntVal(k)), 1, span, (), "anchor-int")
+            if has_index:
+                add(CAT_SET, ReverseJoin("index", ValueLit(IntVal(k))), 1, span, (), "anchor-ordinal")
+
+    text_values: dict[tuple, list[TextVal]] = {}
+    for t in state.triples:
+        if isinstance(t.object, TextVal):
+            key = tuple(tokenize(t.object.value))
+            if key and t.object not in text_values.setdefault(key, []):
+                text_values[key].append(t.object)
+    if text_values:
+        longest = max(len(k) for k in text_values)
+        for i in range(len(toks)):
+            for j in range(i + 1, min(i + longest, len(toks)) + 1):
+                for v in text_values.get(tuple(toks[i:j]), ()):
+                    add(CAT_VALUE, ValueLit(v), 1, ((i, j),), (), "anchor-text")
+
+    for rel in sorted(domain.relations):
+        add(CAT_REL, RelationRef(rel), 1, (), (), "float-relation")
+    for etype in sorted(domain.entity_types):
+        add(CAT_SET, TypeSet(etype), 1, (), (), "float-type")
+    for method in domain.methods:
+        add(CAT_METHOD, MethodRef(method), 1, (), (), "float-method")
+    for sym in sorted(domain.enum_symbols):
+        add(CAT_VALUE, ValueLit(SymVal(sym)), 1, (), (), "float-sym")
+
+    for cat in (CAT_VALUE, CAT_SET, CAT_REL, CAT_METHOD):
+        prune(cat, 1)
+
+    # ---- sizes 2..max: composition -----------------------------------------
+
+    rel_specs = domain.relations
+    rel_derivs = cells.get((CAT_REL, 1), [])
+    int_rels = [d for d in rel_derivs if rel_specs[d.lf.name].object_kind == OBJ_INT]
+    _VALUE_KIND = {OBJ_INT: IntVal, OBJ_TEXT: TextVal, OBJ_SYM: SymVal}
+
+    def lit_pool(param, size_used):
+        out = []
+        for d in cells.get((CAT_VALUE, size_used), ()):
+            v = d.lf.value
+            if param.kind == INT_ARG and isinstance(v, IntVal):
+                out.append(d)
+            elif param.kind == ENUM_ARG and isinstance(v, SymVal) and v.name in param.symbols:
+                out.append(d)
+        return out
+
+    for k in range(2, max_rules + 1):
+        child_size = k - 2
+        if child_size >= 1:
+            for rd in rel_derivs:
+                spec = rel_specs[rd.lf.name]
+                want = _VALUE_KIND.get(spec.object_kind)
+                if want is not None:
+                    for c in cells.get((CAT_VALUE, child_size), ()):
+                        if isinstance(c.lf.value, want):
+                            add(CAT_SET, ReverseJoin(rd.lf.name, c.lf), k,
+                                c.spans, (rd, c), "rjoin")
+                elif spec.object_kind == OBJ_ENTITY:
+                    for c in cells.get((CAT_SET, child_size), ()):
+                        add(CAT_SET, ReverseJoin(rd.lf.name, c.lf), k,
+                            c.spans, (rd, c), "rjoin")
+                        add(CAT_SET, ForwardJoin(rd.lf.name, c.lf), k,
+                            c.spans, (rd, c), "fjoin")
+            for rd in int_rels:
+                for c in cells.get((CAT_SET, child_size), ()):
+                    # directly nested superlatives only breed permutation
+                    # twins that no feature can tell apart
+                    if isinstance(c.lf, Superlative):
+                        continue
+                    for kind in (ARGMAX, ARGMIN):
+                        add(CAT_SET, Superlative(kind, c.lf, rd.lf.name), k,
+                            c.spans, (c, rd), kind)
+
+        for i in range(1, (k - 1) // 2 + 1):
+            j = k - 1 - i
+            if j < i:
+                continue
+            left = cells.get((CAT_SET, i), ())
+            right = cells.get((CAT_SET, j), ())
+            if i == j:
+                for x in range(len(left)):
+                    for y in range(x, len(right)):
+                        a, b = left[x], right[y]
+                        if a.lf.printed == b.lf.printed:
+                            continue  # x-with-x adds nothing
+                        spans = merge_spans(a.spans, b.spans)
+                        if spans is not None:
+                            add(CAT_SET, Intersect(a.lf, b.lf), k, spans, (a, b),
+                                "intersect")
+            else:
+                for a in left:
+                    for b in right:
+                        if a.lf.printed == b.lf.printed:
+                            continue
+                        spans = merge_spans(a.spans, b.spans)
+                        if spans is not None:
+                            add(CAT_SET, Intersect(a.lf, b.lf), k, spans, (a, b),
+                                "intersect")
+
+        for md in cells.get((CAT_METHOD, 1), ()):
+            method = md.lf.method
+            params = method.params
+            budget = k - 2
+            if len(params) == 1:
+                param = params[0]
+                pool = (cells.get((CAT_SET, budget), ())
+                        if param.kind in (COLLECTION, SINGLE) else lit_pool(param, budget))
+                for a in pool:
+                    add(CAT_ROOT, Call(method, (a.lf,)), k, a.spans, (md, a), "call")
+            elif len(params) == 2:
+                p0, p1 = params
+                for i in range(1, budget):
+                    j = budget - i
+                    pool0 = (cells.get((CAT_SET, i), ())
+                             if p0.kind in (COLLECTION, SINGLE) else lit_pool(p0, i))
+                    if not pool0:
+                        continue
+                    pool1 = (cells.get((CAT_SET, j), ())
+                             if p1.kind in (COLLECTION, SINGLE) else lit_pool(p1, j))
+                    for a in pool0:
+                        for b in pool1:
+                            spans = merge_spans(a.spans, b.spans)
+                            if spans is not None:
+                                add(CAT_ROOT, Call(method, (a.lf, b.lf)), k, spans,
+                                    (md, a, b), "call")
+
+        for cat in (CAT_VALUE, CAT_SET, CAT_ROOT):
+            prune(cat, k)
+
+    roots: list[Derivation] = []
+    for k in range(1, max_rules + 1):
+        cell = cells.get((CAT_ROOT, k))
+        if cell:
+            cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
+            roots.extend(cell)
+    return roots

@@ -352,6 +352,20 @@ def test_run_config_with_mistyped_train_setting_exits_2(tmp_path, capsys, sectio
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("axes, words", [
+    ({"l1": 0.1}, "grid.l1 must be a non-empty list"),
+    ({"l1": []}, "grid.l1 must be a non-empty list"),
+    ({"num_orderings": "x"}, "grid.num_orderings must be a positive integer"),
+    ({"num_orderings": -1}, "grid.num_orderings must be a positive integer"),
+], ids=["number-axis", "empty-axis", "string-orderings", "negative-orderings"])
+def test_run_config_with_bad_grid_axis_exits_2(tmp_path, capsys, axes, words):
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1),
+                           algorithm="gmdp", grid=axes)
+    code = main(["tune", "--config", config, "--out", str(tmp_path / "t.json")])
+    _assert_config_error(capsys, code, words)
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_generate_rejects_negative_count(tmp_path, capsys):
     out = tmp_path / "pairs.jsonl"
     code = main(["generate", "--domain", "list", "--count", "-1", "--out", str(out)])
@@ -388,6 +402,14 @@ def _parse_with_model(tmp_path, key):
     return args
 
 
+def _parse_with_nan_weight(tmp_path):
+    args = _paper_state_parse_args(tmp_path)
+    path = tmp_path / "nan.json"
+    save_model(path, {"rule|intersect": float("nan"), "size>2": 1.0}, TrainConfig())
+    args[args.index("--model") + 1] = str(path)
+    return args
+
+
 def _parse_with_missing(tmp_path, flag):
     args = _paper_state_parse_args(tmp_path)
     args[args.index(flag) + 1] = str(tmp_path / "absent.json")
@@ -414,6 +436,13 @@ def _eval_with_dataset(tmp_path, rows):
     return ["eval", "--config", config, "--out", str(tmp_path / "r.json")]
 
 
+def _row_with_undeclared_relation():
+    (ex, _), = build_domain_corpus(get_domain("workforce"), 1, seed=4)
+    row = dataio.example_to_json(ex)
+    row["desired"]["triples"].append(["e1", "x", {"int": 1}])
+    return row
+
+
 def _row_without(key):
     (ex, _), = build_domain_corpus(get_domain("list"), 1, seed=4)
     row = dataio.example_to_json(ex)
@@ -427,6 +456,8 @@ def _row_without(key):
     (lambda p: _parse_with_state(p, '{"entities": []}'), 3, "bad_state.json: malformed state"),
     (lambda p: _parse_with_model(p, "weights"), 3, "m.json: model file lacks 'weights'"),
     (lambda p: _parse_with_model(p, "train_config"), 3, "m.json: model file lacks 'train_config'"),
+    (lambda p: _parse_with_nan_weight(p), 3,
+     "nan.json: model weight 'rule|intersect' is not a finite number"),
     (lambda p: _train_with_tuned(p, '{"l1": '), 3, "tuned.json: not valid JSON"),
     (lambda p: _train_with_tuned(p, '{"no_such_field": 1}'), 3, "tuned.json: not a tuned"),
     (lambda p: _train_with_tuned(p, '{"l1": -1}'), 3, "tuned.json: not a tuned"),
@@ -442,15 +473,17 @@ def _row_without(key):
      "data.jsonl:2: a dataset row must be a JSON object"),
     (lambda p: _eval_with_dataset(p, [_row_without("initial")]), 3,
      "data.jsonl:1: dataset record missing field 'initial'"),
+    (lambda p: _eval_with_dataset(p, [_row_with_undeclared_relation()]), 3,
+     "data.jsonl: example 'workforce-0000', desired state: workforce: undeclared relation 'x'"),
     (lambda p: ["parse", "turn off the light", "--domain", "toaster", "--state", "x.json"],
      2, "unknown domain 'toaster'"),
     (lambda p: ["generate", "--domain", "toaster", "--count", "1", "--out", str(p / "o.jsonl")],
      2, "unknown domain 'toaster'"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
-        "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
+        "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
         "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
-        "parse-domain", "generate-domain"])
+        "dataset-undeclared-relation", "parse-domain", "generate-domain"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

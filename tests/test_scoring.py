@@ -1,17 +1,23 @@
-"""The parser's compiled scorer against the reference scoring.
+"""The parser's compiled scorer and score-first chart against references.
 
-The chart scores every derivation from a score key it composes from the
+The chart scores every candidate from a score key it composes from the
 children's keys, with the scorer that ``UtteranceContext.scorer``
 compiles from the weights, and builds feature dicts only on demand. The
 reference is ``kernels.dot`` over ``UtteranceContext.features``; every
 score must equal it bit for bit, because fractional credit and the beams
 compare scores with ``==``. Every composed key must also decode to the
 counts taken from the derivation's own ``lf.preds`` and ``rules``.
+
+``generate_candidates`` builds a ``Derivation`` only for the candidates
+that survive their beams, so the checks that cover pruned candidates run
+on ``oracles.eager_generate_candidates``, the chart that builds every
+candidate, and a differential test holds the two charts' roots equal.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -24,6 +30,7 @@ from nlinstruct.logic import TypeSet
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
+from oracles import eager_generate_candidates
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
 
@@ -86,8 +93,9 @@ def _weight_vectors(trained: dict) -> dict[str, dict]:
 
 @pytest.fixture
 def built(monkeypatch) -> list:
-    """Every derivation constructed while the fixture is active, pruned
-    ones included."""
+    """Every derivation constructed while the fixture is active: pruned
+    ones too under the eager reference chart, survivors only under
+    ``generate_candidates``."""
     out = []
     original = Derivation.__init__
 
@@ -131,13 +139,16 @@ def _check_chart(built: list, ctx: UtteranceContext, weights: dict, max_rules: i
         ), (label, d)
 
 
-def _run_chart(built, ex, weights, config, use_new_features=True):
+def _run_chart(built, ex, weights, config, use_new_features=True,
+               chart=eager_generate_candidates):
+    """Parses ``ex`` with ``chart``, by default the reference chart, so
+    that ``built`` holds pruned derivations too."""
     domain = get_domain(ex.domain_id)
     featurizer = Featurizer(domain, use_new_features)
     tokens = tokenize(ex.utterance)
     built.clear()
-    roots = generate_candidates(tokens, ex.initial, domain, config, weights, featurizer)
-    assert len(built) > len(roots)  # pruned derivations are checked too
+    roots = chart(tokens, ex.initial, domain, config, weights, featurizer)
+    assert len(built) > len(roots)  # non-root derivations are checked too
     return featurizer.context(tokens)
 
 
@@ -180,14 +191,59 @@ def test_ordinal_leaves_compose_with_exact_scores(trained, built):
 
 
 def test_scores_are_exact_at_fifteen_rule_applications(trained, built):
+    # every candidate under the reference chart; under the score-first
+    # chart, the derivations it builds for its beams' survivors
     config = ParserConfig(beam_size=4, max_rules=15)
     vectors = _weight_vectors(trained)
     examples = _busy_examples()[::3] + _ordinal_examples()[:1]
-    for label in ("trained", "explicit"):
-        for ex in examples:
-            ctx = _run_chart(built, ex, vectors[label], config)
-            assert max(d.size_used for d in built) > 9
-            _check_chart(built, ctx, vectors[label], config.max_rules, (label, ex.id))
+    for chart in (eager_generate_candidates, generate_candidates):
+        for label in ("trained", "explicit"):
+            for ex in examples:
+                ctx = _run_chart(built, ex, vectors[label], config, chart=chart)
+                assert max(d.size_used for d in built) > 9
+                _check_chart(built, ctx, vectors[label], config.max_rules, (label, ex.id))
+
+
+def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
+    roots = chart(tokens, state, domain, config, weights, Featurizer(domain))
+    return [(d.lf.printed, repr(d.score), d.size_used, d.spans, list(d.rules.items()))
+            for d in roots]
+
+
+@pytest.mark.parametrize("beam", [1, 2, 4, 20])
+def test_chart_returns_the_eager_reference_roots(trained, beam):
+    # empty weights tie every score, so every cell above the beam is
+    # pruned on printed forms alone; rule order shows the order in which
+    # cells that fit their beam were iterated; under "ordinal-pruned",
+    # ordinal leaves lose their size-1 beam at beams below 5 and must
+    # still block the size-3 joins that would build them again
+    config = ParserConfig(beam_size=beam, max_rules=9)
+    vectors = _weight_vectors(trained)
+    vectors["explicit"] = EXPLICIT
+    vectors["ordinal-pruned"] = {"rule|anchor-ordinal": -1.0, "rule|anchor-int": 0.5}
+    compared = 0
+    for label in ("empty", "trained", "explicit", "x-3.7", "ordinal-pruned"):
+        for ex in _busy_examples() + _ordinal_examples():
+            args = (tokenize(ex.utterance), ex.initial, get_domain(ex.domain_id), config,
+                    vectors[label])
+            want = _roots(eager_generate_candidates, *args)
+            assert _roots(generate_candidates, *args) == want, (label, ex.id)
+            compared += len(want)
+    assert compared > 60 * beam
+
+
+def test_unbounded_and_paper_beams_return_the_eager_reference_roots(toy_domain, paper_state):
+    state = toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
+    args = (["zap", "alpha", "3"], state, toy_domain, ParserConfig(beam_size=None, max_rules=15),
+            {"rule|intersect": -0.5})
+    want = _roots(eager_generate_candidates, *args)
+    assert len(want) > 1000
+    assert _roots(generate_candidates, *args) == want
+    args = (tokenize("turn off the light in the bedroom on the second floor"), paper_state,
+            get_domain("lighting"), ParserConfig(beam_size=200, max_rules=15), EXPLICIT)
+    want = _roots(eager_generate_candidates, *args)
+    assert len(want) > 500
+    assert _roots(generate_candidates, *args) == want
 
 
 @pytest.mark.parametrize("max_rules", [1, 7, 8, 9, 15, 16, 1000])
