@@ -85,12 +85,43 @@ def _text_key(value: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 
+def _check(entities: frozenset[Entity], triples: frozenset[Triple]) -> None:
+    """Raise unless every triple's subject is a state entity and entity ids
+    are unique."""
+    for t in triples:
+        if t.subject not in entities:
+            raise NlinstructError(
+                f"triple subject {t.subject!r} not among state entities"
+            )
+    ids = {e.id for e in entities}
+    if len(ids) != len(entities):
+        raise NlinstructError("duplicate entity id in state")
+
+
 class State:
     """An immutable application snapshot.
 
-    Query indexes are built lazily: many states exist only long enough to be
-    compared against another state (e.g. results of filtered method calls),
+    Query indexes are built lazily, one kind at a time, each on its first
+    read: many states exist only long enough to be compared against
+    another state (e.g. results of filtered method calls) or are read
+    through one index only (intermediate states inside application logic),
     so paying for indexing up front would be wasted work.
+
+    A state also keeps two memos, made on first use and living exactly as
+    long as the state, so they carry over between parses of the same state
+    object (training epochs, tuning folds, grid points) but never between
+    two equal states built apart:
+
+    - :attr:`denotations`, the set denotations of logical forms, keyed by
+      the form's (class, printed form) identity (see ``logic.evaluate``);
+    - :attr:`call_outcomes`, the logic filter's outcome of each method call
+      on this state, a kept result stored as its :meth:`changes_to` this
+      state (see ``parser.infer``).
+
+    ``State(...)`` checks that every triple's subject is one of the
+    entities and that entity ids are unique. The derivation helpers below
+    check only what they add to an already checked state, and on a
+    failure raise the same error the full check would.
     """
 
     __slots__ = (
@@ -100,25 +131,27 @@ class State:
         "_hash",
         "_obj_idx",
         "_subj_idx",
+        "_fold_idx",
         "_pair_idx",
+        "_denotations",
+        "_call_outcomes",
+        "__weakref__",
     )
 
-    def __init__(self, domain_id: str, entities: Iterable[Entity], triples: Iterable[Triple]):
+    def __init__(self, domain_id: str, entities: Iterable[Entity], triples: Iterable[Triple],
+                 *, _checked: bool = False):
         self.domain_id = domain_id
         self.entities: frozenset[Entity] = frozenset(entities)
         self.triples: frozenset[Triple] = frozenset(triples)
-        for t in self.triples:
-            if t.subject not in self.entities:
-                raise NlinstructError(
-                    f"triple subject {t.subject!r} not among state entities"
-                )
-        ids = {e.id for e in self.entities}
-        if len(ids) != len(self.entities):
-            raise NlinstructError("duplicate entity id in state")
+        if not _checked:
+            _check(self.entities, self.triples)
         self._hash: int | None = None
         self._obj_idx: dict | None = None
         self._subj_idx: dict | None = None
+        self._fold_idx: dict | None = None
         self._pair_idx: dict | None = None
+        self._denotations: dict | None = None
+        self._call_outcomes: dict | None = None
 
     # -- value semantics ----------------------------------------------------
 
@@ -139,47 +172,95 @@ class State:
     def __repr__(self) -> str:
         return f"State({self.domain_id}, {len(self.entities)} entities, {len(self.triples)} triples)"
 
+    # -- memos --------------------------------------------------------------
+
+    @property
+    def denotations(self) -> dict:
+        """Set denotations of forms evaluated on this state."""
+        memo = self._denotations
+        if memo is None:
+            memo = self._denotations = {}
+        return memo
+
+    @property
+    def call_outcomes(self) -> dict:
+        """The logic filter's outcome of each method call on this state."""
+        memo = self._call_outcomes
+        if memo is None:
+            memo = self._call_outcomes = {}
+        return memo
+
+    # -- changes ------------------------------------------------------------
+
+    def changes_to(self, other: "State") -> tuple:
+        """What turns this state into ``other``: the entities it drops and
+        adds, then the triples it drops and adds. A few sets of the items
+        that differ, so it is much smaller than ``other``."""
+        return (tuple(self.entities - other.entities), tuple(other.entities - self.entities),
+                tuple(self.triples - other.triples), tuple(other.triples - self.triples))
+
+    def with_changes(self, changes: tuple) -> "State":
+        """The state equal to ``other`` for ``changes = self.changes_to(other)``.
+        Not checked again: ``other`` was checked when it was built."""
+        gone, new, dropped, added = changes
+        entities = self.entities.difference(gone).union(new) if gone or new else self.entities
+        return State(self.domain_id, entities, self.triples.difference(dropped).union(added),
+                     _checked=True)
+
     # -- indexes ------------------------------------------------------------
 
-    def _build_indexes(self) -> None:
-        obj_idx: dict[tuple[str, str], set[Value]] = {}
-        subj_idx: dict[tuple[str, Value], set[Entity]] = {}
-        fold_idx: dict[tuple[str, Value], set[Entity]] = {}
-        pair_idx: dict[str, list[tuple[Entity, Value]]] = {}
-        for t in self.triples:
-            obj_idx.setdefault((t.subject.id, t.relation), set()).add(t.object)
-            subj_idx.setdefault((t.relation, t.object), set()).add(t.subject)
-            fold_idx.setdefault((t.relation, _text_key(t.object)), set()).add(t.subject)
-            pair_idx.setdefault(t.relation, []).append((t.subject, t.object))
-        self._obj_idx = obj_idx
-        self._subj_idx = (subj_idx, fold_idx)
-        self._pair_idx = pair_idx
+    def _build_indexes(self, kind: str) -> dict:
+        """Build, keep and return the one index of ``kind``: ``"objects"``,
+        ``"subjects"``, ``"folded"`` (subjects, text case folded) or
+        ``"pairs"``."""
+        idx: dict = {}
+        if kind == "objects":
+            for t in self.triples:
+                idx.setdefault((t.subject.id, t.relation), set()).add(t.object)
+            self._obj_idx = idx
+        elif kind == "subjects":
+            for t in self.triples:
+                idx.setdefault((t.relation, t.object), set()).add(t.subject)
+            self._subj_idx = idx
+        elif kind == "folded":
+            for t in self.triples:
+                idx.setdefault((t.relation, _text_key(t.object)), set()).add(t.subject)
+            self._fold_idx = idx
+        else:
+            for t in self.triples:
+                idx.setdefault(t.relation, []).append((t.subject, t.object))
+            self._pair_idx = idx
+        return idx
 
     def objects(self, subject: Value, relation: str) -> frozenset[Value]:
         """All o with (subject, relation, o) in the state. Exact matching."""
         if not isinstance(subject, Entity):
             return frozenset()
-        if self._obj_idx is None:
-            self._build_indexes()
-        return frozenset(self._obj_idx.get((subject.id, relation), ()))
+        idx = self._obj_idx
+        if idx is None:
+            idx = self._build_indexes("objects")
+        return frozenset(idx.get((subject.id, relation), ()))
 
     def subjects(self, relation: str, obj: Value) -> frozenset[Entity]:
         """All s with (s, relation, obj) in the state. Exact matching."""
-        if self._subj_idx is None:
-            self._build_indexes()
-        return frozenset(self._subj_idx[0].get((relation, obj), ()))
+        idx = self._subj_idx
+        if idx is None:
+            idx = self._build_indexes("subjects")
+        return frozenset(idx.get((relation, obj), ()))
 
     def subjects_matching(self, relation: str, obj: Value) -> frozenset[Entity]:
         """Like :meth:`subjects` but folds text case, for executor joins."""
-        if self._subj_idx is None:
-            self._build_indexes()
-        return frozenset(self._subj_idx[1].get((relation, _text_key(obj)), ()))
+        idx = self._fold_idx
+        if idx is None:
+            idx = self._build_indexes("folded")
+        return frozenset(idx.get((relation, _text_key(obj)), ()))
 
     def pairs(self, relation: str) -> tuple[tuple[Entity, Value], ...]:
         """All (subject, object) pairs of a relation."""
-        if self._pair_idx is None:
-            self._build_indexes()
-        return tuple(self._pair_idx.get(relation, ()))
+        idx = self._pair_idx
+        if idx is None:
+            idx = self._build_indexes("pairs")
+        return tuple(idx.get(relation, ()))
 
     def entities_of_type(self, etype: str) -> frozenset[Entity]:
         return frozenset(e for e in self.entities if e.etype == etype)
@@ -191,23 +272,43 @@ class State:
         raise KeyError(entity_id)
 
     # -- derivation helpers (used by application logic) ----------------------
+    # each checks only the triples and entities it adds; kept triples were
+    # checked when this state was built
 
     def replace_triples(self, remove: Iterable[Triple], add: Iterable[Triple]) -> "State":
-        triples = (self.triples - frozenset(remove)) | frozenset(add)
-        return State(self.domain_id, self.entities, triples)
+        add = frozenset(add)
+        triples = (self.triples - frozenset(remove)) | add
+        if not self.entities.issuperset([t.subject for t in add]):
+            _check(self.entities, triples)  # raises the full check's error
+        return State(self.domain_id, self.entities, triples, _checked=True)
 
     def without_entities(self, gone: Iterable[Entity]) -> "State":
-        """Drop entities together with every triple they touch (either side)."""
+        """Drop entities together with every triple they touch (either side).
+        Needs no check: kept subjects are kept entities, and a subset of
+        entities with unique ids has unique ids."""
         gone = frozenset(gone)
+        # equal entities have equal ids, and a str caches its hash while an
+        # Entity recomputes its own: test the id before the entity
+        ids = {e.id for e in gone}
         keep = [
             t
             for t in self.triples
-            if t.subject not in gone and not (isinstance(t.object, Entity) and t.object in gone)
+            if not (t.subject.id in ids and t.subject in gone)
+            and not (isinstance(t.object, Entity) and t.object.id in ids and t.object in gone)
         ]
-        return State(self.domain_id, self.entities - gone, keep)
+        return State(self.domain_id, self.entities - gone, keep, _checked=True)
 
     def with_entity(self, entity: Entity, triples: Iterable[Triple]) -> "State":
-        return State(self.domain_id, self.entities | {entity}, self.triples | frozenset(triples))
+        entities = self.entities | {entity}
+        new = frozenset(triples)
+        all_triples = self.triples | new
+        if not entities.issuperset([t.subject for t in new]) or (
+            len(entities) > len(self.entities)
+            and any(e.id == entity.id for e in self.entities)
+        ):
+            _check(entities, all_triples)  # raises the full check's error
+        return State(self.domain_id, entities, all_triples, _checked=True)
+
 
 
 def states_equal(a: State, b: State) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .domains.base import Domain, InterfaceMethod, MethodCall, invoke
+from .domains.base import Domain, InterfaceMethod, MethodCall
 from .errors import ExecutionError, LogicalFormSyntaxError
 from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Value
 
@@ -33,6 +33,7 @@ REL = "relation"
 METH = "method"
 OP = "operator"
 
+_EMPTY: frozenset = frozenset()
 _BARE_TEXT = re.compile(r"[a-z][a-z0-9]*$")
 
 
@@ -229,29 +230,47 @@ class Call(LogicalForm):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(lf: LogicalForm, state: State) -> frozenset[Value]:
-    """Denotation of a non-root form: a set of values."""
+def evaluate(lf: LogicalForm, state: State, memo: dict | None = None) -> frozenset[Value]:
+    """Denotation of a non-root form: a set of values.
+
+    Without ``memo`` the set is computed from scratch. With it (a state's
+    :attr:`~nlinstruct.kb.State.denotations`, which must belong to
+    ``state``), every node's set, children included, is read from the memo
+    when it holds the node and written to it when computed. The memo is
+    keyed by the node's (class, printed form) identity, which determines
+    its denotation because distinct value literals print distinctly."""
+    if memo is None:
+        return _denote(lf, state, None)
+    key = (lf.__class__, lf.printed)
+    out = memo.get(key)
+    if out is None:
+        # about half the sets a chart asks for are empty: store one object
+        out = memo[key] = _denote(lf, state, memo) or _EMPTY
+    return out
+
+
+def _denote(lf: LogicalForm, state: State, memo: dict | None) -> frozenset[Value]:
     if isinstance(lf, ValueLit):
         return frozenset((lf.value,))
     if isinstance(lf, TypeSet):
         return state.subjects(TYPE_RELATION, SymVal(lf.etype))
     if isinstance(lf, ReverseJoin):
-        child = evaluate(lf.child, state)
+        child = evaluate(lf.child, state, memo)
         out: set[Value] = set()
         for obj in child:
             out.update(state.subjects_matching(lf.relation, obj))
         return frozenset(out)
     if isinstance(lf, ForwardJoin):
-        child = evaluate(lf.child, state)
+        child = evaluate(lf.child, state, memo)
         out = set()
         for sub in child:
             if isinstance(sub, Entity):
                 out.update(state.objects(sub, lf.relation))
         return frozenset(out)
     if isinstance(lf, Intersect):
-        return evaluate(lf.left, state) & evaluate(lf.right, state)
+        return evaluate(lf.left, state, memo) & evaluate(lf.right, state, memo)
     if isinstance(lf, Superlative):
-        members = evaluate(lf.set_lf, state)
+        members = evaluate(lf.set_lf, state, memo)
         best: int | None = None
         winners: list[Value] = []
         for m in members:
@@ -270,22 +289,13 @@ def evaluate(lf: LogicalForm, state: State) -> frozenset[Value]:
     raise ExecutionError(f"cannot evaluate {type(lf).__name__} as a set")
 
 
-def execute_to_call(lf: LogicalForm, state: State) -> MethodCall:
-    """Assemble the method call denoted by a root form, without invoking it."""
+def execute_to_call(lf: LogicalForm, state: State, memo: dict | None = None) -> MethodCall:
+    """Assemble the method call denoted by a root form, without invoking
+    it. ``memo`` is passed to :func:`evaluate` for every argument."""
     if not isinstance(lf, Call):
         raise ExecutionError(f"not a root call: {lf.printed}")
-    args = tuple(evaluate(a, state) for a in lf.args)
+    args = tuple(evaluate(a, state, memo) for a in lf.args)
     return MethodCall(lf.method, args)  # conformance errors surface here
-
-
-def execute(lf: LogicalForm, state: State, domain: Domain | None = None):
-    """Full denotation: an entity set, or the post-invocation state for a
-    root call (which requires the owning domain for its application logic)."""
-    if isinstance(lf, Call):
-        if domain is None:
-            raise ExecutionError("executing a root call requires its domain")
-        return invoke(domain, state, execute_to_call(lf, state))
-    return evaluate(lf, state)
 
 
 # ---------------------------------------------------------------------------

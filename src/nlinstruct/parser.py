@@ -57,11 +57,15 @@ candidates that survive the beams and the filter.
 Inference has one path, :func:`infer`: parse, execute each root's call
 against the state and, with the logic filter on, drop the calls that fail
 to assemble, raise, or change nothing. Training and evaluation reach it
-through :meth:`Pipeline.analyze`, ``nlinstruct parse`` directly.
+through :meth:`Pipeline.analyze`, ``nlinstruct parse`` directly. The
+filter pays only for new work: argument sets and call outcomes are
+memoized on the state (see :class:`~nlinstruct.kb.State`), so a state
+parsed again in a later epoch, fold or grid point reuses them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -443,24 +447,40 @@ def generate_candidates(
 _REJECTED = object()
 
 
-def _denotation(d: Derivation, state: State, domain: Domain, memo: dict) -> State | None:
+def _denotation(d: Derivation, state: State, domain: Domain) -> State | None:
     """Resulting state of a candidate, or None when the call is rejected
-    (assembly error, domain exception, or no state change)."""
+    (assembly error, domain exception, or no state change).
+
+    Arguments are evaluated through the state's denotation memo, and each
+    call's outcome is kept in its call-outcome memo under (application
+    logic, call). A kept result is stored as its changes to the state and
+    a weak reference to it: between parses the memo holds only the few
+    changed triples, and a call met again while its result is alive (later
+    in the same parse) gets that same object."""
     try:
-        call = execute_to_call(d.lf, state)
+        call = execute_to_call(d.lf, state, state.denotations)
     except ExecutionError:
         return None
-    out = memo.get(call, _REJECTED)
-    if out is _REJECTED:
+    outcomes = state.call_outcomes
+    key = (domain.logic, call)
+    entry = outcomes.get(key, _REJECTED)
+    if entry is _REJECTED:
         try:
             result = invoke(domain, state, call)
         except DomainLogicError:
             result = None
-        if result is not None and result == state:
-            result = None
-        memo[call] = result
-        out = result
-    return out
+        if result is None or result == state:
+            outcomes[key] = None
+            return None
+        outcomes[key] = [state.changes_to(result), weakref.ref(result)]
+        return result
+    if entry is None:
+        return None
+    result = entry[1]()
+    if result is None:
+        result = state.with_changes(entry[0])
+        entry[1] = weakref.ref(result)
+    return result
 
 
 class Candidate(NamedTuple):
@@ -484,14 +504,14 @@ def infer(
 ) -> list[Candidate]:
     """Full inference for one instruction: parse, execute every root
     derivation, and with ``use_filter`` drop those whose call fails to
-    assemble, raises, or leaves the state unchanged. Invocation outcomes
-    are memoized per distinct call. Candidates keep the chart's order; an
-    empty list is a parse failure."""
+    assemble, raises, or leaves the state unchanged. Argument sets and
+    invocation outcomes are memoized per state, so a state parsed again
+    (another epoch, fold or grid point) reuses them. Candidates keep the
+    chart's order; an empty list is a parse failure."""
     cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
-    memo: dict = {}
     out = []
     for d in cands:
-        denot = _denotation(d, state, domain, memo)
+        denot = _denotation(d, state, domain)
         if denot is None and use_filter:
             continue
         out.append(Candidate(d, denot))

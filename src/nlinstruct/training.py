@@ -108,21 +108,14 @@ class DomainPartition:
 
 
 def candidate_distribution(weights: dict, candidates: list) -> list[float]:
-    """Softmax over candidate scores; candidates are (derivation, features)
-    pairs or anything exposing ``.features``."""
+    """Softmax over candidate scores; candidates expose ``.features``."""
     if not candidates:
         raise NlinstructError("cannot normalize an empty candidate list")
-    scores = [kernels.dot(weights, _feats(c)) for c in candidates]
+    scores = [kernels.dot(weights, c.features) for c in candidates]
     top = max(scores)
     exps = [math.exp(s - top) for s in scores]
     z = sum(exps)
     return [e / z for e in exps]
-
-
-def _feats(candidate) -> dict:
-    if hasattr(candidate, "features"):
-        return candidate.features
-    return candidate[1]
 
 
 def _logsumexp(scores: list[float]) -> float:
@@ -139,7 +132,7 @@ def example_log_likelihood(weights: dict, candidates: list, denotations: list,
     no candidate denotes the desired state (such examples are skipped)."""
     if not candidates:
         raise NlinstructError("no candidates")
-    feats = [_feats(c) for c in candidates]
+    feats = [c.features for c in candidates]
     scores = [kernels.dot(weights, f) for f in feats]
     correct = [i for i, d in enumerate(denotations) if d == desired]
     if not correct:

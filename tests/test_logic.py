@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nlinstruct.domains import get_domain
-from nlinstruct.domains.base import typed_entity
+from nlinstruct.domains.base import invoke, typed_entity
 from nlinstruct.errors import ExecutionError, LogicalFormSyntaxError
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.logic import (
@@ -17,7 +17,6 @@ from nlinstruct.logic import (
     TypeSet,
     ValueLit,
     evaluate,
-    execute,
     execute_to_call,
     parse_lf,
 )
@@ -47,7 +46,7 @@ def test_remove_largest_file_end_to_end():
     domain = get_domain("file")
     state = _file_state({"small": 10, "big": 99})
     lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
-    result = execute(lf, state, domain)
+    result = invoke(domain, state, execute_to_call(lf, state))
     names = {
         o.value
         for t in result.triples
@@ -136,7 +135,7 @@ def test_execute_never_mutates_the_input_state():
     domain = get_domain("file")
     state = _file_state({"a": 1, "b": 2})
     snapshot = (set(state.entities), set(state.triples))
-    execute(parse_lf("removeFiles(R[type].File)", domain), state, domain)
+    invoke(domain, state, execute_to_call(parse_lf("removeFiles(R[type].File)", domain), state))
     assert (set(state.entities), set(state.triples)) == snapshot
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -340,13 +341,13 @@ def test_gradient_reads_the_reference_feature_dicts(trained):
         cands = pipeline.analyze(ex, trained)
         domain = get_domain(ex.domain_id)
         ctx = pipeline.featurizer(domain).context(tuple(pipeline.tokens_of(ex.utterance)))
-        want = [(c.deriv, ctx.features(c.deriv, True)) for c in cands]
+        want = [SimpleNamespace(features=ctx.features(c.deriv, True)) for c in cands]
         denots = [c.denotation for c in cands]
         got = example_log_likelihood(trained, cands, denots, ex.desired)
         assert got == example_log_likelihood(trained, want, denots, ex.desired)
         gradients += got is not None
-        for c, (_, f) in zip(cands, want):
-            assert c.features == f and list(c.features) == list(f)
+        for c, ref in zip(cands, want):
+            assert c.features == ref.features and list(c.features) == list(ref.features)
     assert gradients >= 5
 
 
