@@ -286,14 +286,15 @@ def cmd_parse(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    if args.iterations < 1:
+        raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+
     def scores(path):
         report = dataio.read_json_object(path, "report")
         try:
-            return [
-                ExampleScore(r["id"], r["credit"], r["tie_count"], r["correct_in_tie"],
-                             r["parse_failed"])
-                for r in report["per_example"]
-            ]
+            return [ExampleScore.from_json(r) for r in report["per_example"]]
         except KeyError as exc:
             raise DataError(f"{path}: report lacks {exc}") from None
         except TypeError as exc:

@@ -84,22 +84,24 @@ def value_to_json(v: Value):
     return {"ent": v.id}
 
 
+_VALUES = {"int": (int, IntVal), "str": (str, TextVal), "sym": (str, SymVal), "ent": (str, None)}
+
+
 def _value_from_json(obj, entities: dict[str, Entity]) -> Value:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DataError(f"bad value object: {obj!r}")
     ((tag, payload),) = obj.items()
-    if tag == "int":
-        return IntVal(int(payload))
-    if tag == "str":
-        return TextVal(str(payload))
-    if tag == "sym":
-        return SymVal(str(payload))
-    if tag == "ent":
-        try:
-            return entities[payload]
-        except KeyError:
-            raise DataError(f"triple references unknown entity {payload!r}") from None
-    raise DataError(f"unknown value tag {tag!r}")
+    if tag not in _VALUES:
+        raise DataError(f"unknown value tag {tag!r}")
+    kind, make = _VALUES[tag]
+    if not isinstance(payload, kind) or isinstance(payload, bool):
+        raise DataError(f"bad value object: {obj!r}")
+    if make is not None:
+        return make(payload)
+    try:
+        return entities[payload]
+    except KeyError:
+        raise DataError(f"triple references unknown entity {payload!r}") from None
 
 
 def state_to_json(state: State) -> dict:
@@ -116,9 +118,19 @@ def state_to_json(state: State) -> dict:
 
 def state_from_json(domain_id: str, obj: dict) -> State:
     try:
-        entities = {e["id"]: Entity(e["id"], e["type"]) for e in obj["entities"]}
+        if not isinstance(obj["entities"], list) or not isinstance(obj["triples"], list):
+            raise DataError("malformed state object: entities and triples must be lists")
+        entities = {}
+        for e in obj["entities"]:
+            if not isinstance(e["id"], str) or not isinstance(e["type"], str):
+                raise DataError(f"malformed state object: bad entity {e!r}")
+            entities[e["id"]] = Entity(e["id"], e["type"])
         triples = []
-        for sid, relation, raw in obj["triples"]:
+        for t in obj["triples"]:
+            if not (isinstance(t, list) and len(t) == 3
+                    and isinstance(t[0], str) and isinstance(t[1], str)):
+                raise DataError(f"malformed state object: bad triple {t!r}")
+            sid, relation, raw = t
             subject = entities.get(sid)
             if subject is None:
                 raise DataError(f"triple subject {sid!r} is not a declared entity")
@@ -145,15 +157,16 @@ def example_to_json(ex: Example) -> dict:
 
 def example_from_json(obj: dict) -> Example:
     try:
-        return Example(
-            id=str(obj["id"]),
-            domain_id=str(obj["domain"]),
-            utterance=str(obj["utterance"]),
-            initial=state_from_json(str(obj["domain"]), obj["initial"]),
-            desired=state_from_json(str(obj["domain"]), obj["desired"]),
-        )
+        ex_id, domain, utterance, initial, desired = (
+            obj[k] for k in ("id", "domain", "utterance", "initial", "desired"))
     except KeyError as exc:
         raise DataError(f"dataset record missing field {exc}") from None
+    for key, value in (("id", ex_id), ("domain", domain), ("utterance", utterance)):
+        if not isinstance(value, str):
+            raise DataError(f"dataset record field {key!r} must be a string")
+    return Example(id=ex_id, domain_id=domain, utterance=utterance,
+                   initial=state_from_json(domain, initial),
+                   desired=state_from_json(domain, desired))
 
 
 def write_dataset(path, examples: Iterable[Example], header: dict | None = None) -> None:

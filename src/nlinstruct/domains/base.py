@@ -229,11 +229,14 @@ def int_of(state: State, e: Entity, relation: str) -> int:
 
 
 def reindex(state: State, entities_in_order: list[Entity]) -> State:
-    """Reassign the ``index`` relation contiguously from 1 over the given order."""
-    remove = []
-    for e in entities_in_order:
-        remove.extend(Triple(e, "index", o) for o in state.objects(e, "index"))
-    add = [Triple(e, "index", IntVal(i)) for i, e in enumerate(entities_in_order, start=1)]
+    """Reassign the ``index`` relation contiguously from 1 over the given
+    order, leaving alone an entity whose only index is its position."""
+    remove, add = [], []
+    for i, e in enumerate(entities_in_order, start=1):
+        old = state.objects(e, "index")
+        if old != {IntVal(i)}:
+            remove.extend(Triple(e, "index", o) for o in old)
+            add.append(Triple(e, "index", IntVal(i)))
     return state.replace_triples(remove, add)
 
 

@@ -20,6 +20,8 @@ from .domains.base import Domain, Example
 from .errors import NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
 from .training import (
+    _is_int,
+    _is_real,
     adagrad,
     build_grid,
     final_partition,
@@ -46,6 +48,18 @@ class ExampleScore:
             "correct_in_tie": self.correct_in_tie,
             "parse_failed": self.parse_failed,
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ExampleScore":
+        """The inverse of :meth:`to_json`: KeyError for a missing field,
+        TypeError for a field of the wrong type or a non-finite credit."""
+        score = cls(obj["id"], obj["credit"], obj["tie_count"], obj["correct_in_tie"],
+                    obj["parse_failed"])
+        if not (isinstance(score.example_id, str) and _is_real(score.credit)
+                and _is_int(score.tie_count) and _is_int(score.correct_in_tie)
+                and isinstance(score.parse_failed, bool)):
+            raise TypeError(f"bad per-example entry {obj!r}")
+        return score
 
 
 def credit_candidates(candidates: list[Candidate], desired) -> tuple[float, int, int]:

@@ -17,8 +17,13 @@ Text literals match knowledge-base text case-insensitively inside joins.
 Superlatives keep all tied extremes, so ties denote sets, not errors.
 
 Each node caches its canonical printed form; structural identity is the
-pair (node class, printed form), which the parser's chart relies on for
-cheap deduplication.
+pair (node class, printed form). A composite's printed form comes from one
+of the ``render_*`` functions below, applied to its parts' printed forms.
+The constructors print through them, and so does the parser's chart, which
+renders each candidate before it builds anything: it deduplicates chart
+entries on (category, printed form, anchored spans) and breaks score ties
+on the printed form, so it relies on a candidate's rendered string being
+exactly the ``printed`` of the node it would build.
 """
 
 from __future__ import annotations
@@ -45,8 +50,31 @@ def print_value(v: Value) -> str:
     if isinstance(v, TextVal):
         if _BARE_TEXT.fullmatch(v.value):
             return v.value
-        return '"' + v.value.replace('"', '\\"') + '"'
+        return '"' + v.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return f"ent:{v.id}"
+
+
+# Printed forms of the composite nodes, from their parts' printed forms.
+
+
+def render_join(op: str, relation: str, child: str) -> str:
+    """``R[r].z`` (op ``R``, reverse join) or ``F[r].z`` (op ``F``)."""
+    return f"{op}[{relation}].{child}"
+
+
+def render_intersect(a: str, b: str) -> str:
+    """Operands in canonical (sorted) order, so both orders print alike."""
+    if b < a:
+        a, b = b, a
+    return f"Intersect({a}, {b})"
+
+
+def render_superlative(kind: str, set_form: str, key: str) -> str:
+    return f"{kind}({set_form}, R[{key}])"
+
+
+def render_call(method: str, args) -> str:
+    return f"{method}({', '.join(args)})"
 
 
 def _merge_preds(*parts):
@@ -108,7 +136,7 @@ class TypeSet(LogicalForm):
 
     def __init__(self, etype: str):
         self.etype = etype
-        self.printed = f"R[{TYPE_RELATION}].{etype}"
+        self.printed = render_join("R", TYPE_RELATION, etype)
         self.node_count = 1
 
     def _collect_preds(self):
@@ -149,7 +177,7 @@ class ReverseJoin(LogicalForm):
     def __init__(self, relation: str, child: LogicalForm):
         self.relation = relation
         self.child = child
-        self.printed = f"R[{relation}].{child.printed}"
+        self.printed = render_join("R", relation, child.printed)
         self.node_count = 2 + child.node_count
 
     def _collect_preds(self):
@@ -162,7 +190,7 @@ class ForwardJoin(LogicalForm):
     def __init__(self, relation: str, child: LogicalForm):
         self.relation = relation
         self.child = child
-        self.printed = f"F[{relation}].{child.printed}"
+        self.printed = render_join("F", relation, child.printed)
         self.node_count = 2 + child.node_count
 
     def _collect_preds(self):
@@ -180,7 +208,7 @@ class Intersect(LogicalForm):
             a, b = b, a
         self.left = a
         self.right = b
-        self.printed = f"Intersect({a.printed}, {b.printed})"
+        self.printed = render_intersect(a.printed, b.printed)
         self.node_count = 1 + a.node_count + b.node_count
 
     def _collect_preds(self):
@@ -199,7 +227,7 @@ class Superlative(LogicalForm):
         self.kind = kind
         self.set_lf = set_lf
         self.key = key
-        self.printed = f"{kind}({set_lf.printed}, R[{key}])"
+        self.printed = render_superlative(kind, set_lf.printed, key)
         self.node_count = 2 + set_lf.node_count
 
     def _collect_preds(self):
@@ -218,7 +246,7 @@ class Call(LogicalForm):
             )
         self.method = method
         self.args = args
-        self.printed = f"{method.name}({', '.join(a.printed for a in args)})"
+        self.printed = render_call(method.name, [a.printed for a in args])
         self.node_count = 2 + sum(a.node_count for a in args)
 
     def _collect_preds(self):
@@ -302,6 +330,7 @@ def execute_to_call(lf: LogicalForm, state: State, memo: dict | None = None) -> 
 # Textual notation
 # ---------------------------------------------------------------------------
 
+_ESCAPE = re.compile(r"\\(.)")
 _TOKEN = re.compile(r"\s*(R\[|F\[|[A-Za-z_][A-Za-z0-9_]*|-?\d+|\"(?:[^\"\\]|\\.)*\"|[][().,])")
 
 
@@ -375,7 +404,7 @@ class _Parser:
         if tok.lstrip("-").isdigit():
             return ValueLit(IntVal(int(tok)))
         if tok.startswith('"'):
-            return ValueLit(TextVal(tok[1:-1].replace('\\"', '"')))
+            return ValueLit(TextVal(_ESCAPE.sub(r"\1", tok[1:-1])))
         if self.peek() == "(":
             if self.domain is None:
                 raise LogicalFormSyntaxError(f"method call {tok!r} needs a domain to resolve")

@@ -22,7 +22,7 @@ with ties broken on the printed form, so runs are reproducible. Derivations
 are deduplicated chart-wide on (category, printed form, anchored spans),
 keeping the smallest size.
 
-Every derivation is scored when it is built, from a two-int *score key*
+Every candidate is scored when it is offered, from a two-int *score key*
 rather than from its predicates and rules. The key (``bits``: the
 triggered predicates its form uses; ``packed``: its size, its untriggered
 predicate uses per kind and its weighted rule counts, in fixed-width
@@ -38,15 +38,18 @@ the full feature set (including missing-predicate features); partial
 derivations the templates that are well defined on fragments.
 
 Candidates are scored before they are built. A composite candidate is
-first deduplicated on a key that holds its children's printed forms in
-the shape of its own printed form (``("R", rel, child)``, ``("I", lo,
-hi)``, ...), so two keys are equal exactly when the printed forms are;
-then it is scored from its composed key and offered to its cell. When a
-cell is settled, only the offers that survive its beam get a logical form
-and a ``Derivation``: all of them when the cell fits the beam, else those
-scored above the beam's last score plus the ones tied with it, which need
-their printed forms to break the tie. Pruned candidates keep their dedup
-keys, so a later duplicate of a pruned form is still rejected.
+first rendered: its printed form comes from ``logic``'s ``render_*``
+function for its rule, applied to its children's printed forms, which is
+the string its logical form will print as. It is deduplicated on
+(category, printed form, anchored spans), the same key the eager
+reference chart (``tests/oracles.py``) uses, then scored from its composed
+key and offered to its cell with its printed form. When a cell is
+settled, only the offers that survive its beam get a logical form and a
+``Derivation``: all of them when the cell fits the beam, else those scored
+above the beam's last score plus as many of the offers tied with it as
+the beam has room for, chosen by (printed form, spans). Pruned candidates
+keep their dedup keys, so a later duplicate of a pruned form is still
+rejected.
 
 So the chart never builds a composite's predicate or rule dict: a form's
 ``preds`` and a derivation's ``rules`` are built on first read, as is
@@ -72,7 +75,7 @@ from typing import Callable, NamedTuple
 from .domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE, Domain, invoke
 from .errors import ConfigError, DomainLogicError, ExecutionError
 from .features import Featurizer, UtteranceContext, tokenize
-from .kb import TYPE_RELATION, IntVal, State, SymVal, TextVal
+from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
     ARGMAX,
     ARGMIN,
@@ -88,6 +91,10 @@ from .logic import (
     TypeSet,
     ValueLit,
     execute_to_call,
+    render_call,
+    render_intersect,
+    render_join,
+    render_superlative,
 )
 
 CAT_VALUE = "Value"
@@ -191,10 +198,6 @@ def merge_spans(a: tuple, b: tuple) -> tuple | None:
     return tuple(sorted(set(a) | set(b)))
 
 
-def _rank(d: Derivation) -> tuple:
-    return (-d.score, d.lf.printed, d.spans)
-
-
 def _compose(rule: str, children: tuple) -> LogicalForm:
     """The logical form a composite rule builds from its children."""
     if rule == "intersect":
@@ -206,6 +209,20 @@ def _compose(rule: str, children: tuple) -> LogicalForm:
     if rule == "call":
         return Call(children[0].lf.method, tuple(c.lf for c in children[1:]))
     return Superlative(rule, children[0].lf, children[1].lf.name)
+
+
+def _build(offer: tuple, category: str, size_used: int, ctx: UtteranceContext) -> Derivation:
+    """The derivation of an offer that survived its beam; a composite's
+    form, built here, prints as the string the offer was deduplicated and
+    ranked on."""
+    neg_score, _, spans, children, rule, bits, packed, lf = offer
+    if lf is None:
+        lf = _compose(rule, children)
+    d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
+    d.bits = bits
+    d.packed = packed
+    d.score = -neg_score
+    return d
 
 
 def generate_candidates(
@@ -228,8 +245,10 @@ def generate_candidates(
     beam = config.beam_size
     max_rules = config.max_rules
 
-    # a cell holds offers, (score, spans, children, rule, bits, packed, lf),
-    # until it is settled, then the derivations that survive its beam
+    # a cell holds offers, (-score, printed, spans, children, rule, bits,
+    # packed, lf), until it is settled, then the derivations of the offers
+    # that survive its beam; lf is None for a composite until it is built.
+    # Offers rank as plain tuples: (printed, spans) is unique in a cell
     cells: dict[tuple[str, int], list] = {}
     seen: set = set()
     scorer = ctx.scorer(weights, max_rules)
@@ -241,18 +260,18 @@ def generate_candidates(
     for kind in (ARGMAX, ARGMIN):
         local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
 
-    def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str, form=None) -> None:
-        key = (category, lf.printed if form is None else form, spans)
+    def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str) -> None:
+        key = (category, lf.printed, spans)
         if key in seen:
             return
         seen.add(key)
         bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
         cells.setdefault((category, 1), []).append(
-            (score(False, bits, packed), spans, (), rule, bits, packed, lf))
+            (-score(False, bits, packed), lf.printed, spans, (), rule, bits, packed, lf))
 
-    def offer(cell: list, category: str, form: tuple, spans: tuple, children: tuple,
+    def offer(cell: list, category: str, printed: str, spans: tuple, children: tuple,
               rule: str) -> None:
-        key = (category, form, spans)
+        key = (category, printed, spans)
         if key in seen:
             return
         seen.add(key)
@@ -260,39 +279,26 @@ def generate_candidates(
         for c in children:
             bits |= c.bits
             packed += c.packed
-        cell.append((score(category == CAT_ROOT, bits, packed), spans, children, rule,
-                     bits, packed, None))
-
-    def build(category: str, size_used: int, offered: tuple) -> Derivation:
-        s, spans, children, rule, bits, packed, lf = offered
-        if lf is None:
-            lf = _compose(rule, children)
-        d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
-        d.bits = bits
-        d.packed = packed
-        d.score = s
-        return d
+        cell.append((-score(category == CAT_ROOT, bits, packed), printed, spans, children,
+                     rule, bits, packed, None))
 
     def settle(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
         if cell is None:
             return
-        if beam is None or len(cell) <= beam:
-            cells[category, size_used] = [build(category, size_used, o) for o in cell]
-            return
-        # the first `beam` offers by (-score, printed, spans), as sorting
-        # the whole cell would pick them: every offer scored above the
-        # beam-th best score, then the ties with it by (printed, spans);
-        # only the ties need their printed forms before they are chosen
-        cut = sorted([o[0] for o in cell], reverse=True)[beam - 1]
-        kept = [build(category, size_used, o) for o in cell if o[0] > cut]
-        ties = [build(category, size_used, o) for o in cell if o[0] == cut]
-        if len(kept) + len(ties) > beam:
-            ties.sort(key=lambda d: (d.lf.printed, d.spans))
-            del ties[beam - len(kept):]
-        kept += ties
-        kept.sort(key=_rank)
-        cells[category, size_used] = kept
+        if beam is not None and len(cell) > beam:
+            # the first `beam` offers in rank order, as sorting the whole
+            # cell would pick them: every offer scored above the beam-th
+            # best score, then the ties with it by (printed, spans)
+            cut = sorted([o[0] for o in cell])[beam - 1]
+            kept = [o for o in cell if o[0] < cut]
+            ties = sorted(o for o in cell if o[0] == cut)
+            kept += ties[:beam - len(kept)]
+            kept.sort()
+            cell = kept
+        elif category == CAT_ROOT:
+            cell.sort()
+        cells[category, size_used] = [_build(o, category, size_used, ctx) for o in cell]
 
     # ---- size 1: anchored and floating leaves -----------------------------
 
@@ -308,9 +314,8 @@ def generate_candidates(
             value = ValueLit(IntVal(k))
             leaf(CAT_VALUE, value, span, "anchor-int")
             if has_index:
-                # keyed like the rjoin that builds the same form at size 3
-                leaf(CAT_SET, ReverseJoin("index", value), span, "anchor-ordinal",
-                     ("R", "index", value.printed))
+                # prints like the rjoin that builds the same form at size 3
+                leaf(CAT_SET, ReverseJoin("index", value), span, "anchor-ordinal")
 
     text_values: dict[tuple, list[TextVal]] = {}
     for t in state.triples:
@@ -328,7 +333,7 @@ def generate_candidates(
     for rel in sorted(domain.relations):
         leaf(CAT_REL, RelationRef(rel), (), "float-relation")
     for etype in sorted(domain.entity_types):
-        leaf(CAT_SET, TypeSet(etype), (), "float-type", ("R", TYPE_RELATION, etype))
+        leaf(CAT_SET, TypeSet(etype), (), "float-type")
     for method in domain.methods:
         leaf(CAT_METHOD, MethodRef(method), (), "float-method")
     for sym in sorted(domain.enum_symbols):
@@ -338,8 +343,6 @@ def generate_candidates(
         settle(cat, 1)
 
     # ---- sizes 2..max: composition -----------------------------------------
-    # each dedup key below must equal another exactly when the printed
-    # forms they stand for are equal
 
     rel_specs = domain.relations
     rel_derivs = cells.get((CAT_REL, 1), [])
@@ -367,13 +370,15 @@ def generate_candidates(
                 if want is not None:
                     for c in cells.get((CAT_VALUE, child_size), ()):
                         if isinstance(c.lf.value, want):
-                            offer(sets, CAT_SET, ("R", rel, c.lf.printed), c.spans,
+                            offer(sets, CAT_SET, render_join("R", rel, c.lf.printed), c.spans,
                                   (rd, c), "rjoin")
                 elif spec.object_kind == OBJ_ENTITY:
                     for c in cells.get((CAT_SET, child_size), ()):
                         printed = c.lf.printed
-                        offer(sets, CAT_SET, ("R", rel, printed), c.spans, (rd, c), "rjoin")
-                        offer(sets, CAT_SET, ("F", rel, printed), c.spans, (rd, c), "fjoin")
+                        offer(sets, CAT_SET, render_join("R", rel, printed), c.spans, (rd, c),
+                              "rjoin")
+                        offer(sets, CAT_SET, render_join("F", rel, printed), c.spans, (rd, c),
+                              "fjoin")
             for rd in int_rels:
                 rel = rd.lf.name
                 for c in cells.get((CAT_SET, child_size), ()):
@@ -382,8 +387,8 @@ def generate_candidates(
                     if isinstance(c.lf, Superlative):
                         continue
                     for kind in (ARGMAX, ARGMIN):
-                        offer(sets, CAT_SET, (kind, c.lf.printed, rel), c.spans,
-                              (c, rd), kind)
+                        offer(sets, CAT_SET, render_superlative(kind, c.lf.printed, rel),
+                              c.spans, (c, rd), kind)
 
         for i in range(1, (k - 1) // 2 + 1):
             j = k - 1 - i
@@ -400,8 +405,8 @@ def generate_candidates(
                         continue
                     spans = merge_spans(a.spans, b.spans)
                     if spans is not None:
-                        offer(sets, CAT_SET, ("I", ap, bp) if ap < bp else ("I", bp, ap),
-                              spans, (a, b), "intersect")
+                        offer(sets, CAT_SET, render_intersect(ap, bp), spans, (a, b),
+                              "intersect")
 
         roots = cells.setdefault((CAT_ROOT, k), [])
         for md in cells.get((CAT_METHOD, 1), ()):
@@ -414,7 +419,8 @@ def generate_candidates(
                 pool = (cells.get((CAT_SET, budget), ())
                         if param.kind in (COLLECTION, SINGLE) else lit_pool(param, budget))
                 for a in pool:
-                    offer(roots, CAT_ROOT, ("C", name, a.lf.printed), a.spans, (md, a), "call")
+                    offer(roots, CAT_ROOT, render_call(name, (a.lf.printed,)), a.spans,
+                          (md, a), "call")
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
@@ -429,7 +435,8 @@ def generate_candidates(
                         for b in pool1:
                             spans = merge_spans(a.spans, b.spans)
                             if spans is not None:
-                                offer(roots, CAT_ROOT, ("C", name, a.lf.printed, b.lf.printed),
+                                offer(roots, CAT_ROOT,
+                                      render_call(name, (a.lf.printed, b.lf.printed)),
                                       spans, (md, a, b), "call")
 
         for cat in (CAT_VALUE, CAT_SET, CAT_ROOT):
@@ -437,10 +444,7 @@ def generate_candidates(
 
     out: list[Derivation] = []
     for k in range(1, max_rules + 1):
-        cell = cells.get((CAT_ROOT, k))
-        if cell:
-            cell.sort(key=_rank)
-            out.extend(cell)
+        out.extend(cells.get((CAT_ROOT, k), ()))
     return out
 
 

@@ -107,17 +107,6 @@ class DomainPartition:
             raise NlinstructError("partition sides overlap")
 
 
-def candidate_distribution(weights: dict, candidates: list) -> list[float]:
-    """Softmax over candidate scores; candidates expose ``.features``."""
-    if not candidates:
-        raise NlinstructError("cannot normalize an empty candidate list")
-    scores = [kernels.dot(weights, c.features) for c in candidates]
-    top = max(scores)
-    exps = [math.exp(s - top) for s in scores]
-    z = sum(exps)
-    return [e / z for e in exps]
-
-
 def _logsumexp(scores: list[float]) -> float:
     top = max(scores)
     return top + math.log(sum(math.exp(s - top) for s in scores))
@@ -151,23 +140,6 @@ def example_log_likelihood(weights: dict, candidates: list, denotations: list,
     return logp, grad
 
 
-class EpochStats:
-    """Per-epoch bookkeeping: how many examples yielded no usable signal."""
-
-    def __init__(self):
-        self.epochs: list[dict] = []
-
-    def record(self, epoch: int, seen: int, skipped_parse: int, skipped_gold: int):
-        self.epochs.append(
-            {
-                "epoch": epoch,
-                "examples": seen,
-                "parse_failures": skipped_parse,
-                "no_gold_candidate": skipped_gold,
-            }
-        )
-
-
 def adagrad(
     examples: list,
     init: dict,
@@ -175,7 +147,6 @@ def adagrad(
     pipeline: Pipeline,
     iterations: int | None = None,
     sumsq: dict | None = None,
-    stats: EpochStats | None = None,
 ) -> dict:
     """Stochastic per-example ascent with per-coordinate AdaGrad step sizes
     and proximal L1 truncation. Examples are reshuffled every pass with a
@@ -206,8 +177,6 @@ def adagrad(
             "epoch %d: %d examples, %d parse failures, %d without gold candidate",
             epoch, len(order), skipped_parse, skipped_gold,
         )
-        if stats is not None:
-            stats.record(epoch, len(order), skipped_parse, skipped_gold)
     return weights
 
 
@@ -216,7 +185,6 @@ def gmdp(
     examples_by_domain: dict[str, list],
     config: TrainConfig,
     pipeline: Pipeline,
-    stats: EpochStats | None = None,
 ) -> dict:
     """Two-step training: AdaGrad over the first partition side from zero,
     then AdaGrad over the second side initialized at the first result."""
@@ -227,12 +195,11 @@ def gmdp(
     d2_examples = [ex for d in partition.d2 for ex in examples_by_domain[d]]
     sumsq: dict = {}
     theta1 = adagrad(d1_examples, {}, config, pipeline,
-                     iterations=config.iterations_step1, sumsq=sumsq, stats=stats)
+                     iterations=config.iterations_step1, sumsq=sumsq)
     if not config.reset_accumulators:
         return adagrad(d2_examples, theta1, config, pipeline,
-                       iterations=config.iterations, sumsq=sumsq, stats=stats)
-    return adagrad(d2_examples, theta1, config, pipeline,
-                   iterations=config.iterations, stats=stats)
+                       iterations=config.iterations, sumsq=sumsq)
+    return adagrad(d2_examples, theta1, config, pipeline, iterations=config.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +361,35 @@ def save_model(path, weights: dict, config: TrainConfig,
     atomic_write_json(path, payload)
 
 
+def _domain_ids(v) -> tuple[str, ...]:
+    if not isinstance(v, list) or not all(isinstance(d, str) for d in v):
+        raise TypeError(f"{v!r} is not a list of domain ids")
+    return tuple(v)
+
+
 def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
     from .dataio import read_json_object
 
     payload = read_json_object(path, "model")
     if payload.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {payload.get('version')}")
+    version = payload.get("version")
+    if version != MODEL_VERSION or not _is_int(version):
+        raise DataError(f"{path}: unsupported model version {version!r}")
     try:
-        weights = {str(k): float(v) for k, v in payload["weights"].items()}
+        weights = payload["weights"]
+        if not isinstance(weights, dict):
+            raise TypeError("weights must be an object")
         config = TrainConfig.from_json(payload["train_config"])
         part = payload.get("partition")
-        partition = DomainPartition(tuple(part["d1"]), tuple(part["d2"])) if part else None
+        partition = (None if part is None
+                     else DomainPartition(_domain_ids(part["d1"]), _domain_ids(part["d2"])))
     except KeyError as exc:
         raise DataError(f"{path}: model file lacks {exc}") from None
     except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
     # a NaN score has no rank, so the chart's beams could not order it
-    bad = sorted(k for k, w in weights.items() if not math.isfinite(w))
+    bad = sorted(k for k, w in weights.items() if not _is_real(w))
     if bad:
         raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
-    return weights, config, partition
+    return {k: float(w) for k, w in weights.items()}, config, partition

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nlinstruct.domains import builtin_domains, get_domain, invoke
-from nlinstruct.domains.base import MethodCall, typed_entity
+from nlinstruct.domains.base import MethodCall, reindex, typed_entity
 from nlinstruct.errors import DomainLogicError
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
 
@@ -128,6 +128,29 @@ def test_removal_recompacts_indexes():
     # surviving relative order is preserved
     survivors = sorted(result.entities, key=lambda e: next(iter(result.objects(e, "index"))).value)
     assert [e.id for e in survivors] == [by_idx[1].id, by_idx[3].id, by_idx[5].id]
+
+
+def test_reindex_replaces_only_indexes_that_change(monkeypatch):
+    # e1 keeps its index, e2 moves, e3 has two (one of them right), e4 none
+    (e1, t1), (e2, t2), (e3, t3), (e4, t4) = (typed_entity(f"e{i}", "Item") for i in range(1, 5))
+    state = State("toy", [e1, e2, e3, e4], [
+        t1, t2, t3, t4, Triple(e1, "index", IntVal(1)), Triple(e2, "index", IntVal(5)),
+        Triple(e3, "index", IntVal(3)), Triple(e3, "index", IntVal(7))])
+    calls = []
+    original = State.replace_triples
+
+    def record(self, remove, add):
+        calls.append((set(remove), set(add)))
+        return original(self, remove, add)
+
+    monkeypatch.setattr(State, "replace_triples", record)
+    result = reindex(state, [e1, e2, e3, e4])
+    assert calls == [({Triple(e2, "index", IntVal(5)), Triple(e3, "index", IntVal(3)),
+                       Triple(e3, "index", IntVal(7))},
+                      {Triple(e2, "index", IntVal(2)), Triple(e3, "index", IntVal(3)),
+                       Triple(e4, "index", IntVal(4))})]
+    assert result == State("toy", [e1, e2, e3, e4], [
+        t1, t2, t3, t4, *(Triple(e, "index", IntVal(i)) for i, e in enumerate((e1, e2, e3, e4), 1))])
 
 
 def test_move_to_beginning_rotates_indexes():

@@ -149,6 +149,10 @@ def test_round_trip_printed_notation():
         'removeFiles(R[name]."living room")',
         "removeFiles(F[childFiles].R[type].Directory)",
     ]
+    for value in ("a\\", 'a\\"b'):  # a backslash is escaped like a quote
+        lit = ValueLit(TextVal(value))
+        assert parse_lf(lit.printed).value == TextVal(value)
+        cases.append(f"removeFiles(R[name].{lit.printed})")
     for text in cases:
         lf = parse_lf(text, domain)
         assert lf.printed == text

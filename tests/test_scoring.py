@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nlinstruct import kernels
+from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
 from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
@@ -205,6 +205,23 @@ def test_scores_are_exact_at_fifteen_rule_applications(trained, built):
                 _check_chart(built, ctx, vectors[label], config.max_rules, (label, ex.id))
 
 
+def _check_offer_strings(monkeypatch) -> list:
+    """Makes the chart check, for every derivation it builds, that its
+    form prints as the string its offer was deduplicated and ranked on
+    (an offer's second field); returns the derivations checked."""
+    checked = []
+    original = parser._build
+
+    def build(offer, *args):
+        d = original(offer, *args)
+        assert d.lf.printed == offer[1], (d, offer[1])
+        checked.append(d)
+        return d
+
+    monkeypatch.setattr(parser, "_build", build)
+    return checked
+
+
 def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
     roots = chart(tokens, state, domain, config, weights, Featurizer(domain))
     return [(d.lf.printed, repr(d.score), d.size_used, d.spans, list(d.rules.items()))
@@ -212,7 +229,7 @@ def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
 
 
 @pytest.mark.parametrize("beam", [1, 2, 4, 20])
-def test_chart_returns_the_eager_reference_roots(trained, beam):
+def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam):
     # empty weights tie every score, so every cell above the beam is
     # pruned on printed forms alone; rule order shows the order in which
     # cells that fit their beam were iterated; under "ordinal-pruned",
@@ -222,6 +239,7 @@ def test_chart_returns_the_eager_reference_roots(trained, beam):
     vectors = _weight_vectors(trained)
     vectors["explicit"] = EXPLICIT
     vectors["ordinal-pruned"] = {"rule|anchor-ordinal": -1.0, "rule|anchor-int": 0.5}
+    checked = _check_offer_strings(monkeypatch)
     compared = 0
     for label in ("empty", "trained", "explicit", "x-3.7", "ordinal-pruned"):
         for ex in _busy_examples() + _ordinal_examples():
@@ -231,6 +249,23 @@ def test_chart_returns_the_eager_reference_roots(trained, beam):
             assert _roots(generate_candidates, *args) == want, (label, ex.id)
             compared += len(want)
     assert compared > 60 * beam
+    assert {d.rule for d in checked} >= {"anchor-ordinal", "float-type", "rjoin", "fjoin",
+                                         "intersect", "argmax", "argmin", "call"}
+
+
+def test_chart_builds_at_most_beam_derivations_per_cell(built):
+    # under weights {} every offer ties, so a full cell fills its beam from
+    # ties alone; only the offers that survive get a Derivation
+    config = ParserConfig(beam_size=4, max_rules=9)
+    full = 0
+    for ex in _examples(1, seed=19):
+        built.clear()
+        generate_candidates(tokenize(ex.utterance), ex.initial, get_domain(ex.domain_id),
+                            config, {})
+        per_cell = Counter((d.category, d.size_used) for d in built)
+        assert max(per_cell.values()) <= config.beam_size, (ex.id, per_cell)
+        full += sum(n == config.beam_size for n in per_cell.values())
+    assert full > 50
 
 
 def test_unbounded_and_paper_beams_return_the_eager_reference_roots(toy_domain, paper_state):

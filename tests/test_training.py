@@ -13,7 +13,6 @@ from nlinstruct.training import (
     TrainConfig,
     adagrad,
     build_grid,
-    candidate_distribution,
     example_log_likelihood,
     final_partition,
     gmdp,
@@ -44,20 +43,29 @@ def test_score_is_linear():
     assert math.isclose(kernels.dot(theta, merged), kernels.dot(theta, f1) + kernels.dot(theta, f2))
 
 
+def _probability(weights, cands, correct: int) -> float:
+    """The model probability of ``cands[correct]``, as the trainer's
+    softmax gives it: the likelihood of a denotation only it has."""
+    denots = [i == correct for i in range(len(cands))]
+    logp, _ = example_log_likelihood(weights, cands, denots, True)
+    return math.exp(logp)
+
+
 def test_distribution_single_candidate():
-    assert candidate_distribution({}, [FakeCandidate({}, None)]) == [1.0]
+    assert _probability({}, [FakeCandidate({}, None)], 0) == 1.0
 
 
 def test_distribution_equal_scores():
     cands = [FakeCandidate({"a": 1.0}, None), FakeCandidate({"a": 1.0}, None)]
-    assert candidate_distribution({"a": 3.0}, cands) == [0.5, 0.5]
+    for correct in (0, 1):
+        assert math.isclose(_probability({"a": 3.0}, cands, correct), 0.5, rel_tol=1e-12)
 
 
 def test_distribution_log_two_gap():
     cands = [FakeCandidate({"a": 1.0}, None), FakeCandidate({}, None)]
-    probs = candidate_distribution({"a": math.log(2.0)}, cands)
-    assert math.isclose(probs[0], 2 / 3, rel_tol=1e-12)
-    assert math.isclose(probs[1], 1 / 3, rel_tol=1e-12)
+    theta = {"a": math.log(2.0)}
+    assert math.isclose(_probability(theta, cands, 0), 2 / 3, rel_tol=1e-12)
+    assert math.isclose(_probability(theta, cands, 1), 1 / 3, rel_tol=1e-12)
 
 
 def test_distribution_sums_to_one():
@@ -68,7 +76,8 @@ def test_distribution_sums_to_one():
             for _ in range(rng.randint(1, 9))
         ]
         theta = {f"f{i}": rng.uniform(-3, 3) for i in range(6)}
-        assert abs(sum(candidate_distribution(theta, cands)) - 1.0) < 1e-9
+        total = sum(_probability(theta, cands, i) for i in range(len(cands)))
+        assert abs(total - 1.0) < 1e-9
 
 
 def test_loglik_degenerate_single_correct():
