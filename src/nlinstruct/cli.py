@@ -290,6 +290,8 @@ def cmd_significance(args) -> int:
         raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
     if not 0 < args.alpha < 1:
         raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     def scores(path):
         report = dataio.read_json_object(path, "report")

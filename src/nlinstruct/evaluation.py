@@ -319,6 +319,10 @@ def ablation_table(
     return table
 
 
+#: Resamples drawn and compared at once by :func:`paired_bootstrap`.
+BOOTSTRAP_BLOCK = 1000
+
+
 def paired_bootstrap(
     scores_a: list[ExampleScore],
     scores_b: list[ExampleScore],
@@ -342,7 +346,12 @@ def paired_bootstrap(
     b = np.array([s.credit for s in scores_b], dtype=float)
     if a.mean() <= b.mean():
         return 1.0, False
+    # a block of rows at a time, so memory does not grow with `iterations`;
+    # consecutive draws from one generator are the rows of a single draw
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(a), size=(iterations, len(a)))
-    p = float(np.mean(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))
+    not_ahead = 0
+    for start in range(0, iterations, BOOTSTRAP_BLOCK):
+        idx = rng.integers(0, len(a), size=(min(BOOTSTRAP_BLOCK, iterations - start), len(a)))
+        not_ahead += int(np.count_nonzero(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))
+    p = not_ahead / iterations
     return p, p < alpha

@@ -196,11 +196,19 @@ class ChartScorer:
     size 1) with the children's ``bits`` OR-ed in and their ``packed``
     added; the chart never reads a composite's ``preds`` or ``rules``.
 
-    :meth:`score` is memoized on (root flag, key). On a miss the key is
-    decoded and the integer feature values of every weighted key are
-    rebuilt exactly as the templates would count them, then
-    ``weight * value`` is summed in sorted key order, the order ``dot``
-    uses. ``weights`` must not change while the scorer is in use.
+    :meth:`score` is memoized on (root flag, key). A miss rebuilds the
+    integer feature values of every weighted key exactly as the templates
+    would count them and sums ``weight * value`` in sorted key order, the
+    order ``dot`` uses, in two parts. The keys that ``bits`` determines
+    (``cooc-any|``, ``cooc|``, ``missing-any|``, ``missing|``) all sort
+    before the keys that ``packed`` determines (``rule|``, ``size>``,
+    ``unevoked|``), so ``dot``'s running total passes through the ``bits``
+    part's total before the first ``packed`` term. That partial total is
+    memoized on (root flag, ``bits``); a miss adds to it only the
+    ``packed`` terms, in sorted key order. The scorer asserts the
+    ordering of its weighted keys when it is built, so a template that
+    broke it would fail loudly. ``weights`` must not change while the
+    scorer is in use.
     """
 
     def __init__(self, ctx: UtteranceContext, weights: dict, max_rules: int):
@@ -237,12 +245,23 @@ class ChartScorer:
             absent_weighted = tuple(k for k in absent if k in weights)
             if absent_weighted:
                 self._missing.append((self._bit[key], absent_weighted))
-        # the weighted key each field below the size counts for, or None
-        self._field_keys = self._rule_keys + tuple(
-            k if self._new and k in weights else None
-            for k in (f"unevoked|{kind}" for kind in KINDS))
-        self._size_keys: dict[int, tuple[str, ...]] = {}
+        # (weighted key, its weight, shift of the field it counts, or None
+        # for size>n, n) for every key whose value the packed fields give,
+        # in sorted key order
+        fields = self._rule_keys + tuple(
+            f"unevoked|{kind}" if self._new else None for kind in KINDS)
+        tail = [(k, weights[k], i * width, 0) for i, k in enumerate(fields) if k in weights]
+        if self._new:
+            tail += [(k, weights[k], None, n) for k, n in
+                     ((f"size>{n}", n) for n in range(2, max_rules)) if k in weights]
+        tail.sort()
+        self._tail = tuple(tail)
+        # the split sum is exact only if every bits key sorts first
+        head = [k for terms in self._cooc.values() for k, _ in terms]
+        head += [k for _, absent in self._missing for k in absent]
+        assert not head or not tail or max(head) < tail[0][0], (max(head), tail[0][0])
         self._memo: tuple[dict, dict] = ({}, {})  # fragments, roots
+        self._prefix: tuple[dict, dict] = ({}, {})  # bits -> running total
 
     def key(self, preds: dict, rules: dict, size_used: int) -> tuple[int, int]:
         """``(bits, packed)`` of a derivation with these predicate counts,
@@ -288,9 +307,30 @@ class ChartScorer:
         return total
 
     def _total(self, is_root: bool, bits: int, packed: int) -> float:
-        """``dot`` over the weighted feature values of a key, which are
-        rebuilt as the templates count them (see :meth:`decode` for the
-        field walk)."""
+        """``dot`` over the weighted feature values of a key: the bits'
+        running total, memoized on (root flag, bits), plus the terms of
+        the packed fields (see :meth:`decode` for the field walk)."""
+        size = packed >> self._size_shift
+        assert size <= self.max_rules, f"size {size} exceeds max_rules {self.max_rules}"
+        prefix = self._prefix[is_root]
+        total = prefix.get(bits)
+        if total is None:
+            total = prefix[bits] = self._head(is_root, bits)
+        mask = self._mask
+        for _, weight, shift, n in self._tail:
+            if shift is None:
+                if n < size:  # value 1, and weight * 1 == weight
+                    total += weight
+            else:
+                value = packed >> shift & mask
+                if value:
+                    total += weight * value
+        return total
+
+    def _head(self, is_root: bool, bits: int) -> float:
+        """The running total of ``dot`` over the weighted ``cooc`` and, at
+        a root, ``missing`` values that ``bits`` gives, in sorted key
+        order."""
         weights = self.weights
         values: dict[str, int] = {}
         for pred, bit in self._bit.items():
@@ -302,18 +342,6 @@ class ChartScorer:
                 if not bits & bit:
                     for k in absent:
                         values[k] = 1
-        mask, width = self._mask, self.width
-        for k in self._field_keys:
-            if k is not None and packed & mask:
-                values[k] = packed & mask
-            packed >>= width
-        assert packed <= self.max_rules, f"size {packed} exceeds max_rules {self.max_rules}"
-        sizes = self._size_keys.get(packed)
-        if sizes is None:
-            sizes = self._size_keys[packed] = tuple(
-                f"size>{n}" for n in range(2, packed) if self._new and f"size>{n}" in weights)
-        for k in sizes:
-            values[k] = 1
         total = 0.0
         for k in sorted(values):
             total += weights[k] * values[k]

@@ -22,6 +22,14 @@ with ties broken on the printed form, so runs are reproducible. Derivations
 are deduplicated chart-wide on (category, printed form, anchored spans),
 keeping the smallest size.
 
+Only cells a root can read are built: entity sets up to size
+``max_rules - 2`` (a set of size s feeds only forms of size s + 2 or more)
+and roots up to ``max_rules``. The eager reference chart
+(``tests/oracles.py``) builds every set cell up to ``max_rules``; the sets
+it builds beyond ``max_rules - 2`` come after every other set offer, so
+their dedup keys reject only each other, and both charts return the same
+roots.
+
 Every candidate is scored when it is offered, from a two-int *score key*
 rather than from its predicates and rules. The key (``bits``: the
 triggered predicates its form uses; ``packed``: its size, its untriggered
@@ -343,6 +351,11 @@ def generate_candidates(
         settle(cat, 1)
 
     # ---- sizes 2..max: composition -----------------------------------------
+    # Sets first, up to size max_rules - 2: a set of size s is read by
+    # joins, superlatives, intersections and one-argument calls at s + 2,
+    # by two-argument calls at s + 3 or later. Then roots. Dedup keys
+    # carry their category, so the two loops reject none of each other's
+    # offers.
 
     rel_specs = domain.relations
     rel_derivs = cells.get((CAT_REL, 1), [])
@@ -359,7 +372,7 @@ def generate_candidates(
                 out.append(d)
         return out
 
-    for k in range(2, max_rules + 1):
+    for k in range(2, max_rules - 1):
         sets = cells.setdefault((CAT_SET, k), [])
         child_size = k - 2
         if child_size >= 1:
@@ -407,7 +420,10 @@ def generate_candidates(
                     if spans is not None:
                         offer(sets, CAT_SET, render_intersect(ap, bp), spans, (a, b),
                               "intersect")
+        settle(CAT_SET, k)
 
+    # a call is a method, one application and at least one argument
+    for k in range(3, max_rules + 1):
         roots = cells.setdefault((CAT_ROOT, k), [])
         for md in cells.get((CAT_METHOD, 1), ()):
             method = md.lf.method
@@ -439,8 +455,7 @@ def generate_candidates(
                                       render_call(name, (a.lf.printed, b.lf.printed)),
                                       spans, (md, a, b), "call")
 
-        for cat in (CAT_VALUE, CAT_SET, CAT_ROOT):
-            settle(cat, k)
+        settle(CAT_ROOT, k)
 
     out: list[Derivation] = []
     for k in range(1, max_rules + 1):

@@ -228,6 +228,7 @@ _FLAGS = st.one_of(
               st.integers(-5, 0)),
     st.tuples(st.just("generate"), st.just("--count"), st.integers(-5, -1)),
     st.tuples(st.just("significance"), st.just("--iterations"), st.integers(-5, 0)),
+    st.tuples(st.just("significance"), st.just("--seed"), st.integers(-5, -1)),
     st.tuples(st.just("significance"), st.just("--alpha"),
               st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))),
 )

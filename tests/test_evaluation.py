@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from nlinstruct import evaluation
 from nlinstruct.domains.base import Example
 from nlinstruct.errors import NlinstructError
 from nlinstruct.evaluation import (
@@ -119,6 +121,28 @@ def test_bootstrap_is_seeded_and_reproducible():
     first = paired_bootstrap(a, b, iterations=3000, seed=7)
     second = paired_bootstrap(a, b, iterations=3000, seed=7)
     assert first == second
+
+
+@pytest.mark.parametrize("block", [7, evaluation.BOOTSTRAP_BLOCK])
+def test_blocked_bootstrap_equals_the_one_shot_draw(monkeypatch, block):
+    # resamples drawn a block of rows at a time are the rows of a single
+    # (iterations, n) draw, and a count over iterations is their mean
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_BLOCK", block)
+    rng = random.Random(5)
+    p_values = []
+    for n, seed, iterations in ((1, 0, 1), (3, 2, 20), (9, 1, 13), (50, 7, 2500),
+                                (51, 11, 1001), (200, 3, 1999)):
+        credits_a = [rng.random() for _ in range(n)]
+        credits_b = [min(1.0, c + rng.uniform(-0.5, 0.45)) for c in credits_a]
+        if sum(credits_b) >= sum(credits_a):  # the first system must be ahead
+            credits_b = [c * 0.5 for c in credits_b]
+        a, b = np.array(credits_a), np.array(credits_b)
+        idx = np.random.default_rng(seed).integers(0, n, size=(iterations, n))
+        want = float(np.mean(a[idx].mean(axis=1) <= b[idx].mean(axis=1)))
+        got = paired_bootstrap(_scores(credits_a), _scores(credits_b), iterations, 0.05, seed)
+        assert got == (want, want < 0.05), (n, seed, iterations)
+        p_values.append(want)
+    assert any(0 < p < 1 for p in p_values), p_values
 
 
 def test_misaligned_ids_are_rejected():

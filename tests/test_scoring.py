@@ -27,7 +27,7 @@ from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
 from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
-from nlinstruct.logic import TypeSet
+from nlinstruct.logic import TypeSet, parse_lf
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
@@ -228,14 +228,19 @@ def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
             for d in roots]
 
 
-@pytest.mark.parametrize("beam", [1, 2, 4, 20])
-def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam):
+@pytest.mark.parametrize("beam, max_rules", [
+    *(pytest.param(beam, 9, id=str(beam)) for beam in (1, 2, 4, 20)),
+    *(pytest.param(4, m, id=f"4-rules{m}") for m in (1, 2, 3, 4, 5, 15)),
+    pytest.param(20, 15, id="20-rules15"),
+])
+def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam, max_rules):
     # empty weights tie every score, so every cell above the beam is
     # pruned on printed forms alone; rule order shows the order in which
     # cells that fit their beam were iterated; under "ordinal-pruned",
     # ordinal leaves lose their size-1 beam at beams below 5 and must
-    # still block the size-3 joins that would build them again
-    config = ParserConfig(beam_size=beam, max_rules=9)
+    # still block the size-3 joins that would build them again; the
+    # reference builds every set cell, also those no root can read
+    config = ParserConfig(beam_size=beam, max_rules=max_rules)
     vectors = _weight_vectors(trained)
     vectors["explicit"] = EXPLICIT
     vectors["ordinal-pruned"] = {"rule|anchor-ordinal": -1.0, "rule|anchor-int": 0.5}
@@ -248,9 +253,30 @@ def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam):
             want = _roots(eager_generate_candidates, *args)
             assert _roots(generate_candidates, *args) == want, (label, ex.id)
             compared += len(want)
-    assert compared > 60 * beam
-    assert {d.rule for d in checked} >= {"anchor-ordinal", "float-type", "rjoin", "fjoin",
-                                         "intersect", "argmax", "argmin", "call"}
+    # a call needs three rule applications, a composite set three more
+    rules = {"anchor-ordinal", "float-type"}
+    if max_rules >= 3:
+        assert compared > 60 * min(beam, max_rules - 2)
+        rules.add("call")
+    else:
+        assert compared == 0
+    if max_rules >= 5:
+        rules |= {"rjoin", "fjoin", "intersect", "argmax", "argmin"}
+    assert {d.rule for d in checked} >= rules
+
+
+@pytest.mark.parametrize("max_rules", [3, 5, 9, 15])
+def test_chart_builds_no_set_a_root_cannot_read(monkeypatch, max_rules):
+    # a set of size s is read only by forms of size s + 2 or more, so the
+    # chart builds sets up to size max_rules - 2 and no larger
+    checked = _check_offer_strings(monkeypatch)
+    config = ParserConfig(beam_size=4, max_rules=max_rules)
+    for ex in _busy_examples():
+        generate_candidates(tokenize(ex.utterance), ex.initial, get_domain(ex.domain_id),
+                            config, {})
+    sizes = {d.size_used for d in checked if d.category == "EntitySet"}
+    assert max(sizes) == max_rules - 2, sorted(sizes)
+    assert max(d.size_used for d in checked if d.category == "Root") == max_rules
 
 
 def test_chart_builds_at_most_beam_derivations_per_cell(built):
@@ -316,6 +342,39 @@ def test_scorer_memo_never_mixes_roots_and_fragments():
     key = scorer.key(frag.lf.preds, frag.rules, frag.size_used)
     assert scorer.score(False, *key) == 0.0
     assert scorer.score(True, *key) == kernels.dot(weights, ctx.features(frag, True)) == 1.75
+
+
+def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
+    # one form, so one `bits`, under sizes and rule counts that vary
+    # `packed`; fragments and roots alternate, and roots add the missing
+    # terms to the bits' running total. The size> and unevoked| weights
+    # round differently unless the packed terms are summed in sorted key
+    # order (size>10 before size>2, size> before unevoked|)
+    domain = get_domain("lighting")
+    ctx = Featurizer(domain).context(
+        tuple(tokenize("turn off the largest light in the bedroom on the second floor")))
+    lf = parse_lf("turnLightOff(Intersect(R[name].bedroom, R[type].Room))", domain)
+    weights = {
+        "cooc|turn off|turnLightOff": 0.1, "cooc-any|method|desc": 0.2,
+        "missing|floor|floor": 0.3, "missing|light|lightMode": 1 / 7,
+        "missing-any|relation": -0.7, "missing-any|operator": 1e-3,
+        "rule|call": 1 / 3, "rule|intersect": -0.2, "rule|rjoin": 0.6,
+        "size>2": 1e8, "size>3": -1e8, "size>10": 1 / 3, "size>12": 0.05,
+        "unevoked|relation": 0.1, "unevoked|method": 5.0,
+    }
+    scorer = ctx.scorer(weights, 15)
+    scores = set()
+    for size in (9, 11, 15):
+        for rules in ({"call": 1, "intersect": 1, "rjoin": 2},
+                      {"call": 1, "intersect": 3, "rjoin": 5}):
+            key = scorer.key(lf.preds, rules, size)
+            for is_root in (False, True):
+                d = Derivation(lf, "Root" if is_root else "EntitySet", size, (), (), rules)
+                want = kernels.dot(weights, ctx.features(d, is_root))
+                got = scorer.score(is_root, *key)
+                assert repr(got) == repr(want), (size, rules, is_root)
+                scores.add((is_root, got))
+    assert len(scores) == 12
 
 
 def test_analyze_builds_features_only_for_returned_candidates(built, monkeypatch):
