@@ -253,10 +253,11 @@ def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam, max
             want = _roots(eager_generate_candidates, *args)
             assert _roots(generate_candidates, *args) == want, (label, ex.id)
             compared += len(want)
-    # a call needs three rule applications, a composite set three more
+    # a call needs three rule applications, a composite set three more;
+    # below 9 rules there are fewer root cells, so fewer roots to compare
     rules = {"anchor-ordinal", "float-type"}
     if max_rules >= 3:
-        assert compared > 60 * min(beam, max_rules - 2)
+        assert compared > 60 * (beam if max_rules >= 9 else min(beam, max_rules - 2))
         rules.add("call")
     else:
         assert compared == 0
