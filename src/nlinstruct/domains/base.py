@@ -113,13 +113,26 @@ class MethodCall:
             raise ExecutionError(
                 f"{method.name}: expected {len(method.params)} arguments, got {len(args)}"
             )
+        args = tuple(frozenset(a) for a in args)
         for param, arg in zip(method.params, args):
-            problem = _conforms(param, frozenset(arg))
+            problem = _conforms(param, arg)
             if problem:
                 raise ExecutionError(f"{method.name}: {problem}")
+        self._bind(method, args)
+
+    @classmethod
+    def conforming(cls, method: InterfaceMethod, args: tuple[frozenset[Value], ...]) -> MethodCall:
+        """The call of arguments already known to conform: one frozenset
+        per parameter, each passing :func:`_conforms`. Nothing is checked
+        again."""
+        call = cls.__new__(cls)
+        call._bind(method, args)
+        return call
+
+    def _bind(self, method: InterfaceMethod, args: tuple[frozenset[Value], ...]) -> None:
         self.method = method
-        self.args = tuple(frozenset(a) for a in args)
-        self._hash = hash((method.name, self.args))
+        self.args = args
+        self._hash = hash((method.name, args))
 
     def __eq__(self, other):
         if not isinstance(other, MethodCall):

@@ -260,7 +260,9 @@ class ChartScorer:
         head = [k for terms in self._cooc.values() for k, _ in terms]
         head += [k for _, absent in self._missing for k in absent]
         assert not head or not tail or max(head) < tail[0][0], (max(head), tail[0][0])
-        self._memo: tuple[dict, dict] = ({}, {})  # fragments, roots
+        # (bits, packed) -> score, of fragments and of roots: a caller may
+        # read a score here and must call score() when it is missing
+        self.memo: tuple[dict, dict] = ({}, {})
         self._prefix: tuple[dict, dict] = ({}, {})  # bits -> running total
 
     def key(self, preds: dict, rules: dict, size_used: int) -> tuple[int, int]:
@@ -300,7 +302,7 @@ class ChartScorer:
         return triggered, untriggered, rules, packed
 
     def score(self, is_root: bool, bits: int, packed: int) -> float:
-        memo = self._memo[is_root]
+        memo = self.memo[is_root]
         total = memo.get((bits, packed))
         if total is None:
             total = memo[bits, packed] = self._total(is_root, bits, packed)

@@ -23,7 +23,9 @@ The constructors print through them, and so does the parser's chart, which
 renders each candidate before it builds anything: it deduplicates chart
 entries on (category, printed form, anchored spans) and breaks score ties
 on the printed form, so it relies on a candidate's rendered string being
-exactly the ``printed`` of the node it would build.
+exactly the ``printed`` of the node it would build. For roots the chart
+writes :func:`render_call`'s format out inline and hands the string to the
+``Call`` it builds.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ def render_superlative(kind: str, set_form: str, key: str) -> str:
 
 
 def render_call(method: str, args) -> str:
+    """``method(a)`` or ``method(a, b)``; the parser's root offers write
+    this format out inline."""
     return f"{method}({', '.join(args)})"
 
 
@@ -235,18 +239,22 @@ class Superlative(LogicalForm):
 
 
 class Call(LogicalForm):
-    """Root node denoting a method call."""
+    """Root node denoting a method call. ``printed``, when given, must be
+    the string :func:`render_call` makes of the method and arguments (the
+    parser's chart passes the one its offer already holds)."""
 
     __slots__ = ("method", "args")
 
-    def __init__(self, method: InterfaceMethod, args: tuple[LogicalForm, ...]):
+    def __init__(self, method: InterfaceMethod, args: tuple[LogicalForm, ...],
+                 printed: str | None = None):
         if len(args) != len(method.params):
             raise ExecutionError(
                 f"{method.name}: arity {len(method.params)}, got {len(args)} arguments"
             )
         self.method = method
         self.args = args
-        self.printed = render_call(method.name, [a.printed for a in args])
+        self.printed = (render_call(method.name, [a.printed for a in args]) if printed is None
+                        else printed)
         self.node_count = 2 + sum(a.node_count for a in args)
 
     def _collect_preds(self):

@@ -59,6 +59,13 @@ the beam has room for, chosen by (printed form, spans). Pruned candidates
 keep their dedup keys, so a later duplicate of a pruned form is still
 rejected.
 
+Root offers, the most numerous, are made inline: a call's printed form is
+``render_call``'s ``method(a)`` or ``method(a, b)``, written out with the
+method's (and first argument's) part of the string and of the score key
+taken once, outside the loop over the last argument. A surviving root's
+``Call`` takes that string as its printed form instead of rendering it
+again.
+
 So the chart never builds a composite's predicate or rule dict: a form's
 ``preds`` and a derivation's ``rules`` are built on first read, as is
 the feature dict (``Derivation.feats``). Readers are the gradient,
@@ -66,10 +73,14 @@ the feature dict (``Derivation.feats``). Readers are the gradient,
 candidates that survive the beams and the filter.
 
 Inference has one path, :func:`infer`: parse, execute each root's call
-against the state and, with the logic filter on, drop the calls that fail
-to assemble, raise, or change nothing. Training and evaluation reach it
-through :meth:`Pipeline.analyze`, ``nlinstruct parse`` directly. The
-filter pays only for new work: argument sets and call outcomes are
+against the state and, with the logic filter on, drop the roots with an
+argument that does not fit its parameter and the calls that raise or
+change nothing. Training and evaluation reach it through
+:meth:`Pipeline.analyze`, ``nlinstruct parse`` directly. The filter judges
+arguments, not roots: many roots share an argument derivation, and each
+(argument, method, parameter position) is evaluated and checked once per
+parse, so a root is assembled only from arguments that passed. It pays
+only for new work across parses too: argument sets and call outcomes are
 memoized on the state (see :class:`~nlinstruct.kb.State`), so a state
 parsed again in a later epoch, fold or grid point reuses them.
 """
@@ -80,8 +91,21 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE, Domain, invoke
-from .errors import ConfigError, DomainLogicError, ExecutionError
+from .domains.base import (
+    COLLECTION,
+    ENUM_ARG,
+    INT_ARG,
+    OBJ_ENTITY,
+    OBJ_INT,
+    OBJ_SYM,
+    OBJ_TEXT,
+    SINGLE,
+    Domain,
+    MethodCall,
+    _conforms,
+    invoke,
+)
+from .errors import ConfigError, DomainLogicError
 from .features import Featurizer, UtteranceContext, tokenize
 from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
@@ -98,8 +122,8 @@ from .logic import (
     Superlative,
     TypeSet,
     ValueLit,
-    execute_to_call,
-    render_call,
+    evaluate,
+    execute_to_call,  # not called here; kept as perfbench's tracer patches it by this name
     render_intersect,
     render_join,
     render_superlative,
@@ -129,9 +153,17 @@ ORDINAL_WORDS = {
 
 
 
+#: The largest rule budget a parser accepts, twice the paper's 15. Chart
+#: time and memory grow faster than linearly in the budget: ``nlinstruct
+#: parse`` on a small lighting state at beam 200 peaks at about 32 MB of
+#: RSS at 15 rules and 196 MB at 30.
+MAX_RULES_LIMIT = 30
+
+
 @dataclass
 class ParserConfig:
-    """``beam_size=None`` disables pruning (exhaustive search)."""
+    """``beam_size=None`` disables pruning (exhaustive search).
+    ``max_rules`` runs from 1 to :data:`MAX_RULES_LIMIT`."""
 
     beam_size: int | None = 200
     max_rules: int = 15
@@ -141,6 +173,9 @@ class ParserConfig:
             raise ConfigError(f"beam size must be positive, got {self.beam_size}")
         if self.max_rules <= 0:
             raise ConfigError(f"max rule applications must be positive, got {self.max_rules}")
+        if self.max_rules > MAX_RULES_LIMIT:
+            raise ConfigError(
+                f"max rule applications must be at most {MAX_RULES_LIMIT}, got {self.max_rules}")
 
 
 class Derivation:
@@ -214,18 +249,20 @@ def _compose(rule: str, children: tuple) -> LogicalForm:
         return ReverseJoin(children[0].lf.name, children[1].lf)
     if rule == "fjoin":
         return ForwardJoin(children[0].lf.name, children[1].lf)
-    if rule == "call":
-        return Call(children[0].lf.method, tuple(c.lf for c in children[1:]))
     return Superlative(rule, children[0].lf, children[1].lf.name)
 
 
 def _build(offer: tuple, category: str, size_used: int, ctx: UtteranceContext) -> Derivation:
     """The derivation of an offer that survived its beam; a composite's
     form, built here, prints as the string the offer was deduplicated and
-    ranked on."""
-    neg_score, _, spans, children, rule, bits, packed, lf = offer
+    ranked on. A root's call takes that string as its printed form rather
+    than rendering it again."""
+    neg_score, printed, spans, children, rule, bits, packed, lf = offer
     if lf is None:
-        lf = _compose(rule, children)
+        if rule == "call":
+            lf = Call(children[0].lf.method, tuple(c.lf for c in children[1:]), printed)
+        else:
+            lf = _compose(rule, children)
     d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
     d.bits = bits
     d.packed = packed
@@ -277,9 +314,9 @@ def generate_candidates(
         cells.setdefault((category, 1), []).append(
             (-score(False, bits, packed), lf.printed, spans, (), rule, bits, packed, lf))
 
-    def offer(cell: list, category: str, printed: str, spans: tuple, children: tuple,
-              rule: str) -> None:
-        key = (category, printed, spans)
+    def offer(cell: list, printed: str, spans: tuple, children: tuple, rule: str) -> None:
+        """Offer a composite entity set (roots are offered inline below)."""
+        key = (CAT_SET, printed, spans)
         if key in seen:
             return
         seen.add(key)
@@ -287,8 +324,8 @@ def generate_candidates(
         for c in children:
             bits |= c.bits
             packed += c.packed
-        cell.append((-score(category == CAT_ROOT, bits, packed), printed, spans, children,
-                     rule, bits, packed, None))
+        cell.append((-score(False, bits, packed), printed, spans, children, rule, bits, packed,
+                     None))
 
     def settle(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
@@ -362,7 +399,11 @@ def generate_candidates(
     int_rels = [d for d in rel_derivs if rel_specs[d.lf.name].object_kind == OBJ_INT]
     _VALUE_KIND = {OBJ_INT: IntVal, OBJ_TEXT: TextVal, OBJ_SYM: SymVal}
 
-    def lit_pool(param, size_used):
+    def arg_pool(param, size_used):
+        """The derivations of this size that a parameter can take: every
+        entity set, or the literals of its kind."""
+        if param.kind in (COLLECTION, SINGLE):
+            return cells.get((CAT_SET, size_used), ())
         out = []
         for d in cells.get((CAT_VALUE, size_used), ()):
             v = d.lf.value
@@ -383,15 +424,13 @@ def generate_candidates(
                 if want is not None:
                     for c in cells.get((CAT_VALUE, child_size), ()):
                         if isinstance(c.lf.value, want):
-                            offer(sets, CAT_SET, render_join("R", rel, c.lf.printed), c.spans,
+                            offer(sets, render_join("R", rel, c.lf.printed), c.spans,
                                   (rd, c), "rjoin")
                 elif spec.object_kind == OBJ_ENTITY:
                     for c in cells.get((CAT_SET, child_size), ()):
                         printed = c.lf.printed
-                        offer(sets, CAT_SET, render_join("R", rel, printed), c.spans, (rd, c),
-                              "rjoin")
-                        offer(sets, CAT_SET, render_join("F", rel, printed), c.spans, (rd, c),
-                              "fjoin")
+                        offer(sets, render_join("R", rel, printed), c.spans, (rd, c), "rjoin")
+                        offer(sets, render_join("F", rel, printed), c.spans, (rd, c), "fjoin")
             for rd in int_rels:
                 rel = rd.lf.name
                 for c in cells.get((CAT_SET, child_size), ()):
@@ -400,7 +439,7 @@ def generate_candidates(
                     if isinstance(c.lf, Superlative):
                         continue
                     for kind in (ARGMAX, ARGMIN):
-                        offer(sets, CAT_SET, render_superlative(kind, c.lf.printed, rel),
+                        offer(sets, render_superlative(kind, c.lf.printed, rel),
                               c.spans, (c, rd), kind)
 
         for i in range(1, (k - 1) // 2 + 1):
@@ -418,43 +457,66 @@ def generate_candidates(
                         continue
                     spans = merge_spans(a.spans, b.spans)
                     if spans is not None:
-                        offer(sets, CAT_SET, render_intersect(ap, bp), spans, (a, b),
-                              "intersect")
+                        offer(sets, render_intersect(ap, bp), spans, (a, b), "intersect")
         settle(CAT_SET, k)
 
-    # a call is a method, one application and at least one argument
+    # a call is a method, one application and at least one argument. Its
+    # offers are made inline: the method's (and a two-argument call's
+    # first argument's) share of the score key and printed form is taken
+    # once, outside the loop over the last argument, so that each offer
+    # costs one string, one dedup key and one scorer lookup
+    call_bits, call_packed = local["call"]
+    root_scores = scorer.memo[True]
     for k in range(3, max_rules + 1):
         roots = cells.setdefault((CAT_ROOT, k), [])
+        budget = k - 2
         for md in cells.get((CAT_METHOD, 1), ()):
-            method = md.lf.method
-            name = method.name
-            params = method.params
-            budget = k - 2
+            params = md.lf.method.params
+            head = md.lf.printed + "("  # a method prints as its name
+            mbits = call_bits | md.bits
+            mpacked = call_packed + md.packed
             if len(params) == 1:
-                param = params[0]
-                pool = (cells.get((CAT_SET, budget), ())
-                        if param.kind in (COLLECTION, SINGLE) else lit_pool(param, budget))
-                for a in pool:
-                    offer(roots, CAT_ROOT, render_call(name, (a.lf.printed,)), a.spans,
-                          (md, a), "call")
+                for a in arg_pool(params[0], budget):
+                    printed = f"{head}{a.lf.printed})"
+                    spans = a.spans
+                    key = (CAT_ROOT, printed, spans)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    bits = mbits | a.bits
+                    packed = mpacked + a.packed
+                    total = root_scores.get((bits, packed))
+                    if total is None:
+                        total = score(True, bits, packed)
+                    roots.append((-total, printed, spans, (md, a), "call", bits, packed, None))
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
-                    j = budget - i
-                    pool0 = (cells.get((CAT_SET, i), ())
-                             if p0.kind in (COLLECTION, SINGLE) else lit_pool(p0, i))
-                    if not pool0:
+                    pool0 = arg_pool(p0, i)
+                    pool1 = arg_pool(p1, budget - i) if pool0 else ()
+                    if not pool1:
                         continue
-                    pool1 = (cells.get((CAT_SET, j), ())
-                             if p1.kind in (COLLECTION, SINGLE) else lit_pool(p1, j))
                     for a in pool0:
+                        first = f"{head}{a.lf.printed}, "
+                        a_spans = a.spans
+                        abits = mbits | a.bits
+                        apacked = mpacked + a.packed
                         for b in pool1:
-                            spans = merge_spans(a.spans, b.spans)
-                            if spans is not None:
-                                offer(roots, CAT_ROOT,
-                                      render_call(name, (a.lf.printed, b.lf.printed)),
-                                      spans, (md, a, b), "call")
-
+                            spans = merge_spans(a_spans, b.spans)
+                            if spans is None:
+                                continue
+                            printed = f"{first}{b.lf.printed})"
+                            key = (CAT_ROOT, printed, spans)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            bits = abits | b.bits
+                            packed = apacked + b.packed
+                            total = root_scores.get((bits, packed))
+                            if total is None:
+                                total = score(True, bits, packed)
+                            roots.append((-total, printed, spans, (md, a, b), "call", bits,
+                                          packed, None))
         settle(CAT_ROOT, k)
 
     out: list[Derivation] = []
@@ -463,27 +525,48 @@ def generate_candidates(
     return out
 
 
-_REJECTED = object()
+_MISSING = object()
 
 
-def _denotation(d: Derivation, state: State, domain: Domain) -> State | None:
-    """Resulting state of a candidate, or None when the call is rejected
-    (assembly error, domain exception, or no state change).
+def _denotation(d: Derivation, state: State, domain: Domain, verdicts: dict) -> State | None:
+    """Resulting state of a root derivation, or None when its call is
+    rejected (an argument that does not fit its parameter, a domain
+    exception, or no state change).
 
-    Arguments are evaluated through the state's denotation memo, and each
-    call's outcome is kept in its call-outcome memo under (application
-    logic, call). A kept result is stored as its changes to the state and
-    a weak reference to it: between parses the memo holds only the few
-    changed triples, and a call met again while its result is alive (later
-    in the same parse) gets that same object."""
-    try:
-        call = execute_to_call(d.lf, state, state.denotations)
-    except ExecutionError:
-        return None
+    The filter judges arguments, not roots: ``verdicts`` holds, per parse,
+    the verdict on each (argument derivation, method, parameter position)
+    met so far, which is the argument's set when it conforms to that
+    parameter (``domains.base._conforms``, the rule ``MethodCall``
+    checks) and None when it does not. Roots share their argument
+    derivations, so each is evaluated and judged once per parse. A root
+    with a failing argument is dropped without building a call; one whose
+    arguments all pass gets its ``MethodCall`` without a second check.
+    Sets are read through the state's denotation memo.
+
+    Each call's outcome is kept in the state's call-outcome memo under
+    (application logic, call). A kept result is stored as its changes to
+    the state and a weak reference to it: between parses the memo holds
+    only the few changed triples, and a call met again while its result
+    is alive (later in the same parse) gets that same object."""
+    method = d.lf.method
+    params = method.params
+    children = d.children  # (method, argument, ...)
+    args = []
+    for i in range(len(params)):
+        arg = children[i + 1]
+        key = (arg, method.name, i)
+        verdict = verdicts.get(key, _MISSING)
+        if verdict is _MISSING:
+            value = evaluate(arg.lf, state, state.denotations)
+            verdict = verdicts[key] = None if _conforms(params[i], value) else value
+        if verdict is None:
+            return None
+        args.append(verdict)
+    call = MethodCall.conforming(method, tuple(args))
     outcomes = state.call_outcomes
     key = (domain.logic, call)
-    entry = outcomes.get(key, _REJECTED)
-    if entry is _REJECTED:
+    entry = outcomes.get(key, _MISSING)
+    if entry is _MISSING:
         try:
             result = invoke(domain, state, call)
         except DomainLogicError:
@@ -522,15 +605,18 @@ def infer(
     use_filter: bool = True,
 ) -> list[Candidate]:
     """Full inference for one instruction: parse, execute every root
-    derivation, and with ``use_filter`` drop those whose call fails to
-    assemble, raises, or leaves the state unchanged. Argument sets and
-    invocation outcomes are memoized per state, so a state parsed again
-    (another epoch, fold or grid point) reuses them. Candidates keep the
-    chart's order; an empty list is a parse failure."""
+    derivation, and with ``use_filter`` drop those with an argument that
+    does not fit its parameter, or whose call raises or leaves the state
+    unchanged. Each argument is judged once per parse (see
+    :func:`_denotation`); argument sets and invocation outcomes are
+    memoized per state, so a state parsed again (another epoch, fold or
+    grid point) reuses them. Candidates keep the chart's order; an empty
+    list is a parse failure."""
     cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
+    verdicts: dict = {}
     out = []
     for d in cands:
-        denot = _denotation(d, state, domain)
+        denot = _denotation(d, state, domain, verdicts)
         if denot is None and use_filter:
             continue
         out.append(Candidate(d, denot))

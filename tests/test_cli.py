@@ -322,6 +322,7 @@ def _assert_config_error(capsys, code, words):
     (["--max-rules", "0"], "max rule applications"),
     (["--nbest", "0"], "--nbest"),
     (["--nbest", "-2"], "--nbest"),
+    (["--max-rules", "31"], "max rule applications must be at most 30"),
 ])
 def test_parse_rejects_out_of_range_flags(tmp_path, capsys, flags, words):
     code = main(_paper_state_parse_args(tmp_path) + flags)
@@ -336,6 +337,14 @@ def test_run_config_with_zero_parser_setting_exits_2(tmp_path, capsys, key, word
     config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1), **{key: 0})
     code = main(["eval", "--config", config, "--out", str(tmp_path / "r.json")])
     _assert_config_error(capsys, code, words)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_run_config_with_rule_budget_above_the_limit_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1),
+                           max_rule_applications=31)
+    code = main(["eval", "--config", config, "--out", str(tmp_path / "r.json")])
+    _assert_config_error(capsys, code, "max rule applications must be at most 30")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -226,6 +226,7 @@ def test_broken_input_files_exit_with_one_line(inputs, data):
 _FLAGS = st.one_of(
     st.tuples(st.just("parse"), st.sampled_from(["--nbest", "--beam-size", "--max-rules"]),
               st.integers(-5, 0)),
+    st.tuples(st.just("parse"), st.just("--max-rules"), st.integers(min_value=31)),
     st.tuples(st.just("generate"), st.just("--count"), st.integers(-5, -1)),
     st.tuples(st.just("significance"), st.just("--iterations"), st.integers(-5, 0)),
     st.tuples(st.just("significance"), st.just("--seed"), st.integers(-5, -1)),

@@ -17,13 +17,14 @@ import pytest
 
 from nlinstruct.domains import builtin_domains, get_domain
 from nlinstruct.domains.base import invoke, typed_entity
-from nlinstruct.errors import ExecutionError, NlinstructError
+from nlinstruct.errors import DomainLogicError, ExecutionError, NlinstructError
 from nlinstruct.features import tokenize
 from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.logic import MethodRef, ValueLit, evaluate, execute_to_call, print_value
 from nlinstruct.parser import NUMBER_WORDS, ORDINAL_WORDS, ParserConfig, generate_candidates, infer
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 
+from conftest import lighting_paper_state
 from oracles import brute_force_denotation
 
 #: About three times each domain's default entity counts, as the
@@ -103,6 +104,47 @@ def test_a_state_parsed_again_under_new_weights_gives_what_a_fresh_state_gives(d
     assert [(c.deriv.lf.printed, c.denotation) for c in unfiltered] == \
         [(c.deriv.lf.printed, c.denotation)
          for c in infer(tokens, _copy(state), domain, CONFIG, weights, use_filter=False)]
+
+
+def _scratch_outcome(domain, state, lf):
+    """What the filter must make of a root: None when its call fails to
+    assemble, raises or changes nothing, else the resulting state, all
+    computed from scratch on a memo-less copy of the state."""
+    state = _copy(state)
+    try:
+        result = invoke(domain, state, execute_to_call(lf, state))
+    except (ExecutionError, DomainLogicError):
+        return None
+    return None if result == state else result
+
+
+def _one_example_per_domain():
+    yield get_domain("lighting"), "turn off the light in the bedroom on the second floor", \
+        lighting_paper_state()
+    for domain_id in CORPUS_DOMAINS:
+        domain = get_domain(domain_id)
+        ex, _ = build_domain_corpus(domain, 1, seed=23)[0]
+        yield domain, ex.utterance, ex.initial
+
+
+def test_argument_verdicts_give_the_scratch_outcome_of_every_root():
+    """The filter judges each (argument, method, parameter position) once
+    per parse; every root must still get the outcome of its own call.
+    In the list, file and workforce domains one set reaches single and
+    collection parameters, of one method (positions) and of several
+    (methods), which judge it differently."""
+    kept = rejected = 0
+    for domain, utterance, state in _one_example_per_domain():
+        tokens = tokenize(utterance)
+        roots = generate_candidates(tokens, state, domain, CONFIG)
+        cands = infer(tokens, state, domain, CONFIG, use_filter=False)
+        assert [c.deriv.lf.printed for c in cands] == [d.lf.printed for d in roots]
+        for c in cands:
+            want = _scratch_outcome(domain, state, c.deriv.lf)
+            assert c.denotation == want, (domain.id, c.deriv.lf.printed)
+            kept += want is not None
+            rejected += want is None
+    assert kept > 50 and rejected > 50, (kept, rejected)
 
 
 def test_memo_entries_belong_to_their_own_state():

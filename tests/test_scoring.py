@@ -27,7 +27,7 @@ from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
 from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
-from nlinstruct.logic import TypeSet, parse_lf
+from nlinstruct.logic import Call, TypeSet, parse_lf
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
@@ -208,13 +208,20 @@ def test_scores_are_exact_at_fifteen_rule_applications(trained, built):
 def _check_offer_strings(monkeypatch) -> list:
     """Makes the chart check, for every derivation it builds, that its
     form prints as the string its offer was deduplicated and ranked on
-    (an offer's second field); returns the derivations checked."""
+    (an offer's second field), and for every root, whose call takes that
+    string as given, that it equals the call built afresh from its method
+    and arguments; returns the derivations checked."""
     checked = []
     original = parser._build
 
     def build(offer, *args):
         d = original(offer, *args)
         assert d.lf.printed == offer[1], (d, offer[1])
+        if d.category == parser.CAT_ROOT:
+            method, *arguments = d.children
+            fresh = Call(method.lf.method, tuple(a.lf for a in arguments))
+            assert (d.lf.printed, d.lf.node_count, d.lf.args) == \
+                (fresh.printed, fresh.node_count, fresh.args), d
         checked.append(d)
         return d
 
