@@ -290,13 +290,16 @@ class State:
         # equal entities have equal ids, and a str caches its hash while an
         # Entity recomputes its own: test the id before the entity
         ids = {e.id for e in gone}
-        keep = [
+        dropped = [
             t
             for t in self.triples
-            if not (t.subject.id in ids and t.subject in gone)
-            and not (isinstance(t.object, Entity) and t.object.id in ids and t.object in gone)
+            if (t.subject.id in ids and t.subject in gone)
+            or (isinstance(t.object, Entity) and t.object.id in ids and t.object in gone)
         ]
-        return State(self.domain_id, self.entities - gone, keep, _checked=True)
+        # difference() carries the kept triples' stored hashes over, so only
+        # the dropped ones run the dataclass __hash__
+        return State(self.domain_id, self.entities - gone, self.triples.difference(dropped),
+                     _checked=True)
 
     def with_entity(self, entity: Entity, triples: Iterable[Triple]) -> "State":
         entities = self.entities | {entity}

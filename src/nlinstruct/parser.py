@@ -83,10 +83,20 @@ parse, so a root is assembled only from arguments that passed. It pays
 only for new work across parses too: argument sets and call outcomes are
 memoized on the state (see :class:`~nlinstruct.kb.State`), so a state
 parsed again in a later epoch, fold or grid point reuses them.
+
+:func:`infer` runs with the cycle collector paused. A parse fills its chart
+with short-lived offers, forms, derivations and states, which the
+collector would otherwise sweep again and again while they are still
+alive; yet a parse makes no reference cycle (``tests/test_parser.py``
+checks that ``gc.collect()`` finds nothing after parses of every domain),
+so reference counting frees all of it as before. The caller's setting
+comes back when :func:`infer` returns or raises; cycles that other threads
+make meanwhile are collected after the parse.
 """
 
 from __future__ import annotations
 
+import gc
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -611,16 +621,28 @@ def infer(
     :func:`_denotation`); argument sets and invocation outcomes are
     memoized per state, so a state parsed again (another epoch, fold or
     grid point) reuses them. Candidates keep the chart's order; an empty
-    list is a parse failure."""
-    cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
-    verdicts: dict = {}
-    out = []
-    for d in cands:
-        denot = _denotation(d, state, domain, verdicts)
-        if denot is None and use_filter:
-            continue
-        out.append(Candidate(d, denot))
-    return out
+    list is a parse failure.
+
+    The cycle collector is paused while it runs (see the module docstring):
+    a parse makes no reference cycle, so reference counting frees what it
+    drops. If the collector was enabled it is enabled again on return and
+    on any exception; if the caller had disabled it, it stays disabled."""
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
+        verdicts: dict = {}
+        out = []
+        for d in cands:
+            denot = _denotation(d, state, domain, verdicts)
+            if denot is None and use_filter:
+                continue
+            out.append(Candidate(d, denot))
+        return out
+    finally:
+        if paused:
+            gc.enable()
 
 
 class Pipeline:

@@ -341,6 +341,37 @@ def test_derived_states_equal_states_built_from_scratch():
         assert derived._obj_idx is None and derived._denotations is None
 
 
+def test_without_entities_hashes_only_the_dropped_triples(monkeypatch):
+    state, rooms = _rooms(8)
+    linked = state.replace_triples([], [Triple(rooms[0], "next", rooms[1]),
+                                        Triple(rooms[2], "next", rooms[3])])
+    gone = rooms[1:3]
+    dropped = [t for t in linked.triples if t.subject in gone or t.object in gone]
+    hashed = []
+    plain = Triple.__hash__
+
+    def counted(t):
+        hashed.append(t)
+        return plain(t)
+
+    monkeypatch.setattr(Triple, "__hash__", counted)
+    linked.without_entities(gone)
+    monkeypatch.undo()
+    assert sorted(map(repr, hashed)) == sorted(map(repr, dropped))
+
+
+def test_without_entities_equals_a_filtered_rebuild_on_corpus_states():
+    rng = random.Random(31)
+    states = [s for _, ex in LARGE for s in (ex.initial, ex.desired)]
+    for state in states:
+        entities = sorted(state.entities, key=lambda e: e.id)
+        for k in (1, len(entities) // 3, len(entities)):
+            gone = frozenset(rng.sample(entities, k))
+            assert state.without_entities(gone) == State(
+                state.domain_id, state.entities - gone,
+                [t for t in state.triples if t.subject not in gone and t.object not in gone])
+
+
 def test_changes_round_trip_to_an_equal_state():
     state, rooms = _rooms(6)
     e, t = typed_entity("room7", "Room")

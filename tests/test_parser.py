@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
+from collections import Counter
+from dataclasses import replace
 
+import pytest
+
+from nlinstruct import parser
 from nlinstruct.domains import get_domain, invoke
 from nlinstruct.domains.base import typed_entity
+from nlinstruct.errors import DomainLogicError
 from nlinstruct.features import tokenize
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
 from nlinstruct.logic import execute_to_call, parse_lf
@@ -15,6 +22,7 @@ from nlinstruct.parser import (
     infer,
     merge_spans,
 )
+from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 
 from oracles import EnumerationBudget, enumerate_all_forms
 
@@ -264,3 +272,86 @@ def test_pipeline_analyze_returns_denotations():
     for c in cands:
         assert c.denotation is not None
         assert not states_equal(c.denotation, state)
+
+
+# ---------------------------------------------------------------------------
+# infer pauses the cycle collector
+# ---------------------------------------------------------------------------
+
+
+def test_infer_pauses_the_collector_and_gives_back_the_callers_setting(toy_domain):
+    seen = []
+
+    def watched(state, call):
+        seen.append(gc.isenabled())
+        return toy_domain.logic(state, call)
+
+    def broken(state, call):
+        raise RuntimeError("broken logic")
+
+    def fresh():
+        return toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
+
+    tokens, config = ["zap", "alpha"], ParserConfig(beam_size=5, max_rules=9)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert infer(tokens, fresh(), replace(toy_domain, logic=watched), config)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="broken logic"):
+            infer(tokens, fresh(), replace(toy_domain, logic=broken), config)
+        assert gc.isenabled()
+
+        gc.disable()
+        assert infer(tokens, fresh(), replace(toy_domain, logic=watched), config)
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError, match="broken logic"):
+            infer(tokens, fresh(), replace(toy_domain, logic=broken), config)
+        assert not gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_a_parse_leaves_no_cyclic_garbage(monkeypatch):
+    """:func:`infer` pauses the collector because a parse makes no reference
+    cycle, so reference counting frees all it drops. A change that puts a
+    derivation, state or exception into a cycle must fail here rather than
+    leak until the next sweep."""
+    outcomes = Counter()
+
+    def counted_invoke(domain, state, call):
+        try:
+            result = invoke(domain, state, call)
+        except DomainLogicError:
+            outcomes["raised"] += 1
+            raise
+        outcomes["unchanged" if result == state else "changed"] += 1
+        return result
+
+    monkeypatch.setattr(parser, "invoke", counted_invoke)
+    parses = []
+    for domain_id in CORPUS_DOMAINS:
+        domain = get_domain(domain_id)
+        ex, _ = build_domain_corpus(domain, 1, seed=23)[0]
+        parses.append((domain, ex.utterance, ex.initial, ParserConfig(20, 9)))
+        if domain_id == "file":  # its Intersect cells are the largest at beam 200, 15 rules
+            parses.append((domain, ex.utterance, ex.initial, ParserConfig()))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for domain, utterance, state, config in parses:
+            for use_filter in (True, False):
+                # an equal state with empty memos, so every call is invoked
+                state = State(state.domain_id, state.entities, state.triples)
+                assert infer(tokenize(utterance), state, domain, config, use_filter=use_filter)
+                assert gc.collect() == 0, (domain.id, use_filter)
+    finally:
+        if was:
+            gc.enable()
+    assert {d.id for d, *_ in parses} == set(CORPUS_DOMAINS)
+    assert min(outcomes["raised"], outcomes["unchanged"], outcomes["changed"]) > 0, outcomes
