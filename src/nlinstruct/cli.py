@@ -2,8 +2,9 @@
 
     nlinstruct generate      random state pairs for annotation (plus a
                              test-only gold sidecar)
-    nlinstruct tune          grid search over the source domains
-    nlinstruct train         train a model and write it to disk
+    nlinstruct tune          grid search, as eval tunes
+    nlinstruct train         train a model and write it to disk (from
+                             tune's output, the model eval scores)
     nlinstruct eval          full experiment: tune, train, score, report
     nlinstruct parse         n-best parses for one utterance over a state
     nlinstruct significance  paired bootstrap between two reports
@@ -24,13 +25,16 @@ from .evaluation import (
     ExampleScore,
     ExperimentSpec,
     InstrumentedRegistry,
-    mean_credit,
+    ablation_table,
     paired_bootstrap,
     run_experiment,
+    train_model,
+    training_examples,
+    tune_config,
 )
 from .features import tokenize
-from .parser import ParserConfig, Pipeline, infer
-from .training import DomainPartition, TrainConfig, adagrad, gmdp
+from .parser import ParserConfig, infer
+from .training import TrainConfig, final_partition, partition_for_fold
 
 import os
 import random
@@ -141,34 +145,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _spec(config, command: str) -> ExperimentSpec:
+    """The experiment the config and flags describe; only zero-shot
+    training can do without a target."""
+    target = config.get("target_domain")
+    if not target and (command != "train" or config["in_domain"]):
+        what = "in-domain training" if command == "train" else command
+        raise ConfigError(f"{what} needs a target_domain")
+    return ExperimentSpec(
+        target_domain=target,
+        use_gmdp=config["algorithm"] == "gmdp",
+        use_new_features=config["use_new_features"],
+        use_logic_filter=config["use_logic_filter"],
+        in_domain=config["in_domain"],
+        seed=config["seed"],
+    )
+
+
 def cmd_tune(args) -> int:
     config = _apply_flag_overrides(args, dataio.load_run_config(args.config))
-    target = config.get("target_domain")
-    if not target:
-        raise ConfigError("tune needs a target_domain")
+    spec = _spec(config, "tune")
     parser_config = _parser_config(config)
     registry = _registry(config)
-    algorithm = config["algorithm"]
-    sources = [d for d in registry.domain_ids if d != target]
-    pipeline = Pipeline(
-        registry.domain,
-        parser_config,
-        use_new_features=config["use_new_features"],
-        use_filter=config["use_logic_filter"],
-    )
-    examples_by_domain = {d: registry.examples(d, "train") for d in sources}
-    grid = training.build_grid(algorithm, sources, config["seed"], config.get("grid"))
-    tuned = training.tune_hyperparameters(
-        sources, examples_by_domain, grid, algorithm, pipeline,
-        lambda w, ex: mean_credit(pipeline, w, ex),
-    )
+    tuned = tune_config(spec, training_examples(spec, registry),
+                        spec.pipeline(registry, parser_config), config.get("grid"))
     dataio.atomic_write_json(args.out, tuned.to_json())
     print(f"selected configuration written to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
+    """With ``--tuned``, trains the model ``eval`` reports for that tuned
+    configuration; otherwise on the ``train`` section's literal split."""
     config = _apply_flag_overrides(args, dataio.load_run_config(args.config))
+    spec = _spec(config, "train")
     parser_config = _parser_config(config)
     if args.tuned:
         tuned = dataio.read_json_object(args.tuned, "tuned configuration")
@@ -176,38 +186,17 @@ def cmd_train(args) -> int:
             tconfig = TrainConfig.from_json(tuned)
         except (TypeError, ValueError, NlinstructError) as exc:
             raise DataError(f"{args.tuned}: not a tuned configuration ({exc})") from None
+
+        def split(cfg, domains):
+            try:
+                return final_partition(cfg, domains)
+            except NlinstructError as exc:
+                raise DataError(f"{args.tuned}: {exc}") from None
     else:
-        tconfig = _train_config(config)
+        tconfig, split = _train_config(config), partition_for_fold
     registry = _registry(config)
-    pipeline = Pipeline(
-        registry.domain,
-        parser_config,
-        use_new_features=config["use_new_features"],
-        use_filter=config["use_logic_filter"],
-    )
-    target = config.get("target_domain")
-    if config["in_domain"]:
-        if not target:
-            raise ConfigError("in-domain training needs a target_domain")
-        pool = registry.examples(target, "train")
-        weights = adagrad(pool, {}, tconfig, pipeline)
-        partition = None
-    else:
-        domains = [d for d in registry.domain_ids if d != target]
-        if not domains:
-            raise DataError("no training domains left after excluding the target")
-        examples_by_domain = {d: registry.examples(d, "train") for d in domains}
-        if config["algorithm"] == "gmdp":
-            ordering = list(tconfig.domain_ordering or domains)
-            partition = DomainPartition(
-                tuple(ordering[: tconfig.partition_size]),
-                tuple(ordering[tconfig.partition_size:]),
-            )
-            weights = gmdp(partition, examples_by_domain, tconfig, pipeline)
-        else:
-            pool = [ex for d in domains for ex in examples_by_domain[d]]
-            weights = adagrad(pool, {}, tconfig, pipeline)
-            partition = None
+    weights, partition = train_model(spec, tconfig, training_examples(spec, registry),
+                                     spec.pipeline(registry, parser_config), split)
     training.save_model(
         args.out, weights, tconfig, partition,
         extra={"ablation": {
@@ -224,8 +213,6 @@ def cmd_eval(args) -> int:
     parser_config = _parser_config(config)
     registry = _registry(config)
     if args.ablation_suite:
-        from .evaluation import ablation_table
-
         table = ablation_table(
             registry, parser_config, config.get("grid"), config["seed"]
         )
@@ -236,22 +223,12 @@ def cmd_eval(args) -> int:
             cells = "  ".join(f"{row['per_domain'][d]:{width}.1f}" for d in table["domains"])
             print(f"{row['label']:12s} {cells}  {row['average']:7.1f}")
         return 0
-    target = config.get("target_domain")
-    if not target:
-        raise ConfigError("eval needs a target_domain")
-    spec = ExperimentSpec(
-        target_domain=target,
-        use_gmdp=config["algorithm"] == "gmdp",
-        use_new_features=config["use_new_features"],
-        use_logic_filter=config["use_logic_filter"],
-        in_domain=config["in_domain"],
-        seed=config["seed"],
-    )
+    spec = _spec(config, "eval")
     report = run_experiment(spec, registry, parser_config, config.get("grid"))
     dataio.atomic_write_json(args.out, report)
     accuracy = report["accuracy"]
     shown = "no data" if accuracy is None else f"{accuracy:.1f}"
-    print(f"{spec.label()} on {target}: accuracy {shown}; report written to {args.out}")
+    print(f"{spec.label()} on {spec.target_domain}: accuracy {shown}; report written to {args.out}")
     return 0
 
 

@@ -266,10 +266,9 @@ DEFAULTS = {
 def load_run_config(path) -> dict:
     """Parse and validate a run configuration; unknown keys are rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raw = json.loads(read_input_text(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):

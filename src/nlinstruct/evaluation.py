@@ -11,21 +11,25 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains.base import Domain, Example
-from .errors import NlinstructError
+from .errors import ConfigError, DataError, NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
 from .training import (
+    DomainPartition,
+    TrainConfig,
     _is_int,
     _is_real,
     adagrad,
     build_grid,
     final_partition,
     gmdp,
+    select_config,
     tune_hyperparameters,
 )
 
@@ -143,12 +147,20 @@ class InstrumentedRegistry:
 
 @dataclass
 class ExperimentSpec:
-    target_domain: str
+    """An experiment's target, trainer and ablation flags. Zero-shot
+    training alone may leave the target None, to train on every domain."""
+
+    target_domain: str | None
     use_gmdp: bool = True
     use_new_features: bool = True
     use_logic_filter: bool = True
     in_domain: bool = False
     seed: int = 0
+
+    @property
+    def algorithm(self) -> str:
+        # the two-step trainer partitions domains, and in-domain there is one
+        return "gmdp" if self.use_gmdp and not self.in_domain else "adagrad"
 
     def label(self) -> str:
         name = "gmdp" if self.use_gmdp else "adagrad"
@@ -160,20 +172,66 @@ class ExperimentSpec:
             name += " (in-domain)"
         return name
 
+    def pipeline(self, registry: InstrumentedRegistry,
+                 parser_config: ParserConfig | None = None) -> Pipeline:
+        return Pipeline(registry.domain, parser_config, use_new_features=self.use_new_features,
+                        use_filter=self.use_logic_filter)
+
 
 def _cv_folds(examples: list[Example], k: int, seed: int) -> list[tuple[list, list]]:
-    import random as _random
-
+    """(rest, held-out) pairs of a seeded k-fold split; a fold that would
+    leave either side empty is dropped."""
     order = list(examples)
-    _random.Random(seed).shuffle(order)
+    random.Random(seed).shuffle(order)
     folds = [order[i::k] for i in range(k)]
-    out = []
-    for i in range(k):
-        held = folds[i]
-        rest = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        if held and rest:
-            out.append((rest, held))
-    return out
+    return [([ex for j, fold in enumerate(folds) if j != i for ex in fold], held)
+            for i, held in enumerate(folds) if 0 < len(held) < len(order)]
+
+
+def training_examples(spec: ExperimentSpec, registry: InstrumentedRegistry) -> dict[str, list[Example]]:
+    """The train splits the model may learn from, by domain: the target's
+    alone in-domain, every other domain's (in id order) zero-shot."""
+    if spec.in_domain:
+        return {spec.target_domain: registry.examples(spec.target_domain, "train")}
+    sources = [d for d in registry.domain_ids if d != spec.target_domain]
+    if not sources:
+        raise DataError("no training domains left after excluding the target")
+    return {d: registry.examples(d, "train") for d in sources}
+
+
+def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example]],
+                pipeline: Pipeline, grid_overrides: dict | None = None) -> TrainConfig:
+    """The protocol's tuning step: leave-one-domain-out search over the
+    source domains zero-shot, 3-fold cross-validation on the target's train
+    split in-domain, both ranked by :func:`training.select_config`. Its
+    mean over the folds ranks in-domain configs as their summed credit
+    would, except where two distinct sums divide to the same double: those
+    tie, and the earlier grid entry wins."""
+    domains = list(examples_by_domain)
+    grid = build_grid(spec.algorithm, domains, spec.seed, grid_overrides)
+    accuracy_fn = lambda weights, examples: mean_credit(pipeline, weights, examples)
+    if not spec.in_domain:
+        return tune_hyperparameters(
+            domains, examples_by_domain, grid, spec.algorithm, pipeline, accuracy_fn)
+    return select_config(grid, _cv_folds(examples_by_domain[spec.target_domain], 3, spec.seed),
+                         lambda cfg, rest: adagrad(rest, {}, cfg, pipeline), accuracy_fn)
+
+
+def train_model(spec: ExperimentSpec, config: TrainConfig,
+                examples_by_domain: dict[str, list[Example]], pipeline: Pipeline,
+                split=final_partition) -> tuple[dict, DomainPartition | None]:
+    """The protocol's training step: the weights and the partition (None
+    for AdaGrad). Two-step training runs over ``split(config, domains)``,
+    ``final_partition`` for a tuned configuration; plain AdaGrad pools
+    every example. A split that leaves a side empty is a ``ConfigError``."""
+    if spec.algorithm != "gmdp":
+        pool = [ex for examples in examples_by_domain.values() for ex in examples]
+        return adagrad(pool, {}, config, pipeline), None
+    partition = split(config, list(examples_by_domain))
+    if partition is None:
+        raise ConfigError(f"partition_size {config.partition_size} leaves a side of the "
+                          f"two-step partition of {list(examples_by_domain)} empty")
+    return gmdp(partition, examples_by_domain, config, pipeline), partition
 
 
 def run_experiment(
@@ -184,59 +242,23 @@ def run_experiment(
 ) -> dict:
     """Tune, train and score one experiment; returns the report as a dict.
 
-    Zero-shot: tuning is leave-one-out over the source domains, the final
-    model trains on all of them, scoring happens on the target's test split
-    (or its only split when no test split exists, which is still unseen).
-    In-domain: 3-fold cross-validation on the target's training split, with
-    plain AdaGrad (the two-step trainer partitions domains, and there is
-    only one)."""
+    Zero-shot: the model tunes and trains on the source domains and is
+    scored on the target's test split (or its only split when no test split
+    exists, which is still unseen). In-domain: it tunes and trains on the
+    target's training split and is scored on its test split."""
     target = spec.target_domain
     if target not in registry.domain_ids:
         raise NlinstructError(f"no data for target domain {target!r}")
-    pipeline = Pipeline(
-        registry.domain,
-        parser_config,
-        use_new_features=spec.use_new_features,
-        use_filter=spec.use_logic_filter,
-    )
-    algorithm = "gmdp" if spec.use_gmdp and not spec.in_domain else "adagrad"
-    accuracy_fn = lambda weights, examples: mean_credit(pipeline, weights, examples)
+    pipeline = spec.pipeline(registry, parser_config)
     started = time.time()
 
-    if spec.in_domain:
-        with registry.in_phase(PHASE_TUNING):
-            train_examples = registry.examples(target, "train")
-            grid = build_grid("adagrad", [target], spec.seed, grid_overrides)
-            if len(grid) == 1:
-                tuned = grid[0]
-            else:
-                folds = _cv_folds(train_examples, 3, spec.seed)
-                totals = [0.0] * len(grid)
-                for rest, held in folds:
-                    for gi, cfg in enumerate(grid):
-                        totals[gi] += accuracy_fn(adagrad(rest, {}, cfg, pipeline), held)
-                tuned = grid[max(range(len(grid)), key=lambda gi: (totals[gi], -gi))]
-        partition = None
-        with registry.in_phase(PHASE_TRAINING):
-            weights = adagrad(registry.examples(target, "train"), {}, tuned, pipeline)
-    else:
-        sources = [d for d in registry.domain_ids if d != target]
-        if not sources:
-            raise NlinstructError("zero-shot experiments need at least one source domain")
-        with registry.in_phase(PHASE_TUNING):
-            examples_by_domain = {d: registry.examples(d, "train") for d in sources}
-            grid = build_grid(algorithm, sources, spec.seed, grid_overrides)
-            tuned = tune_hyperparameters(
-                sources, examples_by_domain, grid, algorithm, pipeline, accuracy_fn
-            )
-        with registry.in_phase(PHASE_TRAINING):
-            if algorithm == "gmdp":
-                partition = final_partition(tuned, sources)
-                weights = gmdp(partition, examples_by_domain, tuned, pipeline)
-            else:
-                partition = None
-                pool = [ex for d in sources for ex in examples_by_domain[d]]
-                weights = adagrad(pool, {}, tuned, pipeline)
+    with registry.in_phase(PHASE_TUNING):
+        examples_by_domain = training_examples(spec, registry)
+        tuned = tune_config(spec, examples_by_domain, pipeline, grid_overrides)
+    with registry.in_phase(PHASE_TRAINING):
+        if spec.in_domain:  # read again, so the registry logs the training phase's use
+            examples_by_domain = training_examples(spec, registry)
+        weights, partition = train_model(spec, tuned, examples_by_domain, pipeline)
 
     with registry.in_phase(PHASE_EVALUATION):
         split = "test" if registry.has_split(target, "test") else "train"
@@ -276,6 +298,7 @@ def run_experiment(
     return report
 
 
+#: (label, use_gmdp, use_new_features, use_logic_filter)
 ABLATION_ROWS = (
     ("GMDP", True, True, True),
     ("GMDP-F", True, False, True),
@@ -293,29 +316,20 @@ def ablation_table(
     parser_config: ParserConfig | None = None,
     grid_overrides: dict | None = None,
     seed: int = 0,
-    rows=ABLATION_ROWS,
 ) -> dict:
     """The eight-row trainer/feature/filter comparison over every target
     domain, plus a per-row average."""
     domains = registry.domain_ids
     table: dict = {"domains": domains, "rows": []}
-    for label, use_gmdp, use_feats, use_filter in rows:
-        per_domain = {}
-        for target in domains:
-            spec = ExperimentSpec(
-                target_domain=target, use_gmdp=use_gmdp,
-                use_new_features=use_feats, use_logic_filter=use_filter, seed=seed,
-            )
-            report = run_experiment(spec, registry, parser_config, grid_overrides)
-            per_domain[target] = report["accuracy"]
+    for label, *flags in ABLATION_ROWS:
+        per_domain = {
+            target: run_experiment(ExperimentSpec(target, *flags, seed=seed), registry,
+                                   parser_config, grid_overrides)["accuracy"]
+            for target in domains
+        }
         values = [v for v in per_domain.values() if v is not None]
-        table["rows"].append(
-            {
-                "label": label,
-                "per_domain": per_domain,
-                "average": sum(values) / len(values) if values else None,
-            }
-        )
+        table["rows"].append({"label": label, "per_domain": per_domain,
+                              "average": sum(values) / len(values) if values else None})
     return table
 
 

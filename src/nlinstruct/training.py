@@ -196,10 +196,8 @@ def gmdp(
     sumsq: dict = {}
     theta1 = adagrad(d1_examples, {}, config, pipeline,
                      iterations=config.iterations_step1, sumsq=sumsq)
-    if not config.reset_accumulators:
-        return adagrad(d2_examples, theta1, config, pipeline,
-                       iterations=config.iterations, sumsq=sumsq)
-    return adagrad(d2_examples, theta1, config, pipeline, iterations=config.iterations)
+    return adagrad(d2_examples, theta1, config, pipeline, iterations=config.iterations,
+                   sumsq=None if config.reset_accumulators else sumsq)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +275,37 @@ def partition_for_fold(config: TrainConfig, sources: list[str]) -> DomainPartiti
     return DomainPartition(tuple(ordering[:m]), tuple(ordering[m:]))
 
 
+def select_config(grid: list[TrainConfig], folds, fit, accuracy_fn) -> TrainConfig:
+    """The grid search's one selection rule: the configuration with the
+    highest mean accuracy over the folds where it is valid wins, ties going
+    to the earliest grid entry. A single-point grid is returned without
+    training.
+
+    ``folds`` yields (training data, held-out examples) pairs;
+    ``fit(config, data)`` returns the weights ``config`` learns from
+    ``data``, or None when ``config`` is not valid for that fold; and
+    ``accuracy_fn(weights, examples)`` scores them."""
+    if not grid:
+        raise NlinstructError("empty hyper-parameter grid")
+    if len(grid) == 1:
+        return grid[0]
+    totals = [0.0] * len(grid)
+    counts = [0] * len(grid)
+    for fold, (data, held) in enumerate(folds):
+        for gi, cfg in enumerate(grid):
+            weights = fit(cfg, data)
+            if weights is None:
+                continue
+            acc = accuracy_fn(weights, held)
+            totals[gi] += acc
+            counts[gi] += 1
+            log.info("tuning: fold %d grid[%d] accuracy=%.3f", fold, gi, acc)
+    valid = [gi for gi in range(len(grid)) if counts[gi]]
+    if not valid:
+        raise NlinstructError("no grid configuration was valid for any fold")
+    return grid[max(valid, key=lambda gi: (totals[gi] / counts[gi], -gi))]
+
+
 def tune_hyperparameters(
     training_domains: list[str],
     examples_by_domain: dict[str, list],
@@ -288,41 +317,19 @@ def tune_hyperparameters(
     """Leave-one-domain-out grid search over the training domains.
 
     Every domain is held out once; each configuration trains on the rest
-    and is scored (by ``accuracy_fn(weights, examples)``) on the held-out
-    domain's examples. Highest mean accuracy wins; ties go to the earliest
-    grid entry. A single-point grid is returned directly."""
-    if not grid:
-        raise NlinstructError("empty hyper-parameter grid")
-    if len(grid) == 1:
-        return grid[0]
-    totals = [0.0] * len(grid)
-    counts = [0] * len(grid)
-    for held_out in training_domains:
-        sources = [d for d in training_domains if d != held_out]
-        eval_examples = examples_by_domain[held_out]
-        for gi, cfg in enumerate(grid):
-            if algorithm == "gmdp":
-                partition = partition_for_fold(cfg, sources)
-                if partition is None:
-                    continue
-                weights = gmdp(partition, examples_by_domain, cfg, pipeline)
-            else:
-                pool = [ex for d in sources for ex in examples_by_domain[d]]
-                weights = adagrad(pool, {}, cfg, pipeline)
-            acc = accuracy_fn(weights, eval_examples)
-            totals[gi] += acc
-            counts[gi] += 1
-            log.info("tuning: held-out=%s grid[%d] accuracy=%.3f", held_out, gi, acc)
-    best, best_mean = None, -1.0
-    for gi in range(len(grid)):
-        if counts[gi] == 0:
-            continue
-        mean = totals[gi] / counts[gi]
-        if mean > best_mean:
-            best, best_mean = gi, mean
-    if best is None:
-        raise NlinstructError("no grid configuration was valid for any fold")
-    return grid[best]
+    and is scored on the held-out domain's examples, by
+    :func:`select_config`. A two-step configuration is not valid for a fold
+    whose partition would leave a side empty."""
+
+    def fit(cfg, sources):
+        if algorithm != "gmdp":
+            return adagrad([ex for d in sources for ex in examples_by_domain[d]], {}, cfg, pipeline)
+        partition = partition_for_fold(cfg, sources)
+        return None if partition is None else gmdp(partition, examples_by_domain, cfg, pipeline)
+
+    folds = (([d for d in training_domains if d != held], examples_by_domain[held])
+             for held in training_domains)
+    return select_config(grid, folds, fit, accuracy_fn)
 
 
 def final_partition(tuned: TrainConfig, training_domains: list[str]) -> DomainPartition:
@@ -330,7 +337,8 @@ def final_partition(tuned: TrainConfig, training_domains: list[str]) -> DomainPa
     whichever side was larger during tuning, keeping the size ratio close."""
     ordering = list(tuned.domain_ordering or training_domains)
     if set(ordering) != set(training_domains):
-        raise NlinstructError("tuned ordering does not cover the training domains")
+        raise NlinstructError(
+            f"tuned ordering {ordering} does not cover the training domains {list(training_domains)}")
     m = tuned.partition_size
     fold_d1, fold_d2 = m, len(training_domains) - 1 - m
     d1_size = m + 1 if fold_d1 >= fold_d2 else m

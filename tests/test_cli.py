@@ -170,17 +170,54 @@ def test_gold_sidecar_has_no_reader_in_inference_or_training_code():
         assert "gold_sidecar" not in inspect.getsource(module)
 
 
+# one two-step point; the grid's l1 axis is widened where tuning must choose
+_GMDP_GRID = {"l1": [0.001], "step_size": [0.1], "iterations": [1],
+              "partition_sizes": [1], "iterations_step1": [1], "num_orderings": 1}
+
+
 def test_flag_overrides_reach_the_experiment(tmp_path):
     dataset = _tiny_dataset(tmp_path)
-    config = _write_config(tmp_path / "c.json", dataset=dataset)
+    config = _write_config(tmp_path / "c.json", dataset=dataset, grid=_GMDP_GRID)
     report_path = tmp_path / "r.json"
-    assert main(["eval", "--config", config, "--out", str(report_path),
-                 "--target-domain", "lighting", "--no-new-features",
+    assert main(["eval", "--config", config, "--out", str(report_path), "--seed", "3",
+                 "--target-domain", "lighting", "--algorithm", "gmdp", "--no-new-features",
                  "--no-logic-filter"]) == 0
     report = json.loads(report_path.read_text())
-    assert report["experiment"]["target_domain"] == "lighting"
-    assert report["experiment"]["use_new_features"] is False
-    assert report["experiment"]["use_logic_filter"] is False
+    assert report["experiment"] == {
+        "target_domain": "lighting", "label": "gmdp-F-A", "use_gmdp": True,
+        "use_new_features": False, "use_logic_filter": False, "in_domain": False, "seed": 3,
+    }
+    assert report["tuned_config"]["seed"] == 3
+    # in-domain tuning uses plain AdaGrad's grid whatever the algorithm
+    tuned_path = tmp_path / "t.json"
+    assert main(["tune", "--config", config, "--out", str(tuned_path),
+                 "--algorithm", "gmdp", "--in-domain"]) == 0
+    assert json.loads(tuned_path.read_text()) == TrainConfig(iterations=1).to_json()
+
+
+def _tiny_dataset_dir(tmp_path):
+    """The tiny dataset as a train split, plus a test split for the target."""
+    directory = tmp_path / "splits"
+    directory.mkdir()
+    dataio.write_dataset(directory / "train.jsonl", dataio.read_dataset(_tiny_dataset(tmp_path)))
+    test = [ex for ex, _ in build_domain_corpus(get_domain("list"), 4, seed=9)]
+    dataio.write_dataset(directory / "test.jsonl", test)
+    return str(directory)
+
+
+@pytest.mark.parametrize("flags", [[], ["--in-domain"]], ids=["zero-shot", "in-domain"])
+def test_tune_then_train_tuned_builds_the_model_eval_reports(tmp_path, flags):
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset_dir(tmp_path),
+                           algorithm="gmdp", grid=dict(_GMDP_GRID, l1=[0.001, 0.01]))
+    tuned, model, report = (str(tmp_path / name) for name in ("t.json", "m.json", "r.json"))
+    assert main(["tune", "--config", config, "--out", tuned] + flags) == 0
+    assert main(["train", "--config", config, "--tuned", tuned, "--out", model] + flags) == 0
+    assert main(["eval", "--config", config, "--out", report] + flags) == 0
+    tuned, model, report = (json.loads(open(path).read()) for path in (tuned, model, report))
+    assert model["train_config"] == tuned == report["tuned_config"]
+    assert model["partition"] == report["partition"]
+    assert (report["partition"] is None) == bool(flags)
+    assert model["weights"] == report["weights"] and report["weights"]
 
 
 def _paper_state_parse_args(tmp_path) -> list[str]:
@@ -431,6 +468,18 @@ def _train_with_tuned(tmp_path, text):
             "--out", str(tmp_path / "model.json")]
 
 
+def _train_gmdp(tmp_path, tuned=None, train=None):
+    """``train`` with the two-step trainer on the tiny dataset, from a tuned
+    file or from a ``train`` section."""
+    sections = {"train": train} if train else {}
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1),
+                           algorithm="gmdp", **sections)
+    args = ["train", "--config", config, "--out", str(tmp_path / "model.json")]
+    if tuned is not None:
+        args += ["--tuned", _bad_file(tmp_path, "tuned.json", json.dumps(tuned))]
+    return args
+
+
 def _significance(tmp_path, text):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"per_example": []}))
@@ -484,6 +533,12 @@ def _row_without(key):
      "data.jsonl:1: dataset record missing field 'initial'"),
     (lambda p: _eval_with_dataset(p, [_row_with_undeclared_relation()]), 3,
      "data.jsonl: example 'workforce-0000', desired state: workforce: undeclared relation 'x'"),
+    (lambda p: _train_gmdp(p, tuned={"partition_size": 1, "domain_ordering": ["lighting"]}), 3,
+     "tuned.json: tuned ordering ['lighting'] does not cover the training domains"),
+    (lambda p: _train_gmdp(p, tuned={"partition_size": 3}), 3,
+     "tuned.json: both partition sides must be non-empty"),
+    (lambda p: _train_gmdp(p, train={"partition_size": 3}), 2,
+     "partition_size 3 leaves a side of the two-step partition"),
     (lambda p: ["parse", "turn off the light", "--domain", "toaster", "--state", "x.json"],
      2, "unknown domain 'toaster'"),
     (lambda p: ["generate", "--domain", "toaster", "--count", "1", "--out", str(p / "o.jsonl")],
@@ -492,7 +547,8 @@ def _row_without(key):
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
         "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
-        "dataset-undeclared-relation", "parse-domain", "generate-domain"])
+        "dataset-undeclared-relation", "tuned-ordering", "tuned-partition-size",
+        "train-partition-size", "parse-domain", "generate-domain"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

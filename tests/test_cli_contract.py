@@ -3,9 +3,10 @@ file or a flag value, ``nlinstruct`` exits 2 (configuration), 3 (data) or
 4 (runtime) with exactly one line on stderr, and never a traceback.
 
 Every input the strategies make is invalid by construction: a file is
-truncated before its JSON ends, loses a required key, has a node replaced
-by a value of another JSON type or an out-of-range value, or gains an
-unknown key; a flag gets a value below its range.
+truncated before its JSON ends, holds a byte that is not UTF-8, loses a
+required key, has a node replaced by a value of another JSON type or an
+out-of-range value, or gains an unknown key; a flag gets a value below its
+range.
 """
 
 from __future__ import annotations
@@ -167,13 +168,19 @@ def inputs(tmp_path_factory) -> tuple[dict[str, Kind], dict[str, str]]:
 
 @st.composite
 def broken_files(draw, kinds: dict[str, Kind]):
-    """(kind, path of the node that was changed, file text)."""
+    """(kind, path of the node that was changed, file text; bytes for
+    text that is not UTF-8)."""
     kind = kinds[draw(st.sampled_from(sorted(kinds)))]
     doc = copy.deepcopy(kind.doc)
-    how = draw(st.sampled_from(["truncate", "delete", "out-of-range", "unknown-key", "retype"]))
+    how = draw(st.sampled_from(
+        ["truncate", "not-utf8", "delete", "out-of-range", "unknown-key", "retype"]))
     if how == "truncate":
         text = kind.text(doc)
         return kind, (), text[:draw(st.integers(0, len(text) - 1))]
+    if how == "not-utf8":  # bytes: a byte that no UTF-8 text holds is spliced in
+        data = kind.text(doc).encode()
+        at = draw(st.integers(0, len(data)))
+        return kind, (), data[:at] + b"\xff" + data[at:]
     nodes = list(_nodes(doc))
     if how == "delete":
         keys = [p for p, _ in nodes if isinstance(p[-1], str) and kind.required(p)]
@@ -217,7 +224,7 @@ def test_broken_input_files_exit_with_one_line(inputs, data):
     kind, path, text = data.draw(broken_files(inputs[0]))
     with tempfile.TemporaryDirectory() as workdir:
         target = os.path.join(workdir, f"{kind.name}.json")
-        with open(target, "w") as fh:
+        with open(target, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         code, out, err = _run(kind.argv(target, path))
     _assert_contract(code, out, err, (kind.name, path, text[:200]))
