@@ -244,13 +244,11 @@ _TOP_KEYS = {
     "grid": dict,
     "train": dict,
     "generation": dict,
-    "bootstrap": dict,
 }
 
 _GRID_KEYS = {"l1", "step_size", "iterations", "iterations_step1", "partition_sizes", "num_orderings"}
 _TRAIN_KEYS = {"l1", "step_size", "iterations", "iterations_step1", "partition_size",
                "domain_ordering", "seed", "reset_accumulators"}
-_BOOTSTRAP_KEYS = {"iterations", "alpha", "seed"}
 
 DEFAULTS = {
     "algorithm": "gmdp",
@@ -281,7 +279,7 @@ def load_run_config(path) -> dict:
             raise ConfigError(f"{path}: key {key!r} must be an integer")
         if not isinstance(value, want):
             raise ConfigError(f"{path}: key {key!r} must be {want.__name__}")
-    for section, allowed in (("grid", _GRID_KEYS), ("train", _TRAIN_KEYS), ("bootstrap", _BOOTSTRAP_KEYS)):
+    for section, allowed in (("grid", _GRID_KEYS), ("train", _TRAIN_KEYS)):
         for key in raw.get(section, {}):
             if key not in allowed:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")

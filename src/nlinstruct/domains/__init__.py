@@ -25,7 +25,6 @@ from .base import (
 )
 from .generate import (
     ARGUMENT_ATTEMPTS,
-    generate_initial_state,
     generate_state_pair,
     sample_arguments,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "RelationSpec",
     "SINGLE",
     "builtin_domains",
-    "generate_initial_state",
     "generate_state_pair",
     "get_domain",
     "invoke",

@@ -5,6 +5,13 @@ A domain is a small application. Its application logic is ordinary code
 (a function from (state, call) to a new state) because the interesting
 behaviour (exceptions, cascading removals, index re-compaction) is
 inherently procedural; everything else about a domain is declarative data.
+
+:func:`invoke` is the only way into application logic. It checks that the
+state is the domain's, that the method is one of the domain's and that
+every entity in a ``COLLECTION`` or ``SINGLE`` argument belongs to the
+state, raising ``DomainLogicError`` for an entity the state lacks. A
+domain's ``logic`` may therefore assume its argument entities exist and
+keeps only its own effects and its own refusals.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import DataError, ExecutionError, NlinstructError
+from ..errors import DataError, DomainLogicError, ExecutionError, NlinstructError
 from ..kb import TYPE_RELATION, Entity, IntVal, State, SymVal, Triple, Value
 
 # Parameter kinds
@@ -198,6 +205,10 @@ def invoke(domain: Domain, state: State, call: MethodCall) -> State:
     if state.domain_id != domain.id:
         raise NlinstructError(f"state belongs to {state.domain_id!r}, not {domain.id!r}")
     domain.method(call.method.name)  # reject calls against foreign methods
+    for param, arg in zip(call.method.params, call.args):
+        if param.kind in (COLLECTION, SINGLE) and not state.entities.issuperset(arg):
+            raise DomainLogicError(f"{call.method.name}: unknown {param.etype} "
+                                   f"{min(e.id for e in arg - state.entities)}")
     return domain.logic(state, call)
 
 
@@ -239,6 +250,18 @@ def int_of(state: State, e: Entity, relation: str) -> int:
     if len(objs) != 1:
         raise NlinstructError(f"{e.id}: expected one integer {relation}, got {len(objs)}")
     return objs[0].value
+
+
+def set_value(state: State, entities, relation: str, value: Value) -> State:
+    """Make ``value`` each entity's only value of ``relation``, leaving
+    alone an entity that has no value of it."""
+    remove, add = [], []
+    for e in sorted(entities, key=lambda x: x.id):
+        for o in state.objects(e, relation):
+            if o != value:
+                remove.append(Triple(e, relation, o))
+                add.append(Triple(e, relation, value))
+    return state.replace_triples(remove, add)
 
 
 def reindex(state: State, entities_in_order: list[Entity]) -> State:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from ..errors import DomainLogicError
 from ..kb import IntVal, State, SymVal, TextVal, Triple
 from .base import (
     COLLECTION,
@@ -23,6 +22,7 @@ from .base import (
     RelationSpec,
     int_of,
     reindex,
+    set_value,
     the,
     typed_entity,
 )
@@ -56,22 +56,12 @@ def generate_state(rng: random.Random, ranges: dict) -> State:
 
 def logic(state: State, call: MethodCall) -> State:
     events = call.args[0]
-    for e in events:
-        if e not in state.entities:
-            raise DomainLogicError(f"unknown event {e.id}")
     if call.method.name == "removeEvents":
         new = state.without_entities(events)
         order = sorted(new.entities, key=lambda e: (int_of(new, e, "startTime"), e.id))
         return reindex(new, order)
     # setEventColor(events, color)
-    color = the(call.args[1])
-    remove, add = [], []
-    for e in sorted(events, key=lambda x: x.id):
-        for o in state.objects(e, "color"):
-            if o != color:
-                remove.append(Triple(e, "color", o))
-                add.append(Triple(e, "color", color))
-    return state.replace_triples(remove, add)
+    return set_value(state, events, "color", the(call.args[1]))
 
 
 def make_domain() -> Domain:

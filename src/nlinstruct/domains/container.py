@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from ..errors import DomainLogicError
 from ..kb import IntVal, State, SymVal, Triple
 from .base import (
     COLLECTION,
@@ -17,6 +16,7 @@ from .base import (
     RelationSpec,
     by_index,
     reindex,
+    set_value,
     typed_entity,
 )
 
@@ -39,30 +39,14 @@ def generate_state(rng: random.Random, ranges: dict) -> State:
     return State("container", entities, triples)
 
 
-def _set_state(state: State, containers, target: str) -> State:
-    for c in containers:
-        if c not in state.entities:
-            raise DomainLogicError(f"unknown container {c.id}")
-    remove, add = [], []
-    for c in sorted(containers, key=lambda e: e.id):
-        for o in state.objects(c, "contentState"):
-            if o != SymVal(target):
-                remove.append(Triple(c, "contentState", o))
-                add.append(Triple(c, "contentState", SymVal(target)))
-    return state.replace_triples(remove, add)
-
-
 def logic(state: State, call: MethodCall) -> State:
     containers = call.args[0]
     name = call.method.name
     if name == "loadContainers":
-        return _set_state(state, containers, "LOADED")
+        return set_value(state, containers, "contentState", SymVal("LOADED"))
     if name == "unloadContainers":
-        return _set_state(state, containers, "UNLOADED")
+        return set_value(state, containers, "contentState", SymVal("UNLOADED"))
     # removeContainers: drop and close the index gaps
-    for c in containers:
-        if c not in state.entities:
-            raise DomainLogicError(f"unknown container {c.id}")
     new = state.without_entities(containers)
     return reindex(new, by_index(state, new.entities))
 

@@ -96,17 +96,12 @@ def _compact(state: State, directories) -> State:
 
 def logic(state: State, call: MethodCall) -> State:
     files = call.args[0]
-    for f in files:
-        if f not in state.entities:
-            raise DomainLogicError(f"unknown file {f.id}")
     if call.method.name == "removeFiles":
         touched = {_directory_of(state, f) for f in files}
         new = state.without_entities(files)
         return _compact(new, touched)
     # moveFiles(files, directory)
     target = the(call.args[1])
-    if target not in state.entities:
-        raise DomainLogicError(f"unknown directory {target.id}")
     moving = [
         f
         for f in sorted(files, key=lambda e: (int_of(state, e, "index"), e.id))

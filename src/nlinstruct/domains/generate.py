@@ -22,7 +22,6 @@ from .base import (
     Domain,
     InterfaceMethod,
     MethodCall,
-    StateGenerator,
     invoke,
 )
 
@@ -30,7 +29,7 @@ from .base import (
 ARGUMENT_ATTEMPTS = 1000
 
 #: Initial-state restarts tolerated before generation gives up.
-DEFAULT_STATE_RESTARTS = 100
+STATE_RESTARTS = 100
 
 
 def sample_arguments(domain: Domain, state: State, method: InterfaceMethod,
@@ -55,29 +54,13 @@ def sample_arguments(domain: Domain, state: State, method: InterfaceMethod,
     return tuple(args)
 
 
-def generate_initial_state(domain: Domain, rng: random.Random,
-                           ranges: dict | None = None) -> State:
-    return domain.generate_state(rng, ranges if ranges is not None else domain.default_ranges)
-
-
-def generate_state_pair(
-    domain: Domain,
-    method: InterfaceMethod,
-    rng: random.Random,
-    ranges: dict | None = None,
-    max_state_restarts: int = DEFAULT_STATE_RESTARTS,
-    state_factory: StateGenerator | None = None,
-) -> tuple[State, MethodCall, State]:
-    """A valid (initial state, gold call, desired state) triple.
-
-    ``state_factory`` replaces the domain's own state generator; tests use it
-    to force pathological initial states.
-    """
-    factory = state_factory or domain.generate_state
+def generate_state_pair(domain: Domain, method: InterfaceMethod, rng: random.Random,
+                        ranges: dict | None = None) -> tuple[State, MethodCall, State]:
+    """A valid (initial state, gold call, desired state) triple."""
     if ranges is None:
         ranges = domain.default_ranges
-    for _ in range(max_state_restarts):
-        state = factory(rng, ranges)
+    for _ in range(STATE_RESTARTS):
+        state = domain.generate_state(rng, ranges)
         for _ in range(ARGUMENT_ATTEMPTS):
             drawn = sample_arguments(domain, state, method, rng)
             if drawn is None:
@@ -92,5 +75,5 @@ def generate_state_pair(
             return state, call, result
     raise GenerationError(
         f"{domain.id}.{method.name}: no usable state pair after "
-        f"{max_state_restarts} initial states x {ARGUMENT_ATTEMPTS} argument draws"
+        f"{STATE_RESTARTS} initial states x {ARGUMENT_ATTEMPTS} argument draws"
     )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from ..errors import DomainLogicError
 from ..kb import IntVal, State, SymVal, TextVal, Triple
 from .base import (
     COLLECTION,
@@ -16,6 +15,7 @@ from .base import (
     MethodCall,
     ParameterSpec,
     RelationSpec,
+    set_value,
     typed_entity,
 )
 
@@ -46,24 +46,9 @@ def generate_state(rng: random.Random, ranges: dict) -> State:
     return State("lighting", entities, triples)
 
 
-def _set_mode(state: State, rooms, mode: str) -> State:
-    for r in rooms:
-        if r not in state.entities:
-            raise DomainLogicError(f"unknown room {r.id}")
-    remove, add = [], []
-    for r in sorted(rooms, key=lambda e: e.id):
-        for o in state.objects(r, "lightMode"):
-            if o != SymVal(mode):
-                remove.append(Triple(r, "lightMode", o))
-                add.append(Triple(r, "lightMode", SymVal(mode)))
-    return state.replace_triples(remove, add)
-
-
 def logic(state: State, call: MethodCall) -> State:
-    rooms = call.args[0]
-    if call.method.name == "turnLightOn":
-        return _set_mode(state, rooms, "ON")
-    return _set_mode(state, rooms, "OFF")
+    mode = "ON" if call.method.name == "turnLightOn" else "OFF"
+    return set_value(state, call.args[0], "lightMode", SymVal(mode))
 
 
 def make_domain() -> Domain:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from ..errors import DomainLogicError
 from ..kb import IntVal, State, Triple
 from .base import (
     COLLECTION,
@@ -43,14 +42,9 @@ def logic(state: State, call: MethodCall) -> State:
     name = call.method.name
     if name == "remove":
         elements = call.args[0]
-        for e in elements:
-            if e not in state.entities:
-                raise DomainLogicError(f"unknown element {e.id}")
         new = state.without_entities(elements)
         return reindex(new, by_index(state, new.entities))
     element = the(call.args[0])
-    if element not in state.entities:
-        raise DomainLogicError(f"unknown element {element.id}")
     others = [e for e in by_index(state, state.entities) if e != element]
     order = [element] + others if name == "moveToBeginning" else others + [element]
     return reindex(state, order)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import re
 
-from ..errors import DomainLogicError
 from ..kb import IntVal, State, SymVal, TextVal, Triple
 from .base import (
     COLLECTION,
@@ -26,6 +25,7 @@ from .base import (
     by_index,
     int_of,
     reindex,
+    set_value,
     typed_entity,
 )
 
@@ -60,37 +60,18 @@ def generate_state(rng: random.Random, ranges: dict) -> State:
     return State("messenger", entities, triples)
 
 
-def _set_muted(state: State, groups, target: str) -> State:
-    for g in groups:
-        if g not in state.entities:
-            raise DomainLogicError(f"unknown group {g.id}")
-    remove, add = [], []
-    for g in sorted(groups, key=lambda e: e.id):
-        for o in state.objects(g, "muted"):
-            if o != SymVal(target):
-                remove.append(Triple(g, "muted", o))
-                add.append(Triple(g, "muted", SymVal(target)))
-    return state.replace_triples(remove, add)
-
-
 def logic(state: State, call: MethodCall) -> State:
     name = call.method.name
     if name == "muteChatGroups":
-        return _set_muted(state, call.args[0], "MUTED")
+        return set_value(state, call.args[0], "muted", SymVal("MUTED"))
     if name == "unmuteChatGroups":
-        return _set_muted(state, call.args[0], "UNMUTED")
+        return set_value(state, call.args[0], "muted", SymVal("UNMUTED"))
     if name == "deleteChatGroups":
         groups = call.args[0]
-        for g in groups:
-            if g not in state.entities:
-                raise DomainLogicError(f"unknown group {g.id}")
         new = state.without_entities(groups)
         return reindex(new, by_index(state, new.entities_of_type("ChatGroup")))
     # createChatGroup(users)
     users = call.args[0]
-    for u in users:
-        if u not in state.entities:
-            raise DomainLogicError(f"unknown user {u.id}")
     taken = [
         int(m.group(1))
         for e in state.entities_of_type("ChatGroup")

@@ -67,23 +67,15 @@ def _position(state: State, e) -> str:
 def logic(state: State, call: MethodCall) -> State:
     name = call.method.name
     if name == "fireEmployees":
-        gone = call.args[0]
-        for e in gone:
-            if e not in state.entities:
-                raise DomainLogicError(f"unknown employee {e.id}")
-        return state.without_entities(gone)
+        return state.without_entities(call.args[0])
     if name == "assignEmployeesToNewManager":
         emps, boss = call.args[0], the(call.args[1])
-        if boss not in state.entities:
-            raise DomainLogicError(f"unknown employee {boss.id}")
         if _position(state, boss) != "MANAGER":
             raise DomainLogicError(f"{boss.id} is not a manager")
         if boss in emps:
             raise DomainLogicError(f"{boss.id} cannot manage themselves")
         remove, add = [], []
         for e in sorted(emps, key=lambda x: x.id):
-            if e not in state.entities:
-                raise DomainLogicError(f"unknown employee {e.id}")
             for o in state.objects(e, "manager"):
                 if o != boss:
                     remove.append(Triple(e, "manager", o))
@@ -92,8 +84,6 @@ def logic(state: State, call: MethodCall) -> State:
         return state.replace_triples(remove, add)
     if name == "assignEmployeeToNewPosition":
         e, pos = the(call.args[0]), the(call.args[1])
-        if e not in state.entities:
-            raise DomainLogicError(f"unknown employee {e.id}")
         if pos.name != "MANAGER" and state.subjects("manager", e):
             raise DomainLogicError(f"{e.id} still has direct reports")
         if state.objects(e, "position") == frozenset((pos,)):
@@ -104,8 +94,6 @@ def logic(state: State, call: MethodCall) -> State:
         )
     # updateSalary(employee, amount)
     e, amount = the(call.args[0]), the(call.args[1])
-    if e not in state.entities:
-        raise DomainLogicError(f"unknown employee {e.id}")
     return state.replace_triples(
         [Triple(e, "salary", o) for o in state.objects(e, "salary")],
         [Triple(e, "salary", amount)],

@@ -190,10 +190,15 @@ def _cv_folds(examples: list[Example], k: int, seed: int) -> list[tuple[list, li
 
 def training_examples(spec: ExperimentSpec, registry: InstrumentedRegistry) -> dict[str, list[Example]]:
     """The train splits the model may learn from, by domain: the target's
-    alone in-domain, every other domain's (in id order) zero-shot."""
+    alone in-domain, every other domain's (in id order) zero-shot. A target
+    the dataset does not hold is a ``ConfigError``."""
+    target = spec.target_domain
+    if target is not None and target not in registry.domain_ids:
+        raise ConfigError(f"no data for target domain {target!r} "
+                          f"(dataset domains: {', '.join(registry.domain_ids)})")
     if spec.in_domain:
-        return {spec.target_domain: registry.examples(spec.target_domain, "train")}
-    sources = [d for d in registry.domain_ids if d != spec.target_domain]
+        return {target: registry.examples(target, "train")}
+    sources = [d for d in registry.domain_ids if d != target]
     if not sources:
         raise DataError("no training domains left after excluding the target")
     return {d: registry.examples(d, "train") for d in sources}
@@ -247,8 +252,12 @@ def run_experiment(
     exists, which is still unseen). In-domain: it tunes and trains on the
     target's training split and is scored on its test split."""
     target = spec.target_domain
-    if target not in registry.domain_ids:
-        raise NlinstructError(f"no data for target domain {target!r}")
+    # checked before tuning, so a run that cannot be scored reads no data;
+    # training_examples refuses an unknown target and names the domains
+    if target is None:
+        raise ConfigError("an experiment needs a target_domain")
+    if spec.in_domain and target in registry.domain_ids and not registry.has_split(target, "test"):
+        raise NlinstructError("in-domain experiments need a test split")
     pipeline = spec.pipeline(registry, parser_config)
     started = time.time()
 
@@ -262,8 +271,6 @@ def run_experiment(
 
     with registry.in_phase(PHASE_EVALUATION):
         split = "test" if registry.has_split(target, "test") else "train"
-        if spec.in_domain and split != "test":
-            raise NlinstructError("in-domain experiments need a test split")
         test_examples = registry.examples(target, split)
         scores = [score_example(pipeline, weights, ex) for ex in test_examples]
 

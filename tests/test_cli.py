@@ -494,6 +494,15 @@ def _eval_with_dataset(tmp_path, rows):
     return ["eval", "--config", config, "--out", str(tmp_path / "r.json")]
 
 
+def _run_with(tmp_path, command, **overrides):
+    """``command`` on the tiny dataset, its config changed by ``overrides``."""
+    config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1), **overrides)
+    return [command, "--config", config, "--out", str(tmp_path / "out.json")]
+
+
+_NOSUCH = "no data for target domain 'nosuch' (dataset domains: container, lighting, list, workforce)"
+
+
 def _row_with_undeclared_relation():
     (ex, _), = build_domain_corpus(get_domain("workforce"), 1, seed=4)
     row = dataio.example_to_json(ex)
@@ -543,12 +552,18 @@ def _row_without(key):
      2, "unknown domain 'toaster'"),
     (lambda p: ["generate", "--domain", "toaster", "--count", "1", "--out", str(p / "o.jsonl")],
      2, "unknown domain 'toaster'"),
+    (lambda p: _run_with(p, "tune", target_domain="nosuch"), 2, _NOSUCH),
+    (lambda p: _run_with(p, "train", target_domain="nosuch"), 2, _NOSUCH),
+    (lambda p: _run_with(p, "eval", target_domain="nosuch"), 2, _NOSUCH),
+    (lambda p: _run_with(p, "eval", target_domain="nosuch", in_domain=True), 2, _NOSUCH),
+    (lambda p: _run_with(p, "eval", bootstrap={"iterations": 10}), 2, "unknown key 'bootstrap'"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
         "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
         "dataset-undeclared-relation", "tuned-ordering", "tuned-partition-size",
-        "train-partition-size", "parse-domain", "generate-domain"])
+        "train-partition-size", "parse-domain", "generate-domain", "tune-target", "train-target",
+        "eval-target", "eval-in-domain-target", "config-bootstrap"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from nlinstruct.domains import builtin_domains, get_domain, invoke
-from nlinstruct.domains.base import MethodCall, reindex, typed_entity
+from nlinstruct.domains import builtin_domains, generate_state_pair, get_domain, invoke
+from nlinstruct.domains.base import COLLECTION, SINGLE, MethodCall, reindex, set_value, typed_entity
 from nlinstruct.errors import DomainLogicError
-from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
+from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple, states_equal
 
 
 def test_seven_builtin_domains():
@@ -215,3 +215,39 @@ def test_demoting_a_manager_with_reports_raises():
     )
     with pytest.raises(DomainLogicError):
         invoke(domain, state, call)
+
+
+_ENTITY_PARAMS = [
+    (domain.id, method.name, i)
+    for domain in builtin_domains()
+    for method in domain.methods
+    for i, param in enumerate(method.params)
+    if param.kind in (COLLECTION, SINGLE)
+]
+
+
+@pytest.mark.parametrize("domain_id, method_name, position", _ENTITY_PARAMS,
+                         ids=[f"{d}.{m}.{i}" for d, m, i in _ENTITY_PARAMS])
+def test_invoke_refuses_an_entity_the_state_lacks(domain_id, method_name, position):
+    domain = get_domain(domain_id)
+    method = domain.method(method_name)
+    state, call, _ = generate_state_pair(domain, method, random.Random(3))
+    param = method.params[position]
+    ghost = Entity("ghost", param.etype)
+    assert ghost not in state.entities
+    arg = {ghost} if param.kind == SINGLE else call.args[position] | {ghost}
+    args = list(call.args)
+    args[position] = frozenset(arg)
+    with pytest.raises(DomainLogicError, match=f"{method_name}: unknown {param.etype} ghost"):
+        invoke(domain, state, MethodCall(method, tuple(args)))
+
+
+def test_set_value_leaves_alone_an_entity_without_the_relation():
+    (r1, t1), (r2, t2), (r3, t3) = (typed_entity(f"room{i}", "Room") for i in (1, 2, 3))
+    state = State("lighting", [r1, r2, r3], [
+        t1, t2, t3, Triple(r1, "lightMode", SymVal("OFF")), Triple(r2, "lightMode", SymVal("ON")),
+        Triple(r2, "lightMode", SymVal("OFF"))])
+    result = set_value(state, {r1, r2, r3}, "lightMode", SymVal("ON"))
+    assert result == State("lighting", [r1, r2, r3], [
+        t1, t2, t3, Triple(r1, "lightMode", SymVal("ON")), Triple(r2, "lightMode", SymVal("ON"))])
+    assert set_value(result, {r1, r2, r3}, "lightMode", SymVal("ON")) == result

@@ -7,7 +7,7 @@ import pytest
 
 from nlinstruct import evaluation
 from nlinstruct.domains.base import Example
-from nlinstruct.errors import NlinstructError
+from nlinstruct.errors import ConfigError, NlinstructError
 from nlinstruct.evaluation import (
     ExampleScore,
     ExperimentSpec,
@@ -17,6 +17,7 @@ from nlinstruct.evaluation import (
     paired_bootstrap,
     run_experiment,
     score_example,
+    training_examples,
 )
 from nlinstruct.kb import TextVal
 from nlinstruct.logic import Call, ReverseJoin, ValueLit, execute_to_call
@@ -213,3 +214,27 @@ def test_in_domain_experiment_trains_on_the_target():
     report = run_experiment(spec, registry, ParserConfig(beam_size=20, max_rules=7), _FAST_GRID)
     assert report["accuracy"] is not None
     assert report["experiment"]["in_domain"]
+
+
+@pytest.mark.parametrize("spec, words", [
+    (ExperimentSpec(target_domain="toya", use_gmdp=False, in_domain=True),
+     "in-domain experiments need a test split"),
+    (ExperimentSpec(target_domain=None, use_gmdp=False), "an experiment needs a target_domain"),
+], ids=["in-domain-without-test-split", "no-target"])
+def test_experiment_that_cannot_be_scored_refuses_before_any_read(spec, words):
+    registry = _toy_registry()
+    with pytest.raises(NlinstructError, match=words):
+        run_experiment(spec, registry, ParserConfig(beam_size=20, max_rules=7), _FAST_GRID)
+    assert registry.accesses == []
+
+
+def test_training_examples_refuse_a_target_the_dataset_lacks():
+    registry = _toy_registry()
+    for in_domain in (False, True):
+        spec = ExperimentSpec(target_domain="nosuch", in_domain=in_domain)
+        with pytest.raises(ConfigError, match="dataset domains: toya, toyb, toyc"):
+            training_examples(spec, registry)
+    assert registry.accesses == []
+    # zero-shot training without a target learns from every domain
+    assert list(training_examples(ExperimentSpec(target_domain=None), registry)) == [
+        "toya", "toyb", "toyc"]

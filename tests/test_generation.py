@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from nlinstruct.domains import (
     ARGUMENT_ATTEMPTS,
     builtin_domains,
-    generate_initial_state,
     generate_state_pair,
     get_domain,
     invoke,
 )
+from nlinstruct.domains import generate
 from nlinstruct.errors import GenerationError
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
 from nlinstruct.domains.base import typed_entity
@@ -19,7 +20,7 @@ from nlinstruct.domains.base import typed_entity
 
 def test_lighting_initial_state_invariants():
     domain = get_domain("lighting")
-    state = generate_initial_state(domain, random.Random(42))
+    state = domain.generate_state(random.Random(42), domain.default_ranges)
     rooms = state.entities_of_type("Room")
     assert rooms == state.entities
     floors = set()
@@ -35,7 +36,7 @@ def test_lighting_initial_state_invariants():
 def test_list_indexes_are_contiguous_from_one():
     domain = get_domain("list")
     for seed in range(5):
-        state = generate_initial_state(domain, random.Random(seed))
+        state = domain.generate_state(random.Random(seed), domain.default_ranges)
         indexes = sorted(
             next(iter(state.objects(e, "index"))).value for e in state.entities
         )
@@ -45,7 +46,7 @@ def test_list_indexes_are_contiguous_from_one():
 
 def test_degenerate_range_pins_entity_count():
     domain = get_domain("list")
-    state = generate_initial_state(domain, random.Random(0), {"elements": (4, 4), "values": (1, 9)})
+    state = domain.generate_state(random.Random(0), {"elements": (4, 4), "values": (1, 9)})
     assert len(state.entities) == 4
 
 
@@ -73,9 +74,8 @@ def test_all_on_initial_state_burns_argument_budget_then_restarts():
         )
 
     rng = random.Random(5)
-    state, call, desired = generate_state_pair(
-        domain, domain.method("turnLightOn"), rng, state_factory=forced
-    )
+    forcing = replace(domain, generate_state=forced)
+    state, call, desired = generate_state_pair(forcing, forcing.method("turnLightOn"), rng)
     # first state cannot change: all ARGUMENT_ATTEMPTS draws failed
     assert calls["n"] == 2
     (mode,) = state.objects(state.entity("room1"), "lightMode")
@@ -83,10 +83,12 @@ def test_all_on_initial_state_burns_argument_budget_then_restarts():
     assert ARGUMENT_ATTEMPTS == 1000
 
 
-def test_generation_gives_up_after_state_restart_cap():
+def test_generation_gives_up_after_state_restart_cap(monkeypatch):
     domain = get_domain("lighting")
+    calls = {"n": 0}
 
     def hopeless(rng, ranges):
+        calls["n"] += 1
         r, t = typed_entity("room1", "Room")
         return State(
             "lighting",
@@ -95,11 +97,12 @@ def test_generation_gives_up_after_state_restart_cap():
              Triple(r, "lightMode", SymVal("ON"))],
         )
 
-    with pytest.raises(GenerationError):
-        generate_state_pair(
-            domain, domain.method("turnLightOn"), random.Random(1),
-            state_factory=hopeless, max_state_restarts=3,
-        )
+    monkeypatch.setattr(generate, "STATE_RESTARTS", 3)
+    hopeless_domain = replace(domain, generate_state=hopeless)
+    with pytest.raises(GenerationError, match="after 3 initial states"):
+        generate_state_pair(hopeless_domain, hopeless_domain.method("turnLightOn"),
+                            random.Random(1))
+    assert calls["n"] == 3
 
 
 def test_pairs_change_state_across_every_builtin_method():
