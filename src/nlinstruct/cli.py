@@ -22,6 +22,7 @@ from . import dataio, training
 from .domains import builtin_domains, generate_state_pair, get_domain
 from .errors import ConfigError, DataError, NlinstructError
 from .evaluation import (
+    BOOTSTRAP_ITERATIONS_LIMIT,
     ExampleScore,
     ExperimentSpec,
     InstrumentedRegistry,
@@ -265,6 +266,9 @@ def cmd_parse(args) -> int:
 def cmd_significance(args) -> int:
     if args.iterations < 1:
         raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
+    if args.iterations > BOOTSTRAP_ITERATIONS_LIMIT:
+        raise ConfigError(
+            f"--iterations must be at most {BOOTSTRAP_ITERATIONS_LIMIT}, got {args.iterations}")
     if not 0 < args.alpha < 1:
         raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     if args.seed < 0:

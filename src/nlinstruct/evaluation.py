@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
 from .training import (
     DomainPartition,
+    PrefixStore,
     TrainConfig,
     _is_int,
     _is_real,
@@ -211,15 +212,20 @@ def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example
     split in-domain, both ranked by :func:`training.select_config`. Its
     mean over the folds ranks in-domain configs as their summed credit
     would, except where two distinct sums divide to the same double: those
-    tie, and the earlier grid entry wins."""
+    tie, and the earlier grid entry wins. Cross-validation trains each
+    fold's shared ``iterations`` prefixes once, through a
+    :class:`training.PrefixStore`."""
     domains = list(examples_by_domain)
     grid = build_grid(spec.algorithm, domains, spec.seed, grid_overrides)
     accuracy_fn = lambda weights, examples: mean_credit(pipeline, weights, examples)
     if not spec.in_domain:
         return tune_hyperparameters(
             domains, examples_by_domain, grid, spec.algorithm, pipeline, accuracy_fn)
-    return select_config(grid, _cv_folds(examples_by_domain[spec.target_domain], 3, spec.seed),
-                         lambda cfg, rest: adagrad(rest, {}, cfg, pipeline), accuracy_fn)
+    store = PrefixStore()
+    folds = _cv_folds(examples_by_domain[spec.target_domain], 3, spec.seed)
+    # a fold's index names its training examples in the store
+    fit = lambda cfg, i: store.train(i, folds[i][0], cfg, pipeline, cfg.iterations)[0]
+    return select_config(grid, [(i, held) for i, (_, held) in enumerate(folds)], fit, accuracy_fn)
 
 
 def train_model(spec: ExperimentSpec, config: TrainConfig,
@@ -342,6 +348,9 @@ def ablation_table(
 
 #: Resamples drawn and compared at once by :func:`paired_bootstrap`.
 BOOTSTRAP_BLOCK = 1000
+#: The most resamples ``nlinstruct significance`` draws: a p-value to six
+#: decimals, in seconds; memory stays bounded at any count, but time does not.
+BOOTSTRAP_ITERATIONS_LIMIT = 1_000_000
 
 
 def paired_bootstrap(

@@ -282,25 +282,6 @@ class ChartScorer:
                 packed += count << shift
         return bits, packed
 
-    def decode(self, bits: int, packed: int) -> tuple[frozenset, dict, dict, int]:
-        """(triggered predicates, untriggered uses per kind, weighted rule
-        counts, size) of a key; zero counts are left out."""
-        mask, width = self._mask, self.width
-        triggered = frozenset(pred for pred, bit in self._bit.items() if bits & bit)
-        rules = {}
-        for k in self._rule_keys:
-            if packed & mask:
-                rules[k[5:]] = packed & mask
-            packed >>= width
-        untriggered = {}
-        for kind in KINDS:
-            if packed & mask:
-                untriggered[kind] = packed & mask
-            packed >>= width
-        # a field that overflowed would carry up into the size
-        assert packed <= self.max_rules, f"size {packed} exceeds max_rules {self.max_rules}"
-        return triggered, untriggered, rules, packed
-
     def score(self, is_root: bool, bits: int, packed: int) -> float:
         memo = self.memo[is_root]
         total = memo.get((bits, packed))
@@ -311,7 +292,8 @@ class ChartScorer:
     def _total(self, is_root: bool, bits: int, packed: int) -> float:
         """``dot`` over the weighted feature values of a key: the bits'
         running total, memoized on (root flag, bits), plus the terms of
-        the packed fields (see :meth:`decode` for the field walk)."""
+        the packed fields: a ``width``-bit field per weighted rule key,
+        then one per predicate kind, then the size above them all."""
         size = packed >> self._size_shift
         assert size <= self.max_rules, f"size {size} exceeds max_rules {self.max_rules}"
         prefix = self._prefix[is_root]

@@ -15,6 +15,17 @@ and uses the learned weights to initialize a second AdaGrad run over the
 remaining training domains; the second run starts with fresh step-size
 accumulators. The point is to optimize for domains the first step never
 saw, which is also how the trained parser will be used.
+
+Grid search trains each shared prefix once (:class:`PrefixStore`). Two
+facts make the sharing exact. An AdaGrad epoch reads only the weights and
+squared-gradient sums it starts from, the example list, ``l1``,
+``step_size`` and the shuffle generator, which is seeded from ``seed``
+and draws one shuffle per epoch; so epoch k of an n-epoch run is bit for
+bit the last epoch of a k-epoch run, and a run resumed from a k-epoch
+snapshot (its shuffles drawn again but not trained) goes on exactly as
+the uninterrupted one. And the first step of two-step training depends on
+the fold only through its first-step domains, so leave-one-domain-out
+folds that hold out a domain outside them share it.
 """
 
 from __future__ import annotations
@@ -147,10 +158,16 @@ def adagrad(
     pipeline: Pipeline,
     iterations: int | None = None,
     sumsq: dict | None = None,
+    start: int = 0,
 ) -> dict:
     """Stochastic per-example ascent with per-coordinate AdaGrad step sizes
     and proximal L1 truncation. Examples are reshuffled every pass with a
-    generator seeded from the configuration, so runs are reproducible."""
+    generator seeded from the configuration, so runs are reproducible.
+
+    ``sumsq``, the squared-gradient sums, is updated in place. A run
+    resumes at epoch ``start`` when ``init`` and ``sumsq`` are its state
+    after that many epochs: their shuffles are drawn again but not
+    trained, so the run goes on exactly as an uninterrupted one."""
     weights = dict(init)
     if sumsq is None:
         sumsq = {}
@@ -159,6 +176,8 @@ def adagrad(
     for epoch in range(passes):
         order = list(examples)
         rng.shuffle(order)
+        if epoch < start:
+            continue
         skipped_parse = skipped_gold = 0
         for ex in order:
             cands = pipeline.analyze(ex, weights)
@@ -180,24 +199,64 @@ def adagrad(
     return weights
 
 
+class PrefixStore:
+    """AdaGrad runs by the prefix they share, kept for the runs of one
+    grid search over one pipeline and one set of examples.
+
+    The caller names each run (``run``); the name must fix the run's
+    example list, in order, and the weights and sums it starts from. With
+    ``l1``, ``step_size`` and ``seed``, the only other inputs of an epoch,
+    it keys the store. The store keeps the weights and sums after every
+    epoch count asked for, and trains a longer count on from the longest
+    it holds, so a prefix shared by several counts, folds or grid points
+    trains once and every result equals that of a fresh run bit for bit.
+    The dicts it hands out are its own: read them, never change them."""
+
+    def __init__(self):
+        self._runs: dict = {}
+
+    def train(self, run, examples: list, config: TrainConfig, pipeline: Pipeline, epochs: int,
+              init: dict | None = None, sumsq: dict | None = None) -> tuple[dict, dict]:
+        """The weights and squared-gradient sums after ``epochs`` epochs of
+        :func:`adagrad` over ``examples`` from ``init`` and ``sumsq`` (empty
+        by default)."""
+        snapshots = self._runs.setdefault((run, config.l1, config.step_size, config.seed),
+                                          {0: (init or {}, sumsq or {})})
+        done = max(k for k in snapshots if k <= epochs)
+        if done < epochs:
+            weights, sums = snapshots[done]
+            sums = dict(sums)  # the snapshot stays as it was
+            weights = adagrad(examples, weights, config, pipeline, iterations=epochs, sumsq=sums,
+                              start=done)
+            snapshots[epochs] = weights, sums
+        return snapshots[epochs]
+
+
 def gmdp(
     partition: DomainPartition,
     examples_by_domain: dict[str, list],
     config: TrainConfig,
     pipeline: Pipeline,
+    store: PrefixStore | None = None,
 ) -> dict:
     """Two-step training: AdaGrad over the first partition side from zero,
-    then AdaGrad over the second side initialized at the first result."""
+    then AdaGrad over the second side initialized at the first result.
+    Both steps train through ``store`` (a fresh one by default), which
+    grid search shares between its runs."""
     missing = [d for d in partition.d1 + partition.d2 if d not in examples_by_domain]
     if missing:
         raise NlinstructError(f"partition names domains without examples: {missing}")
+    store = PrefixStore() if store is None else store
     d1_examples = [ex for d in partition.d1 for ex in examples_by_domain[d]]
     d2_examples = [ex for d in partition.d2 for ex in examples_by_domain[d]]
-    sumsq: dict = {}
-    theta1 = adagrad(d1_examples, {}, config, pipeline,
-                     iterations=config.iterations_step1, sumsq=sumsq)
-    return adagrad(d2_examples, theta1, config, pipeline, iterations=config.iterations,
-                   sumsq=None if config.reset_accumulators else sumsq)
+    theta1, sumsq1 = store.train(("step 1", partition.d1), d1_examples, config, pipeline,
+                                 config.iterations_step1)
+    # step 2 starts from step 1's result, so its name holds everything step 1's does
+    weights, _ = store.train(
+        ("step 2", partition, config.iterations_step1, config.reset_accumulators),
+        d2_examples, config, pipeline, config.iterations,
+        theta1, None if config.reset_accumulators else sumsq1)
+    return dict(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +378,26 @@ def tune_hyperparameters(
     Every domain is held out once; each configuration trains on the rest
     and is scored on the held-out domain's examples, by
     :func:`select_config`. A two-step configuration is not valid for a fold
-    whose partition would leave a side empty."""
+    whose partition would leave a side empty.
+
+    All runs train through one :class:`PrefixStore`, so each shared prefix
+    trains once: a first step is shared by every fold that holds out a
+    domain outside its first-step domains, and the grid's epoch counts
+    (``iterations_step1`` for the first step, ``iterations`` for the
+    second step and for plain AdaGrad) share their shorter prefixes. On
+    the default 144-point grid over six domains that is 1,296 epochs
+    instead of 4,320. Nothing stops early, so every configuration is
+    scored on the weights a fresh run would give it, and the same one
+    wins."""
+    store = PrefixStore()
 
     def fit(cfg, sources):
         if algorithm != "gmdp":
-            return adagrad([ex for d in sources for ex in examples_by_domain[d]], {}, cfg, pipeline)
+            pool = [ex for d in sources for ex in examples_by_domain[d]]
+            return store.train(("pool", tuple(sources)), pool, cfg, pipeline, cfg.iterations)[0]
         partition = partition_for_fold(cfg, sources)
-        return None if partition is None else gmdp(partition, examples_by_domain, cfg, pipeline)
+        return None if partition is None else gmdp(partition, examples_by_domain, cfg, pipeline,
+                                                     store)
 
     folds = (([d for d in training_domains if d != held], examples_by_domain[held])
              for held in training_domains)

@@ -4,14 +4,17 @@ Deliberately slow and index-free: denotations come from exhaustive triple
 scans, and the candidate space comes from plain recursive enumeration with
 no beams and no scoring. The one beam-search reference,
 ``eager_generate_candidates``, is the chart that builds every candidate
-before pruning. These stay out of the installed package so they
-can never become fallbacks.
+before pruning. ``reference_tune`` and ``reference_cv_tune`` are grid
+search as it was before tuning shared training prefixes: a fresh AdaGrad
+or two-step run for every (fold, configuration). These stay out of the
+installed package so they can never become fallbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from nlinstruct import training
 from nlinstruct.domains.base import Domain, MethodCall, invoke
 from nlinstruct.domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE
 from nlinstruct.errors import ExecutionError
@@ -444,3 +447,67 @@ def eager_generate_candidates(
             cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
             roots.extend(cell)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# Grid search with a fresh run for every (fold, configuration)
+# ---------------------------------------------------------------------------
+# ``training.adagrad`` is read at call time, so a test that counts epochs
+# by patching it counts these runs too.
+
+
+def reference_two_step(partition, examples_by_domain, config, pipeline) -> dict:
+    """Two-step training as two fresh AdaGrad runs; the second takes the
+    first's squared-gradient sums unless ``reset_accumulators``."""
+    d1 = [ex for d in partition.d1 for ex in examples_by_domain[d]]
+    d2 = [ex for d in partition.d2 for ex in examples_by_domain[d]]
+    sumsq: dict = {}
+    theta1 = training.adagrad(d1, {}, config, pipeline, iterations=config.iterations_step1,
+                              sumsq=sumsq)
+    return training.adagrad(d2, theta1, config, pipeline, iterations=config.iterations,
+                            sumsq=None if config.reset_accumulators else sumsq)
+
+
+def reference_select(grid, folds, fit, accuracy_fn):
+    """The highest mean accuracy over the folds where a configuration is
+    valid, fold accuracies added in fold order, the earliest entry winning
+    a tie; a single entry wins untrained."""
+    if len(grid) == 1:
+        return grid[0]
+    totals = [0.0] * len(grid)
+    counts = [0] * len(grid)
+    for data, held in folds:
+        for gi, cfg in enumerate(grid):
+            weights = fit(cfg, data)
+            if weights is not None:
+                totals[gi] += accuracy_fn(weights, held)
+                counts[gi] += 1
+    best = None
+    for gi in range(len(grid)):
+        if counts[gi] and (best is None or totals[gi] / counts[gi] > totals[best] / counts[best]):
+            best = gi
+    return grid[best]
+
+
+def reference_tune(training_domains, examples_by_domain, grid, algorithm, pipeline, accuracy_fn):
+    """Leave-one-domain-out search with a fresh run for every (held-out
+    domain, configuration)."""
+
+    def fit(cfg, sources):
+        if algorithm != "gmdp":
+            pool = [ex for d in sources for ex in examples_by_domain[d]]
+            return training.adagrad(pool, {}, cfg, pipeline)
+        partition = training.partition_for_fold(cfg, sources)
+        return (None if partition is None
+                else reference_two_step(partition, examples_by_domain, cfg, pipeline))
+
+    folds = [([d for d in training_domains if d != held], examples_by_domain[held])
+             for held in training_domains]
+    return reference_select(grid, folds, fit, accuracy_fn)
+
+
+def reference_cv_tune(folds, grid, pipeline, accuracy_fn):
+    """Cross-validation over (training examples, held-out examples) folds
+    with a fresh AdaGrad run for every (fold, configuration)."""
+    return reference_select(grid, folds, lambda cfg, rest: training.adagrad(rest, {}, cfg, pipeline),
+                            accuracy_fn)

@@ -486,6 +486,12 @@ def _significance(tmp_path, text):
     return ["significance", _bad_file(tmp_path, "report.json", text), str(good)]
 
 
+def _significance_iterations(tmp_path, iterations):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"per_example": []}))
+    return ["significance", str(good), str(good), "--iterations", str(iterations)]
+
+
 def _eval_with_dataset(tmp_path, rows):
     dataset = tmp_path / "data.jsonl"
     if rows is not None:
@@ -557,13 +563,15 @@ def _row_without(key):
     (lambda p: _run_with(p, "eval", target_domain="nosuch"), 2, _NOSUCH),
     (lambda p: _run_with(p, "eval", target_domain="nosuch", in_domain=True), 2, _NOSUCH),
     (lambda p: _run_with(p, "eval", bootstrap={"iterations": 10}), 2, "unknown key 'bootstrap'"),
+    (lambda p: _significance_iterations(p, 10**9), 2,
+     "--iterations must be at most 1000000, got 1000000000"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
         "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
         "dataset-undeclared-relation", "tuned-ordering", "tuned-partition-size",
         "train-partition-size", "parse-domain", "generate-domain", "tune-target", "train-target",
-        "eval-target", "eval-in-domain-target", "config-bootstrap"])
+        "eval-target", "eval-in-domain-target", "config-bootstrap", "significance-iterations"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from nlinstruct import dataio
 from nlinstruct.cli import main
 from nlinstruct.domains import builtin_domains, get_domain
+from nlinstruct.evaluation import BOOTSTRAP_ITERATIONS_LIMIT
 from nlinstruct.synthetic import build_domain_corpus
 from nlinstruct.training import DomainPartition, TrainConfig, save_model
 
@@ -236,6 +237,8 @@ _FLAGS = st.one_of(
     st.tuples(st.just("parse"), st.just("--max-rules"), st.integers(min_value=31)),
     st.tuples(st.just("generate"), st.just("--count"), st.integers(-5, -1)),
     st.tuples(st.just("significance"), st.just("--iterations"), st.integers(-5, 0)),
+    st.tuples(st.just("significance"), st.just("--iterations"),
+              st.integers(min_value=BOOTSTRAP_ITERATIONS_LIMIT + 1)),
     st.tuples(st.just("significance"), st.just("--seed"), st.integers(-5, -1)),
     st.tuples(st.just("significance"), st.just("--alpha"),
               st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))),

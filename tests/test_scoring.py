@@ -35,6 +35,22 @@ from oracles import eager_generate_candidates
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
 
+
+def decode(scorer, bits: int, packed: int) -> tuple[frozenset, dict, dict, int]:
+    """(triggered predicates, untriggered uses per kind, weighted rule
+    counts, size) of a score key, read at the scorer's field shifts; zero
+    counts are left out."""
+    mask = (1 << scorer.width) - 1
+    triggered = frozenset(pred for pred, bit in scorer._bit.items() if bits & bit)
+    rules = {rule: packed >> shift & mask for rule, shift in scorer._rule_shift.items()
+             if packed >> shift & mask}
+    untriggered = {kind: packed >> shift & mask for kind, shift in scorer._kind_shift.items()
+                   if packed >> shift & mask}
+    size = packed >> scorer._size_shift
+    # a field that overflowed would carry up into the size
+    assert size <= scorer.max_rules, f"size {size} exceeds max_rules {scorer.max_rules}"
+    return triggered, untriggered, rules, size
+
 # Weights on every template family, with values whose sums round
 # differently depending on the summation order, plus explicit zeros.
 EXPLICIT = {
@@ -132,7 +148,7 @@ def _check_chart(built: list, ctx: UtteranceContext, weights: dict, max_rules: i
         for (kind, name), uses in preds.items():
             if (kind, name) not in ctx.triggers:
                 untriggered[kind] += uses
-        assert scorer.decode(d.bits, d.packed) == (
+        assert decode(scorer, d.bits, d.packed) == (
             frozenset(p for p in preds if p in ctx.triggers),
             dict(untriggered),
             {r: n for r, n in rules.items() if f"rule|{r}" in weights},
@@ -328,12 +344,12 @@ def test_key_fields_hold_counts_up_to_max_rules(max_rules):
     assert ("method", "removeFiles") in ctx.triggers
     bits, packed = scorer.key(preds, {"call": m, "rjoin": m, "argmax": m, "fjoin": m}, m)
     assert packed < 1 << scorer.width * (len(weights) + len(KINDS) + 1)
-    assert scorer.decode(bits, packed) == (
+    assert decode(scorer, bits, packed) == (
         frozenset({("method", "removeFiles")}), {kind: m for kind in KINDS},
         {"argmax": m, "call": m, "rjoin": m}, m)
     too_big = scorer.key({}, {}, m + 1)
     with pytest.raises(AssertionError, match="exceeds max_rules"):
-        scorer.decode(*too_big)
+        decode(scorer, *too_big)
     with pytest.raises(AssertionError, match="exceeds max_rules"):
         scorer.score(True, *too_big)
 

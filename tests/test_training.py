@@ -10,6 +10,7 @@ from nlinstruct import kernels
 from nlinstruct.errors import NlinstructError
 from nlinstruct.training import (
     DomainPartition,
+    PrefixStore,
     TrainConfig,
     adagrad,
     build_grid,
@@ -223,6 +224,59 @@ def test_gmdp_swapped_partitions_is_still_deterministic():
     ab2 = gmdp(DomainPartition(("toya",), ("toyb",)), examples, cfg, pipeline)
     assert ab == ab2
     assert isinstance(ba, dict)
+
+
+def _bits(d: dict) -> list:
+    """A dict's items in insertion order, floats as their exact hex."""
+    return [(k, v.hex()) for k, v in d.items()]
+
+
+def test_epoch_k_of_an_n_epoch_run_is_a_k_epoch_run():
+    _, examples, pipeline = _toy_world(per_domain=6)
+    toya = examples["toya"]
+    cfg = TrainConfig(l1=0.01, step_size=0.1, seed=4)
+    sumsq: dict = {}
+    at_epoch = []  # (weights, sums) as each epoch of the 3-epoch run starts
+    calls = 0
+
+    class Spy:
+        def analyze(self, example, weights):
+            nonlocal calls
+            if calls % len(toya) == 0:
+                at_epoch.append((_bits(weights), _bits(sumsq)))
+            calls += 1
+            return pipeline.analyze(example, weights)
+
+    full = adagrad(toya, {}, cfg, Spy(), iterations=3, sumsq=sumsq)
+    at_epoch.append((_bits(full), _bits(sumsq)))
+    assert len({repr(x) for x in at_epoch}) == 4  # every epoch moved the weights
+    for k in range(4):
+        sums: dict = {}
+        weights = adagrad(toya, {}, cfg, pipeline, iterations=k, sumsq=sums)
+        assert (_bits(weights), _bits(sums)) == at_epoch[k]
+        # and a run resumed from the k-epoch state ends where the 3-epoch run does
+        resumed = adagrad(toya, weights, cfg, pipeline, iterations=3, sumsq=sums, start=k)
+        assert (_bits(resumed), _bits(sums)) == at_epoch[3]
+
+
+def test_second_step_reads_the_first_steps_sums_unchanged():
+    _, examples, pipeline = _toy_world(("toya", "toyb", "toyc"), per_domain=6)
+    cfg = TrainConfig(iterations=2, iterations_step1=2, seed=3, reset_accumulators=False)
+    first: dict = {}
+    theta1 = adagrad(examples["toya"], {}, cfg, pipeline, iterations=2, sumsq=first)
+    store = PrefixStore()
+    for second in ("toyb", "toyc"):
+        # the second partition's step 1 comes from the store, after the
+        # first partition's step 2 trained on from the same sums
+        sums = dict(first)
+        want = adagrad(examples[second], theta1, cfg, pipeline, iterations=2, sumsq=sums)
+        part = DomainPartition(("toya",), (second,))
+        assert _bits(gmdp(part, examples, cfg, pipeline, store)) == _bits(want)
+        assert _bits(gmdp(part, examples, cfg, pipeline)) == _bits(want)
+        reset = replace(cfg, reset_accumulators=True)
+        assert gmdp(part, examples, reset, pipeline, store) != want
+    assert [_bits(d) for d in store.train(("step 1", ("toya",)), [], cfg, pipeline, 2)] == [
+        _bits(theta1), _bits(first)]
 
 
 def test_partition_validation():

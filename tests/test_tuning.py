@@ -1,0 +1,219 @@
+"""Grid search that trains each shared prefix once, against the reference
+tuner in ``oracles`` that trains every (fold, configuration) afresh.
+
+The two must score the same weights, bit for bit and in the same order,
+pick the same grid entry and so train the same final model. The work
+counts hold the sharing to the figures the grid's shape gives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+from nlinstruct import evaluation, training
+from nlinstruct.evaluation import ExperimentSpec, _cv_folds, mean_credit, tune_config
+from nlinstruct.training import (
+    TrainConfig,
+    build_grid,
+    final_partition,
+    gmdp,
+    partition_for_fold,
+    tune_hyperparameters,
+)
+
+from conftest import make_toy_world
+from oracles import reference_cv_tune, reference_tune, reference_two_step
+
+DOMAINS = ("toya", "toyb", "toyc", "toyd")
+
+
+@pytest.fixture(scope="module")
+def world():
+    _, examples, pipeline = make_toy_world(DOMAINS, per_domain=3)
+    return examples, pipeline
+
+
+def _bits(weights: dict) -> list:
+    return [(k, v.hex()) for k, v in weights.items()]
+
+
+def _scored(pipeline):
+    """An accuracy function that also records, in call order, the exact
+    weights it was asked to score."""
+    seen = []
+
+    def accuracy(weights, held):
+        seen.append(_bits(weights))
+        return mean_credit(pipeline, weights, held)
+
+    return seen, accuracy
+
+
+def _same_choice(tune, reference, pipeline):
+    seen, accuracy = _scored(pipeline)
+    chosen = tune(accuracy)
+    want_seen, want_accuracy = _scored(pipeline)
+    want = reference(want_accuracy)
+    assert chosen is want
+    assert seen == want_seen
+    return chosen
+
+
+@pytest.mark.parametrize("overrides", [
+    {"l1": [0.001, 0.01], "step_size": [0.1], "iterations": [1, 2, 3],
+     "partition_sizes": [1, 2], "iterations_step1": [1, 2], "num_orderings": 2},
+    {"l1": [0.05], "step_size": [0.05, 0.2], "iterations": [2, 1],
+     "partition_sizes": [2, 3], "iterations_step1": [2, 1], "num_orderings": 1},
+], ids=["grid", "reversed-counts-and-invalid-size"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_zero_shot_gmdp_matches_the_reference(world, overrides, seed):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    grid = build_grid("gmdp", domains, seed, overrides)
+    assert len({g.domain_ordering for g in grid}) == overrides["num_orderings"]
+    chosen = _same_choice(
+        lambda acc: tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, acc),
+        lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
+    partition = final_partition(chosen, domains)
+    assert (_bits(gmdp(partition, examples, chosen, pipeline))
+            == _bits(reference_two_step(partition, examples, chosen, pipeline)))
+
+
+def test_ties_go_to_the_earliest_valid_entry(world):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    # partition size 3 leaves the second step empty in every three-domain fold
+    grid = build_grid("gmdp", domains, 1, {"l1": [0.001, 0.01], "step_size": [0.1],
+                                           "iterations": [1], "partition_sizes": [3, 1],
+                                           "iterations_step1": [1], "num_orderings": 1})
+    tie = lambda weights, held: 0.5
+    chosen = tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, tie)
+    assert chosen is reference_tune(domains, examples, grid, "gmdp", pipeline, tie)
+    assert chosen is grid[1] and chosen.partition_size == 1
+
+
+def test_zero_shot_adagrad_matches_the_reference(world):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    grid = build_grid("adagrad", domains, 3, {"l1": [0.001, 0.01], "step_size": [0.05, 0.1]})
+    _same_choice(
+        lambda acc: tune_hyperparameters(domains, examples, grid, "adagrad", pipeline, acc),
+        lambda acc: reference_tune(domains, examples, grid, "adagrad", pipeline, acc), pipeline)
+
+
+def test_hand_made_grid_without_accumulator_reset_matches_the_reference(world):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    ordering = ("toyc", "toya", "toyd", "toyb")
+    grid = [TrainConfig(l1=0.001, step_size=0.2, iterations=it, iterations_step1=it1,
+                        partition_size=m, domain_ordering=ordering, seed=2, reset_accumulators=r)
+            for it in (2, 1) for r in (False, True) for m in (1, 2) for it1 in (1, 2)]
+    chosen = _same_choice(
+        lambda acc: tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, acc),
+        lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
+    partition = final_partition(chosen, domains)
+    for cfg in (chosen, replace(chosen, reset_accumulators=not chosen.reset_accumulators)):
+        assert (_bits(gmdp(partition, examples, cfg, pipeline))
+                == _bits(reference_two_step(partition, examples, cfg, pipeline)))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_in_domain_cross_validation_matches_the_reference(monkeypatch, seed):
+    _, examples, pipeline = make_toy_world(("toya",), per_domain=9, seed=seed)
+    grid = build_grid("adagrad", ["toya"], seed, {"l1": [0.001, 0.01], "step_size": [0.05, 0.1]})
+    monkeypatch.setattr(evaluation, "build_grid", lambda *args: grid)
+    spec = ExperimentSpec("toya", in_domain=True, seed=seed)
+    folds = _cv_folds(examples["toya"], 3, seed)
+    assert len(folds) == 3
+
+    def tune(accuracy):
+        monkeypatch.setattr(evaluation, "mean_credit", lambda p, w, held: accuracy(w, held))
+        return tune_config(spec, examples, pipeline)
+
+    _same_choice(tune, lambda acc: reference_cv_tune(folds, grid, pipeline, acc), pipeline)
+
+
+# ---------------------------------------------------------------------------
+# Work counts
+# ---------------------------------------------------------------------------
+
+
+class _NoParse:
+    """A pipeline that parses nothing, so every example is skipped and a
+    run costs only its epochs."""
+
+    def analyze(self, example, weights):
+        return []
+
+
+def _examples(domains, per_domain=1):
+    return {d: [SimpleNamespace(id=f"{d}-{i}", domain_id=d) for i in range(per_domain)]
+            for d in domains}
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(domains trained on, epochs trained) of every AdaGrad call."""
+    out = []
+    original = training.adagrad
+
+    def counting(examples, init, config, pipeline, iterations=None, sumsq=None, start=0):
+        epochs = (config.iterations if iterations is None else iterations) - start
+        out.append((frozenset(ex.domain_id for ex in examples), epochs))
+        return original(examples, init, config, pipeline, iterations, sumsq, start)
+
+    monkeypatch.setattr(training, "adagrad", counting)
+    return out
+
+
+def _epochs(runs) -> int:
+    total = sum(n for _, n in runs)
+    runs.clear()
+    return total
+
+
+def test_first_steps_train_once_across_folds(runs):
+    # the benchmark's experiment grid: two l1 values, five source domains
+    sources = ["a", "b", "c", "d", "e"]
+    examples = _examples(sources)
+    grid = build_grid("gmdp", sources, 5, {
+        "l1": [0.001, 0.01], "step_size": [0.1], "iterations": [1], "partition_sizes": [2],
+        "iterations_step1": [1], "num_orderings": 1})
+    partitions = [partition_for_fold(cfg, [d for d in sources if d != held])
+                  for cfg in grid for held in sources]
+    first = {frozenset(p.d1) for p in partitions}
+    assert not first & {frozenset(p.d2) for p in partitions}  # a run's domains name its step
+
+    def first_steps(tune):
+        tune(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
+        count = sum(1 for domains, _ in runs if domains in first)
+        runs.clear()
+        return count
+
+    assert first_steps(reference_tune) == 10
+    assert first_steps(tune_hyperparameters) == 6
+
+
+def test_default_grid_trains_1296_epochs_instead_of_4320(runs):
+    sources = ["a", "b", "c", "d", "e", "f"]
+    examples = _examples(sources)
+    grid = build_grid("gmdp", sources, 0)
+    assert len(grid) == 144
+    reference_tune(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
+    assert _epochs(runs) == 4320
+    tune_hyperparameters(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
+    assert _epochs(runs) == 1296
+
+
+def test_cross_validation_trains_each_fold_to_its_longest_count_once(runs, monkeypatch):
+    examples = _examples(["t"], per_domain=6)
+    grid = build_grid("adagrad", ["t"], 0)
+    assert len(grid) == 12  # iterations 1, 2 and 3 for each (l1, step size)
+    monkeypatch.setattr(evaluation, "build_grid", lambda *args: grid)
+    reference_cv_tune(_cv_folds(examples["t"], 3, 0), grid, _NoParse(), lambda w, held: 0.0)
+    assert _epochs(runs) == 3 * 4 * (1 + 2 + 3)
+    tune_config(ExperimentSpec("t", in_domain=True), examples, _NoParse())
+    assert _epochs(runs) == 3 * 4 * 3
