@@ -33,7 +33,7 @@ from .evaluation import (
     training_examples,
     tune_config,
 )
-from .features import tokenize
+from .features import Featurizer, tokenize
 from .parser import ParserConfig, infer
 from .training import TrainConfig, final_partition, partition_for_fold
 
@@ -246,11 +246,11 @@ def cmd_parse(args) -> int:
         validate_state_for_domain(state, domain)
     except DataError as exc:
         raise DataError(f"{args.state}: {exc}") from None
-    weights = {}
-    if args.model:
-        weights, _, _ = training.load_model(args.model)
+    weights, use_new_features = {}, True
+    if args.model:  # parse with the feature set the model was trained on
+        weights, _, _, use_new_features = training.load_model(args.model)
     cands = infer(tokenize(args.utterance), state, domain, config, weights,
-                  use_filter=not args.no_logic_filter)
+                  Featurizer(domain, use_new_features), use_filter=not args.no_logic_filter)
     if not cands:
         print("parse failure: no surviving candidate")
         return 4

@@ -261,6 +261,28 @@ DEFAULTS = {
 }
 
 
+def _check_generation(path, section: dict) -> None:
+    """``generation`` maps built-in domain ids to objects of that domain's
+    range names, each a [lo, hi] pair of integers with 0 <= lo <= hi."""
+    from .domains import builtin_domains
+
+    known = {d.id: d.default_ranges for d in builtin_domains()}
+    for domain_id, ranges in section.items():
+        where = f"{path}: generation.{domain_id}"
+        if domain_id not in known:
+            raise ConfigError(f"{where}: unknown domain (known: {', '.join(sorted(known))})")
+        if not isinstance(ranges, dict):
+            raise ConfigError(f"{where} must be an object")
+        for name, pair in ranges.items():
+            if name not in known[domain_id]:
+                raise ConfigError(f"{where}: unknown range {name!r} "
+                                  f"(known: {', '.join(known[domain_id])})")
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair) and 0 <= pair[0] <= pair[1]):
+                raise ConfigError(f"{where}.{name} must be a [lo, hi] pair of integers "
+                                  f"with 0 <= lo <= hi, got {pair!r}")
+
+
 def load_run_config(path) -> dict:
     """Parse and validate a run configuration; unknown keys are rejected."""
     try:
@@ -285,6 +307,7 @@ def load_run_config(path) -> dict:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
     if raw.get("algorithm") not in (None, "gmdp", "adagrad"):
         raise ConfigError(f"{path}: algorithm must be 'gmdp' or 'adagrad'")
+    _check_generation(path, raw.get("generation", {}))
     config = dict(DEFAULTS)
     config.update(raw)
     return config

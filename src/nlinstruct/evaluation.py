@@ -22,7 +22,6 @@ from .errors import ConfigError, DataError, NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
 from .training import (
     DomainPartition,
-    PrefixStore,
     TrainConfig,
     _is_int,
     _is_real,
@@ -30,7 +29,6 @@ from .training import (
     build_grid,
     final_partition,
     gmdp,
-    select_config,
     tune_hyperparameters,
 )
 
@@ -207,25 +205,21 @@ def training_examples(spec: ExperimentSpec, registry: InstrumentedRegistry) -> d
 
 def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example]],
                 pipeline: Pipeline, grid_overrides: dict | None = None) -> TrainConfig:
-    """The protocol's tuning step: leave-one-domain-out search over the
-    source domains zero-shot, 3-fold cross-validation on the target's train
-    split in-domain, both ranked by :func:`training.select_config`. Its
-    mean over the folds ranks in-domain configs as their summed credit
-    would, except where two distinct sums divide to the same double: those
-    tie, and the earlier grid entry wins. Cross-validation trains each
-    fold's shared ``iterations`` prefixes once, through a
-    :class:`training.PrefixStore`."""
+    """The protocol's tuning step: :func:`training.tune_hyperparameters`
+    over folds that each hold out one source domain zero-shot, and over a
+    3-fold cross-validation of the target's train split in-domain (its mean
+    credit ranks configs as their summed credit would, except where two
+    sums divide to the same double: the earlier grid entry wins)."""
     domains = list(examples_by_domain)
     grid = build_grid(spec.algorithm, domains, spec.seed, grid_overrides)
-    accuracy_fn = lambda weights, examples: mean_credit(pipeline, weights, examples)
-    if not spec.in_domain:
-        return tune_hyperparameters(
-            domains, examples_by_domain, grid, spec.algorithm, pipeline, accuracy_fn)
-    store = PrefixStore()
-    folds = _cv_folds(examples_by_domain[spec.target_domain], 3, spec.seed)
-    # a fold's index names its training examples in the store
-    fit = lambda cfg, i: store.train(i, folds[i][0], cfg, pipeline, cfg.iterations)[0]
-    return select_config(grid, [(i, held) for i, (_, held) in enumerate(folds)], fit, accuracy_fn)
+    if spec.in_domain:  # the target is the only domain
+        folds = [({d: rest}, held) for d, examples in examples_by_domain.items()
+                 for rest, held in _cv_folds(examples, 3, spec.seed)]
+    else:
+        folds = [({d: examples_by_domain[d] for d in domains if d != held},
+                  examples_by_domain[held]) for held in domains]
+    return tune_hyperparameters(grid, folds, spec.algorithm, pipeline,
+                                lambda weights, examples: mean_credit(pipeline, weights, examples))
 
 
 def train_model(spec: ExperimentSpec, config: TrainConfig,

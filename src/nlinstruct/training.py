@@ -16,15 +16,16 @@ remaining training domains; the second run starts with fresh step-size
 accumulators. The point is to optimize for domains the first step never
 saw, which is also how the trained parser will be used.
 
-Grid search trains each shared prefix once (:class:`PrefixStore`). Two
-facts make the sharing exact. An AdaGrad epoch reads only the weights and
+One grid search (:func:`tune_hyperparameters`), for zero-shot and in-domain
+tuning alike, trains each shared prefix once through a content-keyed
+:class:`PrefixStore`. Two facts make the sharing exact. An AdaGrad epoch reads only the weights and
 squared-gradient sums it starts from, the example list, ``l1``,
 ``step_size`` and the shuffle generator, which is seeded from ``seed``
 and draws one shuffle per epoch; so epoch k of an n-epoch run is bit for
 bit the last epoch of a k-epoch run, and a run resumed from a k-epoch
 snapshot (its shuffles drawn again but not trained) goes on exactly as
 the uninterrupted one. And the first step of two-step training depends on
-the fold only through its first-step domains, so leave-one-domain-out
+the fold only through its first-step examples, so leave-one-domain-out
 folds that hold out a domain outside them share it.
 """
 
@@ -200,28 +201,34 @@ def adagrad(
 
 
 class PrefixStore:
-    """AdaGrad runs by the prefix they share, kept for the runs of one
-    grid search over one pipeline and one set of examples.
+    """AdaGrad runs by their content, kept for the runs of one grid search
+    over one pipeline.
 
-    The caller names each run (``run``); the name must fix the run's
-    example list, in order, and the weights and sums it starts from. With
-    ``l1``, ``step_size`` and ``seed``, the only other inputs of an epoch,
-    it keys the store. The store keeps the weights and sums after every
-    epoch count asked for, and trains a longer count on from the longest
-    it holds, so a prefix shared by several counts, folds or grid points
+    A run is keyed by what fixes its epochs: its example list, in order,
+    ``l1``, ``step_size``, ``seed`` and its origin, which is None for a
+    run from zero or the (examples, epochs, ``keep_sums``) of the run it
+    continues. The store keeps the weights and sums after every epoch
+    count asked for, and trains a longer count on from the longest it
+    holds, so a prefix shared by several counts, folds or grid points
     trains once and every result equals that of a fresh run bit for bit.
     The dicts it hands out are its own: read them, never change them."""
 
     def __init__(self):
         self._runs: dict = {}
 
-    def train(self, run, examples: list, config: TrainConfig, pipeline: Pipeline, epochs: int,
-              init: dict | None = None, sumsq: dict | None = None) -> tuple[dict, dict]:
+    def train(self, examples: list, config: TrainConfig, pipeline: Pipeline, epochs: int,
+              after: tuple[list, int] | None = None, keep_sums: bool = False) -> tuple[dict, dict]:
         """The weights and squared-gradient sums after ``epochs`` epochs of
-        :func:`adagrad` over ``examples`` from ``init`` and ``sumsq`` (empty
-        by default)."""
-        snapshots = self._runs.setdefault((run, config.l1, config.step_size, config.seed),
-                                          {0: (init or {}, sumsq or {})})
+        :func:`adagrad` over ``examples``: from zero, or, with ``after`` =
+        (examples, epochs) of a run from zero, from that run's weights and
+        (with ``keep_sums``) its sums."""
+        examples = tuple(examples)
+        origin = None if after is None else (tuple(after[0]), after[1], keep_sums)
+        key = (examples, config.l1, config.step_size, config.seed, origin)
+        if key not in self._runs:
+            weights, sums = self.train(after[0], config, pipeline, after[1]) if after else ({}, {})
+            self._runs[key] = {0: (weights, sums if keep_sums else {})}
+        snapshots = self._runs[key]
         done = max(k for k in snapshots if k <= epochs)
         if done < epochs:
             weights, sums = snapshots[done]
@@ -246,16 +253,11 @@ def gmdp(
     missing = [d for d in partition.d1 + partition.d2 if d not in examples_by_domain]
     if missing:
         raise NlinstructError(f"partition names domains without examples: {missing}")
-    store = PrefixStore() if store is None else store
     d1_examples = [ex for d in partition.d1 for ex in examples_by_domain[d]]
     d2_examples = [ex for d in partition.d2 for ex in examples_by_domain[d]]
-    theta1, sumsq1 = store.train(("step 1", partition.d1), d1_examples, config, pipeline,
-                                 config.iterations_step1)
-    # step 2 starts from step 1's result, so its name holds everything step 1's does
-    weights, _ = store.train(
-        ("step 2", partition, config.iterations_step1, config.reset_accumulators),
-        d2_examples, config, pipeline, config.iterations,
-        theta1, None if config.reset_accumulators else sumsq1)
+    weights, _ = (store or PrefixStore()).train(d2_examples, config, pipeline, config.iterations,
+                                                after=(d1_examples, config.iterations_step1),
+                                                keep_sums=not config.reset_accumulators)
     return dict(weights)
 
 
@@ -334,27 +336,40 @@ def partition_for_fold(config: TrainConfig, sources: list[str]) -> DomainPartiti
     return DomainPartition(tuple(ordering[:m]), tuple(ordering[m:]))
 
 
-def select_config(grid: list[TrainConfig], folds, fit, accuracy_fn) -> TrainConfig:
-    """The grid search's one selection rule: the configuration with the
-    highest mean accuracy over the folds where it is valid wins, ties going
-    to the earliest grid entry. A single-point grid is returned without
-    training.
+def tune_hyperparameters(grid: list[TrainConfig], folds, algorithm: str, pipeline: Pipeline,
+                         accuracy_fn) -> TrainConfig:
+    """The grid search: the configuration with the highest mean accuracy
+    over the folds where it is valid wins, ties going to the earliest grid
+    entry; a single-point grid wins untrained. A fold is an (examples by
+    domain to train on, held-out examples) pair: one per held-out domain
+    zero-shot, one per cross-validation split of the target in-domain. A
+    configuration trains on it by :func:`gmdp` over
+    :func:`partition_for_fold` (not valid where a side would be empty) or
+    by AdaGrad over the pooled examples; ``accuracy_fn(weights, held)``
+    scores it.
 
-    ``folds`` yields (training data, held-out examples) pairs;
-    ``fit(config, data)`` returns the weights ``config`` learns from
-    ``data``, or None when ``config`` is not valid for that fold; and
-    ``accuracy_fn(weights, examples)`` scores them."""
+    All runs share one :class:`PrefixStore`: a first step serves every fold
+    that leaves its examples in, and the grid's epoch counts share their
+    shorter prefixes (1,296 epochs instead of 4,320 on the default
+    144-point grid over six domains). Every configuration is still scored
+    on the weights a fresh run would give it, so the same one wins."""
     if not grid:
         raise NlinstructError("empty hyper-parameter grid")
     if len(grid) == 1:
         return grid[0]
+    store = PrefixStore()
     totals = [0.0] * len(grid)
     counts = [0] * len(grid)
-    for fold, (data, held) in enumerate(folds):
+    for fold, (train, held) in enumerate(folds):
         for gi, cfg in enumerate(grid):
-            weights = fit(cfg, data)
-            if weights is None:
-                continue
+            if algorithm != "gmdp":
+                pool = [ex for examples in train.values() for ex in examples]
+                weights = store.train(pool, cfg, pipeline, cfg.iterations)[0]
+            else:
+                partition = partition_for_fold(cfg, list(train))
+                if partition is None:
+                    continue
+                weights = gmdp(partition, train, cfg, pipeline, store)
             acc = accuracy_fn(weights, held)
             totals[gi] += acc
             counts[gi] += 1
@@ -363,45 +378,6 @@ def select_config(grid: list[TrainConfig], folds, fit, accuracy_fn) -> TrainConf
     if not valid:
         raise NlinstructError("no grid configuration was valid for any fold")
     return grid[max(valid, key=lambda gi: (totals[gi] / counts[gi], -gi))]
-
-
-def tune_hyperparameters(
-    training_domains: list[str],
-    examples_by_domain: dict[str, list],
-    grid: list[TrainConfig],
-    algorithm: str,
-    pipeline: Pipeline,
-    accuracy_fn,
-) -> TrainConfig:
-    """Leave-one-domain-out grid search over the training domains.
-
-    Every domain is held out once; each configuration trains on the rest
-    and is scored on the held-out domain's examples, by
-    :func:`select_config`. A two-step configuration is not valid for a fold
-    whose partition would leave a side empty.
-
-    All runs train through one :class:`PrefixStore`, so each shared prefix
-    trains once: a first step is shared by every fold that holds out a
-    domain outside its first-step domains, and the grid's epoch counts
-    (``iterations_step1`` for the first step, ``iterations`` for the
-    second step and for plain AdaGrad) share their shorter prefixes. On
-    the default 144-point grid over six domains that is 1,296 epochs
-    instead of 4,320. Nothing stops early, so every configuration is
-    scored on the weights a fresh run would give it, and the same one
-    wins."""
-    store = PrefixStore()
-
-    def fit(cfg, sources):
-        if algorithm != "gmdp":
-            pool = [ex for d in sources for ex in examples_by_domain[d]]
-            return store.train(("pool", tuple(sources)), pool, cfg, pipeline, cfg.iterations)[0]
-        partition = partition_for_fold(cfg, sources)
-        return None if partition is None else gmdp(partition, examples_by_domain, cfg, pipeline,
-                                                     store)
-
-    folds = (([d for d in training_domains if d != held], examples_by_domain[held])
-             for held in training_domains)
-    return select_config(grid, folds, fit, accuracy_fn)
 
 
 def final_partition(tuned: TrainConfig, training_domains: list[str]) -> DomainPartition:
@@ -447,7 +423,9 @@ def _domain_ids(v) -> tuple[str, ...]:
     return tuple(v)
 
 
-def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
+def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool]:
+    """Weights, config, partition and ``use_new_features`` (true without an
+    ``ablation`` block) of a model file; :class:`DataError` if malformed."""
     from .dataio import read_json_object
 
     payload = read_json_object(path, "model")
@@ -464,6 +442,9 @@ def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
         part = payload.get("partition")
         partition = (None if part is None
                      else DomainPartition(_domain_ids(part["d1"]), _domain_ids(part["d2"])))
+        ablation = payload.get("ablation", {})
+        if not isinstance(ablation, dict) or not all(isinstance(v, bool) for v in ablation.values()):
+            raise TypeError(f"ablation must map flags to true or false, got {ablation!r}")
     except KeyError as exc:
         raise DataError(f"{path}: model file lacks {exc}") from None
     except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
@@ -472,4 +453,5 @@ def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None]:
     bad = sorted(k for k, w in weights.items() if not _is_real(w))
     if bad:
         raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
-    return {k: float(w) for k, w in weights.items()}, config, partition
+    return ({k: float(w) for k, w in weights.items()}, config, partition,
+            ablation.get("use_new_features", True))

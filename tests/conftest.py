@@ -94,6 +94,13 @@ def make_toy_world(domain_ids=("toya", "toyb"), per_domain=12, seed=0):
     return domains, examples, pipeline
 
 
+def leave_one_out(examples_by_domain: dict) -> list:
+    """Zero-shot tuning folds: (every other domain's examples by domain,
+    the held-out domain's examples), one per domain in order."""
+    return [({d: examples for d, examples in examples_by_domain.items() if d != held}, held_out)
+            for held, held_out in examples_by_domain.items()]
+
+
 def lighting_paper_state() -> State:
     """The one-room snapshot: (room1, name, bedroom), (room1, floor, 2),
     (room1, lightMode, ON)."""

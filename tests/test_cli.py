@@ -58,6 +58,13 @@ def test_generate_is_byte_identical_per_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_follows_the_configs_ranges(tmp_path):
+    ranges = {"lighting": {"floors": [2, 2], "rooms_per_floor": [1, 1]}}
+    assert main(_generate_with(tmp_path, ranges)) == 0
+    for ex in dataio.read_dataset(tmp_path / "pairs.jsonl"):
+        assert len(ex.initial.entities) == 2
+
+
 def test_dataset_round_trip(tmp_path):
     path = _tiny_dataset(tmp_path)
     first = dataio.read_dataset(path)
@@ -346,6 +353,25 @@ def test_parse_explain_prints_exact_feature_lines(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == lines, flags
 
 
+def test_parse_uses_the_models_feature_set(tmp_path, capsys):
+    args = _paper_state_parse_args(tmp_path) + ["--nbest", "5", "--explain"]
+    model = tmp_path / "m.json"
+    payload = json.loads(model.read_text())
+    payload["ablation"] = {"use_new_features": False, "use_logic_filter": True}
+    model.write_text(json.dumps(payload))
+    assert main(args) == 0
+    names = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("     ")}
+    assert "rule|call" in names
+    assert not {n for n in names
+                if n.startswith(("size>", "unevoked|")) or n == "cooc-any|method|desc"}, names
+    payload["ablation"]["use_new_features"] = "no"
+    model.write_text(json.dumps(payload))
+    assert main(args) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "m.json: malformed model file" in err
+
+
 def _assert_config_error(capsys, code, words):
     captured = capsys.readouterr()
     assert code == 2
@@ -500,6 +526,18 @@ def _eval_with_dataset(tmp_path, rows):
     return ["eval", "--config", config, "--out", str(tmp_path / "r.json")]
 
 
+def _generate_with(tmp_path, generation):
+    """``generate`` for the lighting domain under a config whose
+    ``generation`` section is ``generation``."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"generation": generation}))
+    return ["generate", "--domain", "lighting", "--count", "1", "--config", str(config),
+            "--out", str(tmp_path / "pairs.jsonl")]
+
+
+_BAD_RANGE = "must be a [lo, hi] pair of integers with 0 <= lo <= hi"
+
+
 def _run_with(tmp_path, command, **overrides):
     """``command`` on the tiny dataset, its config changed by ``overrides``."""
     config = _write_config(tmp_path / "c.json", dataset=_tiny_dataset(tmp_path, 1), **overrides)
@@ -565,13 +603,27 @@ def _row_without(key):
     (lambda p: _run_with(p, "eval", bootstrap={"iterations": 10}), 2, "unknown key 'bootstrap'"),
     (lambda p: _significance_iterations(p, 10**9), 2,
      "--iterations must be at most 1000000, got 1000000000"),
+    (lambda p: _generate_with(p, {"lighting": 5}), 2, "generation.lighting must be an object"),
+    (lambda p: _generate_with(p, {"lighting": {"floors": [3, 1]}}), 2,
+     "generation.lighting.floors " + _BAD_RANGE + ", got [3, 1]"),
+    (lambda p: _generate_with(p, {"lighting": {"floors": [-1, 2]}}), 2,
+     "generation.lighting.floors " + _BAD_RANGE),
+    (lambda p: _generate_with(p, {"lighting": {"floors": "ab"}}), 2,
+     "generation.lighting.floors " + _BAD_RANGE + ", got 'ab'"),
+    (lambda p: _generate_with(p, {"lighting": {"floors": [1, 2.0]}}), 2,
+     "generation.lighting.floors " + _BAD_RANGE),
+    (lambda p: _generate_with(p, {"lighting": {"flors": [1, 2]}}), 2,
+     "generation.lighting: unknown range 'flors' (known: floors, rooms_per_floor)"),
+    (lambda p: _generate_with(p, {"toaster": {}}), 2, "generation.toaster: unknown domain"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
         "tuned-float-iterations", "dataset-row-not-object", "dataset-row-missing-field",
         "dataset-undeclared-relation", "tuned-ordering", "tuned-partition-size",
         "train-partition-size", "parse-domain", "generate-domain", "tune-target", "train-target",
-        "eval-target", "eval-in-domain-target", "config-bootstrap", "significance-iterations"])
+        "eval-target", "eval-in-domain-target", "config-bootstrap", "significance-iterations",
+        "generation-not-object", "generation-reversed", "generation-negative",
+        "generation-string", "generation-float", "generation-misspelled", "generation-domain"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

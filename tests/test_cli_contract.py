@@ -40,6 +40,14 @@ _ANY = st.one_of(
 )
 
 
+# generation ranges: reversed, negative, or not a pair
+_BAD_RANGES = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(1, 5)).map(lambda t: [t[0] + t[1], t[0]]),
+    st.tuples(st.integers(-5, -1), st.integers(-5, 5)).map(list),
+    st.lists(st.integers(0, 5), max_size=3).filter(lambda v: len(v) != 2),
+)
+
+
 def _kind(value) -> str:
     return "number" if isinstance(value, float) else type(value).__name__
 
@@ -103,12 +111,14 @@ def _setup(root: str) -> tuple[dict[str, Kind], dict[str, str]]:
     config = {"dataset": files["dataset"], "target_domain": "list", "algorithm": "adagrad",
               "seed": 0, "beam_size": 5, "max_rule_applications": 5,
               "grid": {"l1": [0.001], "step_size": [0.1], "iterations": [1]},
-              "train": {"l1": 0.001, "step_size": 0.1, "iterations": 1}}
+              "train": {"l1": 0.001, "step_size": 0.1, "iterations": 1},
+              "generation": {"lighting": {"floors": [1, 2]}, "list": {"elements": [3, 5]}}}
     files["config"] = _write_json(os.path.join(root, "config.json"), config)
     state = dataio.state_to_json(lighting_paper_state())
     files["state"] = _write_json(os.path.join(root, "state.json"), state)
     save_model(files["model"], {"cooc-any|method|desc": 2.0, "size>3": -0.5}, TrainConfig(),
-               DomainPartition(("list",), ("container",)))
+               DomainPartition(("list",), ("container",)),
+               extra={"ablation": {"use_new_features": True, "use_logic_filter": True}})
     with open(files["model"]) as fh:
         model = json.load(fh)
     report = {"per_example": [{"id": "a", "credit": 1.0, "tie_count": 1, "correct_in_tie": 1,
@@ -127,11 +137,12 @@ def _setup(root: str) -> tuple[dict[str, Kind], dict[str, str]]:
         return ["eval", "--config", path, "--out", out]
 
     domain_ids = {d.id for d in builtin_domains()}
+    # the grid is read by tune, the generation section by generate, the rest by train
+    reader = {"grid": ["tune"], "generation": ["generate", "--domain", "list", "--count", "1"]}
     kinds = (
-        # the grid is read by tune, the train section by train
         Kind("config", config,
-             lambda f, p: ["tune" if p[:1] == ("grid",) else "train", "--config", f,
-                           "--out", out],
+             lambda f, p: reader.get(p[0] if p else None, ["train"]) + ["--config", f,
+                                                                       "--out", out],
              lambda p: p == ("dataset",),
              {("algorithm",): st.text(max_size=6).filter(lambda a: a not in ("gmdp", "adagrad")),
               ("beam_size",): st.integers(-3, 0),
@@ -139,7 +150,9 @@ def _setup(root: str) -> tuple[dict[str, Kind], dict[str, str]]:
               ("grid", "l1"): st.just([]),
               ("train", "l1"): st.floats(max_value=-1e-9),
               ("train", "step_size"): st.floats(max_value=0.0),
-              ("train", "iterations"): st.integers(-3, -1)}.items(),
+              ("train", "iterations"): st.integers(-3, -1),
+              ("generation", "lighting", "floors"): _BAD_RANGES,
+              ("generation", "list", "elements"): _BAD_RANGES}.items(),
              closed=True),
         Kind("dataset", dataio.example_to_json(ex), lambda f, p: eval_on(f), lambda p: True,
              {("domain",): st.text(max_size=6).filter(lambda d: d not in domain_ids),
@@ -147,7 +160,9 @@ def _setup(root: str) -> tuple[dict[str, Kind], dict[str, str]]:
              header=header),
         Kind("state", state, lambda f, p: parse(f, files["model"]), lambda p: True),
         Kind("model", model, lambda f, p: parse(files["state"], f),
-             lambda p: p != ("partition",) and (len(p) == 1 or p[0] == "partition"),
+             # a model without an ablation block parses with the new features
+             lambda p: (p not in (("partition",), ("ablation",))
+                        and (len(p) == 1 or p[0] == "partition")),
              {("format",): st.text(max_size=6), ("version",): st.integers(2, 5)}.items(),
              nullable=(("partition",),)),
         Kind("tuned", TrainConfig().to_json(),
@@ -168,13 +183,18 @@ def inputs(tmp_path_factory) -> tuple[dict[str, Kind], dict[str, str]]:
 
 
 @st.composite
-def broken_files(draw, kinds: dict[str, Kind]):
+def broken_files(draw, kinds: dict[str, Kind], under=None):
     """(kind, path of the node that was changed, file text; bytes for
-    text that is not UTF-8)."""
-    kind = kinds[draw(st.sampled_from(sorted(kinds)))]
+    text that is not UTF-8). With ``under``, a (kind name, path) pair,
+    only nodes at or below that path of a file of that kind change."""
+    hows = ["truncate", "not-utf8", "delete", "out-of-range", "unknown-key", "retype"]
+    if under is None:
+        kind, below = kinds[draw(st.sampled_from(sorted(kinds)))], lambda p: True
+    else:
+        kind, below = kinds[under[0]], lambda p: p[:len(under[1])] == under[1]
+        hows = hows[2:]
     doc = copy.deepcopy(kind.doc)
-    how = draw(st.sampled_from(
-        ["truncate", "not-utf8", "delete", "out-of-range", "unknown-key", "retype"]))
+    how = draw(st.sampled_from(hows))
     if how == "truncate":
         text = kind.text(doc)
         return kind, (), text[:draw(st.integers(0, len(text) - 1))]
@@ -182,19 +202,21 @@ def broken_files(draw, kinds: dict[str, Kind]):
         data = kind.text(doc).encode()
         at = draw(st.integers(0, len(data)))
         return kind, (), data[:at] + b"\xff" + data[at:]
-    nodes = list(_nodes(doc))
+    nodes = [(p, v) for p, v in _nodes(doc) if below(p)]
     if how == "delete":
         keys = [p for p, _ in nodes if isinstance(p[-1], str) and kind.required(p)]
         if keys:
             path = draw(st.sampled_from(keys))
             del _parent(doc, path)[path[-1]]
             return kind, path, kind.text(doc)
-    if how == "out-of-range" and kind.bad_values:
-        path = draw(st.sampled_from(sorted(kind.bad_values, key=repr)))
+    bad = sorted((p for p in kind.bad_values if below(p)), key=repr)
+    if how == "out-of-range" and bad:
+        path = draw(st.sampled_from(bad))
         _parent(doc, path)[path[-1]] = draw(kind.bad_values[path])
         return kind, path, kind.text(doc)
     if how == "unknown-key" and kind.closed:
-        path = draw(st.sampled_from([()] + [p for p, v in nodes if isinstance(v, dict)]))
+        path = draw(st.sampled_from([p for p in [()] if below(p)]
+                                    + [p for p, v in nodes if isinstance(v, dict)]))
         _parent(doc, path + (None,))["no_such_" + draw(st.text("abc", min_size=1, max_size=3))] = 1
         return kind, path, kind.text(doc)
     # a non-null node gets a value of another JSON type
@@ -226,6 +248,21 @@ def test_broken_input_files_exit_with_one_line(inputs, data):
     with tempfile.TemporaryDirectory() as workdir:
         target = os.path.join(workdir, f"{kind.name}.json")
         with open(target, "wb" if isinstance(text, bytes) else "w") as fh:
+            fh.write(text)
+        code, out, err = _run(kind.argv(target, path))
+    _assert_contract(code, out, err, (kind.name, path, text[:200]))
+
+
+@SETTINGS
+@given(data=st.data())
+@pytest.mark.parametrize("under", [("config", ("generation",)), ("model", ("ablation",))],
+                         ids=["generation", "ablation"])
+def test_broken_optional_sections_exit_with_one_line(inputs, under, data):
+    # the whole-file search above seldom reaches these optional sections
+    kind, path, text = data.draw(broken_files(inputs[0], under))
+    with tempfile.TemporaryDirectory() as workdir:
+        target = os.path.join(workdir, f"{kind.name}.json")
+        with open(target, "w") as fh:
             fh.write(text)
         code, out, err = _run(kind.argv(target, path))
     _assert_contract(code, out, err, (kind.name, path, text[:200]))

@@ -23,7 +23,7 @@ from nlinstruct.training import (
     tune_hyperparameters,
 )
 
-from conftest import make_toy_world
+from conftest import leave_one_out, make_toy_world
 
 
 class FakeCandidate:
@@ -275,7 +275,8 @@ def test_second_step_reads_the_first_steps_sums_unchanged():
         assert _bits(gmdp(part, examples, cfg, pipeline)) == _bits(want)
         reset = replace(cfg, reset_accumulators=True)
         assert gmdp(part, examples, reset, pipeline, store) != want
-    assert [_bits(d) for d in store.train(("step 1", ("toya",)), [], cfg, pipeline, 2)] == [
+    # no pipeline: the first step must come from the store, untrained
+    assert [_bits(d) for d in store.train(examples["toya"], cfg, None, 2)] == [
         _bits(theta1), _bits(first)]
 
 
@@ -320,7 +321,8 @@ def test_singleton_grid_is_selected_without_training():
         calls["n"] += 1
         return 0.0
 
-    chosen = tune_hyperparameters(["a", "b", "c"], {}, [cfg], "adagrad", None, accuracy_fn)
+    folds = leave_one_out({"a": [], "b": [], "c": []})
+    chosen = tune_hyperparameters([cfg], folds, "adagrad", None, accuracy_fn)
     assert chosen is cfg and calls["n"] == 0
 
 
@@ -328,7 +330,7 @@ def test_tuning_ties_break_toward_earliest_grid_entry():
     _, examples, pipeline = _toy_world(("toya", "toyb", "toyc"), per_domain=4)
     grid = [TrainConfig(iterations=0, seed=1), TrainConfig(iterations=0, seed=2)]
     chosen = tune_hyperparameters(
-        list(examples), examples, grid, "adagrad", pipeline,
+        grid, leave_one_out(examples), "adagrad", pipeline,
         lambda w, ex: 0.5,
     )
     assert chosen is grid[0]
@@ -361,7 +363,10 @@ def test_model_round_trip(tmp_path):
     weights = {"cooc|x|y": 1.5, "size>2": -0.25}
     path = tmp_path / "model.json"
     save_model(path, weights, cfg, DomainPartition(("a",), ("b",)))
-    w2, cfg2, part2 = load_model(path)
+    w2, cfg2, part2, new_features = load_model(path)
     assert w2 == weights
     assert cfg2 == cfg
     assert part2 == DomainPartition(("a",), ("b",))
+    assert new_features is True  # a model without an ablation block
+    save_model(path, weights, cfg, extra={"ablation": {"use_new_features": False}})
+    assert load_model(path)[2:] == (None, False)

@@ -8,8 +8,7 @@ counts hold the sharing to the figures the grid's shape gives.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from types import SimpleNamespace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -24,7 +23,7 @@ from nlinstruct.training import (
     tune_hyperparameters,
 )
 
-from conftest import make_toy_world
+from conftest import leave_one_out, make_toy_world
 from oracles import reference_cv_tune, reference_tune, reference_two_step
 
 DOMAINS = ("toya", "toyb", "toyc", "toyd")
@@ -75,7 +74,7 @@ def test_zero_shot_gmdp_matches_the_reference(world, overrides, seed):
     grid = build_grid("gmdp", domains, seed, overrides)
     assert len({g.domain_ordering for g in grid}) == overrides["num_orderings"]
     chosen = _same_choice(
-        lambda acc: tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, acc),
+        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
         lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
     partition = final_partition(chosen, domains)
     assert (_bits(gmdp(partition, examples, chosen, pipeline))
@@ -90,7 +89,7 @@ def test_ties_go_to_the_earliest_valid_entry(world):
                                            "iterations": [1], "partition_sizes": [3, 1],
                                            "iterations_step1": [1], "num_orderings": 1})
     tie = lambda weights, held: 0.5
-    chosen = tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, tie)
+    chosen = tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, tie)
     assert chosen is reference_tune(domains, examples, grid, "gmdp", pipeline, tie)
     assert chosen is grid[1] and chosen.partition_size == 1
 
@@ -100,7 +99,7 @@ def test_zero_shot_adagrad_matches_the_reference(world):
     domains = list(DOMAINS)
     grid = build_grid("adagrad", domains, 3, {"l1": [0.001, 0.01], "step_size": [0.05, 0.1]})
     _same_choice(
-        lambda acc: tune_hyperparameters(domains, examples, grid, "adagrad", pipeline, acc),
+        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "adagrad", pipeline, acc),
         lambda acc: reference_tune(domains, examples, grid, "adagrad", pipeline, acc), pipeline)
 
 
@@ -112,7 +111,7 @@ def test_hand_made_grid_without_accumulator_reset_matches_the_reference(world):
                         partition_size=m, domain_ordering=ordering, seed=2, reset_accumulators=r)
             for it in (2, 1) for r in (False, True) for m in (1, 2) for it1 in (1, 2)]
     chosen = _same_choice(
-        lambda acc: tune_hyperparameters(domains, examples, grid, "gmdp", pipeline, acc),
+        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
         lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
     partition = final_partition(chosen, domains)
     for cfg in (chosen, replace(chosen, reset_accumulators=not chosen.reset_accumulators)):
@@ -149,9 +148,17 @@ class _NoParse:
         return []
 
 
+@dataclass(frozen=True)
+class _Stub:
+    """A stand-in example: the prefix store keys runs by their examples,
+    so it must be hashable."""
+
+    id: str
+    domain_id: str
+
+
 def _examples(domains, per_domain=1):
-    return {d: [SimpleNamespace(id=f"{d}-{i}", domain_id=d) for i in range(per_domain)]
-            for d in domains}
+    return {d: [_Stub(f"{d}-{i}", d) for i in range(per_domain)] for d in domains}
 
 
 @pytest.fixture
@@ -188,13 +195,15 @@ def test_first_steps_train_once_across_folds(runs):
     assert not first & {frozenset(p.d2) for p in partitions}  # a run's domains name its step
 
     def first_steps(tune):
-        tune(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
+        tune(lambda w, held: 0.0)
         count = sum(1 for domains, _ in runs if domains in first)
         runs.clear()
         return count
 
-    assert first_steps(reference_tune) == 10
-    assert first_steps(tune_hyperparameters) == 6
+    assert first_steps(lambda acc: reference_tune(sources, examples, grid, "gmdp", _NoParse(),
+                                                  acc)) == 10
+    assert first_steps(lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp",
+                                                        _NoParse(), acc)) == 6
 
 
 def test_default_grid_trains_1296_epochs_instead_of_4320(runs):
@@ -204,7 +213,7 @@ def test_default_grid_trains_1296_epochs_instead_of_4320(runs):
     assert len(grid) == 144
     reference_tune(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
     assert _epochs(runs) == 4320
-    tune_hyperparameters(sources, examples, grid, "gmdp", _NoParse(), lambda w, held: 0.0)
+    tune_hyperparameters(grid, leave_one_out(examples), "gmdp", _NoParse(), lambda w, held: 0.0)
     assert _epochs(runs) == 1296
 
 
