@@ -9,7 +9,7 @@ from .errors import (
     GenerationError,
     NlinstructError,
 )
-from .kb import Entity, IntVal, State, SymVal, TextVal, Triple, states_equal
+from .kb import Entity, IntVal, State, SymVal, TextVal, Triple
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,5 @@ __all__ = [
     "SymVal",
     "TextVal",
     "Triple",
-    "states_equal",
     "__version__",
 ]

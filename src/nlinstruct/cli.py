@@ -139,7 +139,7 @@ def cmd_generate(args) -> int:
             examples.append(
                 dataio.Example(ex_id, domain.id, state, "", result)
             )
-            gold.append((ex_id, call, ""))
+            gold.append((ex_id, call))
     dataio.write_dataset(args.out, examples, header={"domain": domain.id, "seed": args.seed})
     dataio.write_gold_sidecar(args.out + ".gold.jsonl", gold)
     print(f"wrote {len(examples)} state pairs to {args.out}")
@@ -246,11 +246,12 @@ def cmd_parse(args) -> int:
         validate_state_for_domain(state, domain)
     except DataError as exc:
         raise DataError(f"{args.state}: {exc}") from None
-    weights, use_new_features = {}, True
-    if args.model:  # parse with the feature set the model was trained on
-        weights, _, _, use_new_features = training.load_model(args.model)
+    weights, use_new_features, use_logic_filter = {}, True, True
+    if args.model:  # parse with the feature set and filter the model was trained with
+        weights, _, _, use_new_features, use_logic_filter = training.load_model(args.model)
     cands = infer(tokenize(args.utterance), state, domain, config, weights,
-                  Featurizer(domain, use_new_features), use_filter=not args.no_logic_filter)
+                  Featurizer(domain, use_new_features),
+                  use_filter=use_logic_filter and not args.no_logic_filter)
     if not cands:
         print("parse failure: no surviving candidate")
         return 4

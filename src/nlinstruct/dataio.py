@@ -201,10 +201,12 @@ def read_dataset(path) -> list[Example]:
     return out
 
 
-def write_gold_sidecar(path, records: Iterable[tuple[str, MethodCall, str]]) -> None:
-    """(example id, gold call, printed logical form) triples; test-only input."""
+def write_gold_sidecar(path, records: Iterable[tuple[str, MethodCall]]) -> None:
+    """One JSON line per (example id, gold call) pair: ``id``, ``method``
+    and ``args``, each argument a sorted list of values. Test-only output:
+    nothing in the package reads it."""
     lines = []
-    for ex_id, call, printed in records:
+    for ex_id, call in records:
         lines.append(
             json.dumps(
                 {
@@ -214,17 +216,11 @@ def write_gold_sidecar(path, records: Iterable[tuple[str, MethodCall, str]]) -> 
                         sorted((value_to_json(v) for v in arg), key=lambda o: json.dumps(o, sort_keys=True))
                         for arg in call.args
                     ],
-                    "lf": printed,
                 },
                 sort_keys=True,
             )
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_gold_sidecar(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,3 @@ class ConfigError(NlinstructError):
 
 class DataError(NlinstructError):
     """Invalid dataset or model file contents. CLI exit code 3."""
-
-
-class LogicalFormSyntaxError(NlinstructError):
-    """Raised when parsing the textual logical-form notation fails."""

@@ -115,6 +115,8 @@ class UtteranceContext:
         self.triggers = trig
 
     def features(self, deriv, is_root: bool) -> dict[str, float]:
+        """The feature dict of a derivation; reads its ``lf``,
+        ``size_used`` and ``rules`` only."""
         feats: dict[str, float] = {}
         preds = deriv.lf.preds
         for key, uses in preds.items():

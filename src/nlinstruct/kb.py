@@ -265,12 +265,6 @@ class State:
     def entities_of_type(self, etype: str) -> frozenset[Entity]:
         return frozenset(e for e in self.entities if e.etype == etype)
 
-    def entity(self, entity_id: str) -> Entity:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
-
     # -- derivation helpers (used by application logic) ----------------------
     # each checks only the triples and entities it adds; kept triples were
     # checked when this state was built
@@ -311,13 +305,3 @@ class State:
         ):
             _check(entities, all_triples)  # raises the full check's error
         return State(self.domain_id, entities, all_triples, _checked=True)
-
-
-
-def states_equal(a: State, b: State) -> bool:
-    """Value equality of two same-domain states."""
-    if a.domain_id != b.domain_id:
-        raise NlinstructError(
-            f"cannot compare states from different domains: {a.domain_id!r} vs {b.domain_id!r}"
-        )
-    return a == b

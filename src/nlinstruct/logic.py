@@ -16,9 +16,14 @@ denotes a method call (and, once invoked, the resulting state):
 Text literals match knowledge-base text case-insensitively inside joins.
 Superlatives keep all tied extremes, so ties denote sets, not errors.
 
-Each node caches its canonical printed form; structural identity is the
-pair (node class, printed form). A composite's printed form comes from one
-of the ``render_*`` functions below, applied to its parts' printed forms.
+Forms are built only by the constructors below (the parser's chart and the
+template generator call them); the printed notation is written, never read
+back. Each node caches its canonical printed form; structural identity is
+the pair (node class, printed form), so distinct value literals must print
+distinctly: text that is not a bare lower-case word is quoted, with
+backslashes and quotes escaped, so a quoted literal ends at its first
+unescaped quote. A composite's printed form comes from one of the
+``render_*`` functions below, applied to its parts' printed forms.
 The constructors print through them, and so does the parser's chart, which
 renders each candidate before it builds anything: it deduplicates chart
 entries on (category, printed form, anchored spans) and breaks score ties
@@ -32,8 +37,8 @@ from __future__ import annotations
 
 import re
 
-from .domains.base import Domain, InterfaceMethod, MethodCall
-from .errors import ExecutionError, LogicalFormSyntaxError
+from .domains.base import InterfaceMethod, MethodCall
+from .errors import ExecutionError
 from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Value
 
 REL = "relation"
@@ -90,15 +95,14 @@ def _merge_preds(*parts):
 
 
 class LogicalForm:
-    """Base node. ``printed`` is the canonical text, ``node_count`` the
-    rule-application count of the canonical derivation, ``preds`` the
+    """Base node. ``printed`` is the canonical text, ``preds`` the
     multiset of (kind, name) predicates occurring in the tree.
 
     ``preds`` is collected on first read and kept: the parser's chart
     builds many forms whose predicates nobody reads (it scores them from
     its own composed counts), so building the dict eagerly is waste."""
 
-    __slots__ = ("printed", "node_count", "_preds")
+    __slots__ = ("printed", "_preds")
 
     @property
     def preds(self) -> dict[tuple[str, str], int]:
@@ -127,7 +131,6 @@ class ValueLit(LogicalForm):
     def __init__(self, value: Value):
         self.value = value
         self.printed = print_value(value)
-        self.node_count = 1
 
     def _collect_preds(self):
         return {}
@@ -141,7 +144,6 @@ class TypeSet(LogicalForm):
     def __init__(self, etype: str):
         self.etype = etype
         self.printed = render_join("R", TYPE_RELATION, etype)
-        self.node_count = 1
 
     def _collect_preds(self):
         return {(REL, TYPE_RELATION): 1}
@@ -155,7 +157,6 @@ class RelationRef(LogicalForm):
     def __init__(self, name: str):
         self.name = name
         self.printed = f"R[{name}]"
-        self.node_count = 1
 
     def _collect_preds(self):
         return {(REL, self.name): 1}
@@ -169,7 +170,6 @@ class MethodRef(LogicalForm):
     def __init__(self, method: InterfaceMethod):
         self.method = method
         self.printed = method.name
-        self.node_count = 1
 
     def _collect_preds(self):
         return {(METH, self.method.name): 1}
@@ -182,7 +182,6 @@ class ReverseJoin(LogicalForm):
         self.relation = relation
         self.child = child
         self.printed = render_join("R", relation, child.printed)
-        self.node_count = 2 + child.node_count
 
     def _collect_preds(self):
         return _merge_preds({(REL, self.relation): 1}, self.child.preds)
@@ -195,7 +194,6 @@ class ForwardJoin(LogicalForm):
         self.relation = relation
         self.child = child
         self.printed = render_join("F", relation, child.printed)
-        self.node_count = 2 + child.node_count
 
     def _collect_preds(self):
         return _merge_preds({(REL, self.relation): 1}, self.child.preds)
@@ -213,7 +211,6 @@ class Intersect(LogicalForm):
         self.left = a
         self.right = b
         self.printed = render_intersect(a.printed, b.printed)
-        self.node_count = 1 + a.node_count + b.node_count
 
     def _collect_preds(self):
         return _merge_preds(self.left.preds, self.right.preds)
@@ -232,7 +229,6 @@ class Superlative(LogicalForm):
         self.set_lf = set_lf
         self.key = key
         self.printed = render_superlative(kind, set_lf.printed, key)
-        self.node_count = 2 + set_lf.node_count
 
     def _collect_preds(self):
         return _merge_preds({(OP, self.kind): 1, (REL, self.key): 1}, self.set_lf.preds)
@@ -255,7 +251,6 @@ class Call(LogicalForm):
         self.args = args
         self.printed = (render_call(method.name, [a.printed for a in args]) if printed is None
                         else printed)
-        self.node_count = 2 + sum(a.node_count for a in args)
 
     def _collect_preds(self):
         return _merge_preds({(METH, self.method.name): 1}, *(a.preds for a in self.args))
@@ -332,118 +327,3 @@ def execute_to_call(lf: LogicalForm, state: State, memo: dict | None = None) -> 
         raise ExecutionError(f"not a root call: {lf.printed}")
     args = tuple(evaluate(a, state, memo) for a in lf.args)
     return MethodCall(lf.method, args)  # conformance errors surface here
-
-
-# ---------------------------------------------------------------------------
-# Textual notation
-# ---------------------------------------------------------------------------
-
-_ESCAPE = re.compile(r"\\(.)")
-_TOKEN = re.compile(r"\s*(R\[|F\[|[A-Za-z_][A-Za-z0-9_]*|-?\d+|\"(?:[^\"\\]|\\.)*\"|[][().,])")
-
-
-def _lex(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise LogicalFormSyntaxError(f"bad character at {pos}: {text[pos:pos + 10]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], domain: Domain | None):
-        self.toks = tokens
-        self.i = 0
-        self.domain = domain
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise LogicalFormSyntaxError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise LogicalFormSyntaxError(f"expected {expected!r}, found {tok!r}")
-        self.i += 1
-        return tok
-
-    def form(self) -> LogicalForm:
-        tok = self.take()
-        if tok in ("R[", "F["):
-            rel = self.take()
-            self.take("]")
-            if self.peek() != ".":
-                raise LogicalFormSyntaxError("a join needs a child: R[rel].child")
-            self.take(".")
-            child = self.form()
-            if tok == "R[":
-                if (
-                    rel == TYPE_RELATION
-                    and isinstance(child, ValueLit)
-                    and isinstance(child.value, SymVal)
-                    and not child.value.name.isupper()
-                ):
-                    return TypeSet(child.value.name)
-                return ReverseJoin(rel, child)
-            return ForwardJoin(rel, child)
-        if tok == "Intersect":
-            self.take("(")
-            a = self.form()
-            self.take(",")
-            b = self.form()
-            self.take(")")
-            return Intersect(a, b)
-        if tok in (ARGMAX, ARGMIN):
-            self.take("(")
-            inner = self.form()
-            self.take(",")
-            self.take("R[")
-            key = self.take()
-            self.take("]")
-            self.take(")")
-            return Superlative(tok, inner, key)
-        if tok.lstrip("-").isdigit():
-            return ValueLit(IntVal(int(tok)))
-        if tok.startswith('"'):
-            return ValueLit(TextVal(_ESCAPE.sub(r"\1", tok[1:-1])))
-        if self.peek() == "(":
-            if self.domain is None:
-                raise LogicalFormSyntaxError(f"method call {tok!r} needs a domain to resolve")
-            try:
-                method = self.domain.method(tok)
-            except KeyError as exc:
-                raise LogicalFormSyntaxError(str(exc)) from None
-            self.take("(")
-            args = [self.form()]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self.form())
-            self.take(")")
-            return Call(method, tuple(args))
-        if self.peek() == ".":
-            # bare join rel.child is shorthand for R[rel].child
-            self.take(".")
-            return ReverseJoin(tok, self.form())
-        if tok.isupper():
-            return ValueLit(SymVal(tok))
-        if tok[0].isupper():
-            # capitalized bare name: an entity-type symbol
-            return ValueLit(SymVal(tok))
-        return ValueLit(TextVal(tok))
-
-
-def parse_lf(text: str, domain: Domain | None = None) -> LogicalForm:
-    """Parse the canonical notation back into a logical form. Round-trips
-    with ``lf.printed`` up to canonicalization of intersection order."""
-    p = _Parser(_lex(text), domain)
-    lf = p.form()
-    if p.peek() is not None:
-        raise LogicalFormSyntaxError(f"trailing input: {p.toks[p.i:]}")
-    return lf

@@ -190,17 +190,16 @@ class ParserConfig:
 
 class Derivation:
     """A chart entry. ``rules`` maps rule name to application count and
-    sums to ``size_used``. A derivation the chart builds records only the
-    ``rule`` it applied last; its counts are that one application plus its
-    children's, summed on first read. ``bits`` and ``packed`` are its
-    score key (see :class:`~nlinstruct.features.ChartScorer`), set by
-    the chart."""
+    sums to ``size_used``. A derivation records only the ``rule`` it
+    applied last; its counts are that one application plus its children's,
+    summed on first read. ``bits`` and ``packed`` are its score key (see
+    :class:`~nlinstruct.features.ChartScorer`), set by the chart."""
 
     __slots__ = ("lf", "category", "size_used", "spans", "children", "rule", "score",
                  "bits", "packed", "_rules", "_context", "_feats")
 
     def __init__(self, lf: LogicalForm, category: str, size_used: int,
-                 spans: tuple, children: tuple, rules: dict | None = None,
+                 spans: tuple, children: tuple,
                  context: UtteranceContext | None = None, rule: str | None = None):
         self.lf = lf
         self.category = category
@@ -209,8 +208,6 @@ class Derivation:
         self.children = children
         self.rule = rule
         self.score = 0.0
-        if rules is not None:
-            self._rules = rules
         self._context = context
         self._feats: dict | None = None
 
@@ -273,7 +270,7 @@ def _build(offer: tuple, category: str, size_used: int, ctx: UtteranceContext) -
             lf = Call(children[0].lf.method, tuple(c.lf for c in children[1:]), printed)
         else:
             lf = _compose(rule, children)
-    d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
+    d = Derivation(lf, category, size_used, spans, children, ctx, rule)
     d.bits = bits
     d.packed = packed
     d.score = -neg_score

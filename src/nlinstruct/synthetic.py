@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .domains import Domain, Example, get_domain
+from .domains import Domain, Example
 from .domains.base import invoke
 from .errors import DomainLogicError, ExecutionError, GenerationError
 from .kb import Entity, IntVal, State, SymVal, TextVal
@@ -446,14 +446,3 @@ def build_domain_corpus(
         example = Example(f"{domain.id}-{len(out):04d}", domain.id, state, utterance, desired)
         out.append((example, lf))
     return out
-
-
-def build_corpus(
-    domain_ids=EXPERIMENT_DOMAINS,
-    per_domain: int = 200,
-    seed: int = 0,
-) -> dict[str, list[tuple[Example, LogicalForm]]]:
-    return {
-        domain_id: build_domain_corpus(get_domain(domain_id), per_domain, seed)
-        for domain_id in domain_ids
-    }

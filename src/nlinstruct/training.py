@@ -423,9 +423,10 @@ def _domain_ids(v) -> tuple[str, ...]:
     return tuple(v)
 
 
-def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool]:
-    """Weights, config, partition and ``use_new_features`` (true without an
-    ``ablation`` block) of a model file; :class:`DataError` if malformed."""
+def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool, bool]:
+    """Weights, config, partition, ``use_new_features`` and
+    ``use_logic_filter`` (each true when the ``ablation`` block lacks it)
+    of a model file; :class:`DataError` if malformed."""
     from .dataio import read_json_object
 
     payload = read_json_object(path, "model")
@@ -454,4 +455,4 @@ def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool]:
     if bad:
         raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
     return ({k: float(w) for k, w in weights.items()}, config, partition,
-            ablation.get("use_new_features", True))
+            ablation.get("use_new_features", True), ablation.get("use_logic_filter", True))

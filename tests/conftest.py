@@ -16,6 +16,22 @@ from nlinstruct.domains.base import (
     typed_entity,
 )
 from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple
+from nlinstruct.logic import Call, LogicalForm, ReverseJoin, ValueLit
+
+
+def join(relation: str, child) -> ReverseJoin:
+    """``R[relation].child``, where an int child is an ``IntVal`` literal
+    and a str child a ``SymVal`` (upper case) or ``TextVal`` literal."""
+    if isinstance(child, int):
+        child = ValueLit(IntVal(child))
+    elif isinstance(child, str):
+        child = ValueLit(SymVal(child) if child.isupper() else TextVal(child))
+    return ReverseJoin(relation, child)
+
+
+def root(domain: Domain, method: str, *args: LogicalForm) -> Call:
+    """The root form ``method(args)`` of one of the domain's methods."""
+    return Call(domain.method(method), args)
 
 
 def make_toy_domain(domain_id: str = "toy") -> Domain:
@@ -70,7 +86,7 @@ def toy_domain() -> Domain:
 def make_toy_world(domain_ids=("toya", "toyb"), per_domain=12, seed=0):
     """Toy domains with hand-built gold examples plus a ready pipeline."""
     from nlinstruct.domains.base import Example
-    from nlinstruct.logic import Call, ReverseJoin, ValueLit, execute_to_call
+    from nlinstruct.logic import execute_to_call
     from nlinstruct.parser import ParserConfig, Pipeline
 
     domains = {}

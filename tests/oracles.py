@@ -287,7 +287,7 @@ def eager_generate_candidates(
                 packed += c.packed
         else:
             bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
-        d = Derivation(lf, category, size_used, spans, children, None, ctx, rule)
+        d = Derivation(lf, category, size_used, spans, children, ctx, rule)
         d.bits = bits
         d.packed = packed
         d.score = score(category == CAT_ROOT, bits, packed)

@@ -38,7 +38,7 @@ from nlinstruct.parser import (
     generate_candidates,
     infer,
 )
-from nlinstruct.synthetic import EXPERIMENT_DOMAINS, build_corpus
+from nlinstruct.synthetic import EXPERIMENT_DOMAINS, build_domain_corpus
 from nlinstruct.training import DomainPartition, TrainConfig, adagrad, gmdp
 from nlinstruct.logic import ValueLit
 
@@ -63,8 +63,8 @@ def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def corpus():
-    data = build_corpus(EXPERIMENT_DOMAINS, per_domain=PER_DOMAIN, seed=CORPUS_SEED)
-    return {d: [ex for ex, _ in pairs] for d, pairs in data.items()}
+    return {d: [ex for ex, _ in build_domain_corpus(get_domain(d), PER_DOMAIN, CORPUS_SEED)]
+            for d in EXPERIMENT_DOMAINS}
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +244,7 @@ def test_criterion_7_zero_shot_directional_gap(lodo_results):
 
 def test_criterion_8_fractional_credit():
     def cand(score, denotation):
-        d = Derivation(ValueLit(TextVal("x")), "Root", 3, (), (), {})
+        d = Derivation(ValueLit(TextVal("x")), "Root", 3, (), ())
         d.score = score
         return Candidate(d, denotation)
 

@@ -7,7 +7,6 @@ import pytest
 from nlinstruct import dataio
 from nlinstruct.cli import main
 from nlinstruct.domains import get_domain
-from nlinstruct.kb import states_equal
 from nlinstruct.synthetic import build_domain_corpus
 from nlinstruct.training import TrainConfig, save_model
 
@@ -40,8 +39,10 @@ def test_generate_writes_count_per_method(tmp_path, capsys):
     examples = dataio.read_dataset(out)
     assert len(examples) == 20  # two interface methods
     assert all(ex.utterance == "" for ex in examples)
-    gold = dataio.read_gold_sidecar(str(out) + ".gold.jsonl")
+    with open(str(out) + ".gold.jsonl", encoding="utf-8") as fh:
+        gold = [json.loads(line) for line in fh]
     assert len(gold) == 20 and {g["method"] for g in gold} == {"turnLightOn", "turnLightOff"}
+    assert all(g.keys() == {"id", "method", "args"} for g in gold)
 
 
 def test_generate_zero_count_leaves_header_only(tmp_path):
@@ -74,8 +75,8 @@ def test_dataset_round_trip(tmp_path):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert a.id == b.id and a.utterance == b.utterance
-        assert states_equal(a.initial, b.initial)
-        assert states_equal(a.desired, b.desired)
+        assert a.initial == b.initial
+        assert a.desired == b.desired
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -370,6 +371,17 @@ def test_parse_uses_the_models_feature_set(tmp_path, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data error: ") and "m.json: malformed model file" in err
+
+
+def test_parse_uses_the_models_logic_filter(tmp_path, capsys):
+    # a model trained without the filter ranks the candidates eval scored it on
+    args = _paper_state_parse_args(tmp_path) + ["--nbest", "5", "--explain"]
+    model = tmp_path / "m.json"
+    payload = json.loads(model.read_text())
+    payload["ablation"] = {"use_new_features": True, "use_logic_filter": False}
+    model.write_text(json.dumps(payload))
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == UNFILTERED_EXPLAIN_LINES
 
 
 def _assert_config_error(capsys, code, words):

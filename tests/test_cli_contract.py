@@ -255,10 +255,12 @@ def test_broken_input_files_exit_with_one_line(inputs, data):
 
 @SETTINGS
 @given(data=st.data())
-@pytest.mark.parametrize("under", [("config", ("generation",)), ("model", ("ablation",))],
-                         ids=["generation", "ablation"])
+@pytest.mark.parametrize("under", [
+    ("config", ("generation",)), ("model", ("ablation",)), ("config", ("grid",)),
+    ("config", ("train",)), ("model", ("train_config",)), ("model", ("partition",)),
+], ids=["generation", "ablation", "grid", "train", "train_config", "partition"])
 def test_broken_optional_sections_exit_with_one_line(inputs, under, data):
-    # the whole-file search above seldom reaches these optional sections
+    # the whole-file search above seldom reaches these nested sections
     kind, path, text = data.draw(broken_files(inputs[0], under))
     with tempfile.TemporaryDirectory() as workdir:
         target = os.path.join(workdir, f"{kind.name}.json")

@@ -7,7 +7,7 @@ import pytest
 from nlinstruct.domains import builtin_domains, generate_state_pair, get_domain, invoke
 from nlinstruct.domains.base import COLLECTION, SINGLE, MethodCall, reindex, set_value, typed_entity
 from nlinstruct.errors import DomainLogicError
-from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple, states_equal
+from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 
 
 def test_seven_builtin_domains():
@@ -63,7 +63,7 @@ def test_turn_light_on_flips_mode():
     state = _one_room("OFF")
     call = MethodCall(domain.method("turnLightOn"), (frozenset(state.entities),))
     result = invoke(domain, state, call)
-    assert result.objects(result.entity("room1"), "lightMode") == {SymVal("ON")}
+    assert result.objects(Entity("room1", "Room"), "lightMode") == {SymVal("ON")}
     rest_a = {t for t in state.triples if t.relation != "lightMode"}
     rest_b = {t for t in result.triples if t.relation != "lightMode"}
     assert rest_a == rest_b
@@ -73,7 +73,7 @@ def test_turn_light_off_when_already_off_changes_nothing():
     domain = get_domain("lighting")
     state = _one_room("OFF")
     call = MethodCall(domain.method("turnLightOff"), (frozenset(state.entities),))
-    assert states_equal(invoke(domain, state, call), state)
+    assert invoke(domain, state, call) == state
 
 
 def test_assigning_reports_to_non_manager_raises():
@@ -111,8 +111,8 @@ def test_invoke_is_deterministic_and_idempotent_for_toggles():
     call = MethodCall(domain.method("turnLightOn"), (rooms,))
     once = invoke(domain, state, call)
     again = invoke(domain, state, call)
-    assert states_equal(once, again)
-    assert states_equal(invoke(domain, once, call), once)
+    assert once == again
+    assert invoke(domain, once, call) == once
 
 
 def test_removal_recompacts_indexes():
@@ -170,7 +170,7 @@ def test_create_chat_group_mints_fresh_deterministic_entity():
     call = MethodCall(domain.method("createChatGroup"), (users,))
     a = invoke(domain, state, call)
     b = invoke(domain, state, call)
-    assert states_equal(a, b)
+    assert a == b
     new = a.entities - state.entities
     assert len(new) == 1
     (group,) = new

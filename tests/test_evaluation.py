@@ -27,7 +27,7 @@ from conftest import make_toy_domain
 
 
 def _fake_candidate(score: float, denotation) -> Candidate:
-    deriv = Derivation(ValueLit(TextVal("x")), "Root", 3, (), (), {})
+    deriv = Derivation(ValueLit(TextVal("x")), "Root", 3, (), ())
     deriv.score = score
     return Candidate(deriv, denotation)
 

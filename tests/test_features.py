@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from types import SimpleNamespace
 
 from nlinstruct.domains import get_domain
 from nlinstruct.features import (
@@ -11,12 +12,18 @@ from nlinstruct.features import (
     build_lexicon,
     tokenize,
 )
-from nlinstruct.logic import parse_lf
-from nlinstruct.parser import Derivation
+from nlinstruct.logic import ARGMAX, Superlative, TypeSet
+
+from conftest import join, root
 
 
-def _root_deriv(lf, size_used=None, rules=None) -> Derivation:
-    return Derivation(lf, "Root", size_used or lf.node_count, (), (), rules or {})
+def _root(lf, size_used: int, rules=None) -> SimpleNamespace:
+    """A root derivation as ``UtteranceContext.features`` reads it."""
+    return SimpleNamespace(lf=lf, size_used=size_used, rules=rules or {})
+
+
+def _remove_largest_file(domain):
+    return root(domain, "removeFiles", Superlative(ARGMAX, TypeSet("File"), "sizeInBytes"))
 
 
 def _root_features(tokens, deriv, lexicon) -> dict[str, float]:
@@ -38,8 +45,8 @@ def test_tokenize_strips_punctuation_keeps_digits():
 def test_cooc_fires_for_description_phrase_match():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
-    feats = _root_features(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
+    lf = _remove_largest_file(domain)
+    feats = _root_features(tokenize("Delete the largest file"), _root(lf, 5), lexicon)
     assert feats["cooc|delete|removeFiles"] == 1.0
     assert feats["cooc-any|method|desc"] >= 1.0
     assert "missing|delete|removeFiles" not in feats
@@ -48,8 +55,8 @@ def test_cooc_fires_for_description_phrase_match():
 def test_missing_fires_when_method_is_absent():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("moveFiles(R[type].File, R[name].documents)", domain)
-    feats = _root_features(tokenize("Delete the largest file"), _root_deriv(lf), lexicon)
+    lf = root(domain, "moveFiles", TypeSet("File"), join("name", "documents"))
+    feats = _root_features(tokenize("Delete the largest file"), _root(lf, 6), lexicon)
     assert feats["missing|delete|removeFiles"] == 1.0
     assert feats["missing-any|method"] == 1.0
     assert "cooc|delete|removeFiles" not in feats
@@ -58,8 +65,8 @@ def test_missing_fires_when_method_is_absent():
 def test_size_indicators_fire_strictly_below_size():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("removeFiles(R[type].File)", domain)
-    feats = _root_features([], _root_deriv(lf, size_used=5), lexicon)
+    lf = root(domain, "removeFiles", TypeSet("File"))
+    feats = _root_features([], _root(lf, 5), lexicon)
     assert {k for k in feats if k.startswith("size>")} == {"size>2", "size>3", "size>4"}
     assert all(feats[k] == 1.0 for k in ("size>2", "size>3", "size>4"))
 
@@ -109,10 +116,10 @@ def test_feature_names_never_leak_entity_or_domain_ids():
 def test_extraction_is_deterministic():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
+    lf = _remove_largest_file(domain)
     tokens = tokenize("delete the largest file please")
-    a = _root_features(tokens, _root_deriv(lf), lexicon)
-    b = _root_features(tokens, _root_deriv(lf), lexicon)
+    a = _root_features(tokens, _root(lf, 5), lexicon)
+    b = _root_features(tokens, _root(lf, 5), lexicon)
     assert a == b
 
 
@@ -120,10 +127,10 @@ def test_cooc_and_missing_are_exclusive_per_lexicon_pair():
     domain = get_domain("container")
     lexicon = build_lexicon(domain)
     tokens = tokenize("unload the longest container in terminal four")
-    with_method = parse_lf("unloadContainers(R[index].4)", domain)
-    without = parse_lf("loadContainers(R[index].4)", domain)
+    with_method = root(domain, "unloadContainers", join("index", 4))
+    without = root(domain, "loadContainers", join("index", 4))
     for lf in (with_method, without):
-        feats = _root_features(tokens, _root_deriv(lf), lexicon)
+        feats = _root_features(tokens, _root(lf, 5), lexicon)
         for (kind, name), phrases in lexicon.entries.items():
             for p in phrases:
                 both = {f"cooc|{p}|{name}", f"missing|{p}|{name}"}
@@ -133,9 +140,9 @@ def test_cooc_and_missing_are_exclusive_per_lexicon_pair():
 def test_size_features_grow_monotonically():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("removeFiles(R[type].File)", domain)
-    small = _root_features([], _root_deriv(lf, size_used=4), lexicon)
-    large = _root_features([], _root_deriv(lf, size_used=7), lexicon)
+    lf = root(domain, "removeFiles", TypeSet("File"))
+    small = _root_features([], _root(lf, 4), lexicon)
+    large = _root_features([], _root(lf, 7), lexicon)
     small_sizes = {k for k in small if k.startswith("size>")}
     large_sizes = {k for k in large if k.startswith("size>")}
     assert small_sizes < large_sizes
@@ -145,23 +152,23 @@ def test_baseline_template_set_drops_new_features():
     domain = get_domain("file")
     featurizer = Featurizer(domain, use_new_features=False)
     ctx = featurizer.context(tuple(tokenize("delete the largest file")))
-    lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
-    feats = ctx.features(_root_deriv(lf, size_used=7), True)
+    lf = _remove_largest_file(domain)
+    feats = ctx.features(_root(lf, 7), True)
     assert "cooc|delete|removeFiles" not in feats  # description phrases are off
     assert not any(k.startswith("size>") for k in feats)
     # name-token matching survives: "size" is a word inside sizeInBytes
     ctx2 = featurizer.context(tuple(tokenize("delete the file of size 9")))
-    assert "cooc|size|sizeInBytes" in ctx2.features(_root_deriv(lf, size_used=7), True)
-    lf2 = parse_lf("removeFiles(R[type].File)", domain)
-    assert "missing|size|sizeInBytes" in ctx2.features(_root_deriv(lf2), True)
+    assert "cooc|size|sizeInBytes" in ctx2.features(_root(lf, 7), True)
+    lf2 = root(domain, "removeFiles", TypeSet("File"))
+    assert "missing|size|sizeInBytes" in ctx2.features(_root(lf2, 3), True)
 
 
 def test_rule_applications_are_counted():
     domain = get_domain("list")
     lexicon = build_lexicon(domain)
-    lf = parse_lf("remove(R[value].2)", domain)
+    lf = root(domain, "remove", join("value", 2))
     rules = {"call": 1, "float-method": 1, "rjoin": 1, "float-relation": 1, "anchor-int": 1}
-    feats = _root_features(tokenize("remove the number 2"), _root_deriv(lf, rules=rules), lexicon)
+    feats = _root_features(tokenize("remove the number 2"), _root(lf, 5, rules), lexicon)
     assert feats["rule|anchor-int"] == 1.0
     assert feats["rule|rjoin"] == 1.0
     assert "rule|anchor-text" not in feats

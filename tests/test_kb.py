@@ -12,7 +12,6 @@ from nlinstruct.kb import (
     SymVal,
     TextVal,
     Triple,
-    states_equal,
 )
 from nlinstruct.domains.base import typed_entity
 
@@ -34,7 +33,7 @@ def _two_room_state():
 
 
 def test_query_objects_floor(paper_state):
-    room1 = paper_state.entity("room1")
+    room1 = Entity("room1", "Room")
     assert paper_state.objects(room1, "floor") == {IntVal(2)}
 
 
@@ -49,7 +48,7 @@ def test_query_objects_second_room():
 
 
 def test_query_subjects_floor(paper_state):
-    assert paper_state.subjects("floor", IntVal(2)) == {paper_state.entity("room1")}
+    assert paper_state.subjects("floor", IntVal(2)) == {Entity("room1", "Room")}
 
 
 def test_query_subjects_no_match_all_on():
@@ -69,28 +68,22 @@ def test_query_subjects_shared_length():
 
 
 def test_states_equal_reflexive(paper_state):
-    assert states_equal(paper_state, paper_state)
+    assert paper_state == paper_state
 
 
 def test_states_equal_one_triple_differs(paper_state):
-    room1 = paper_state.entity("room1")
+    room1 = Entity("room1", "Room")
     other = paper_state.replace_triples(
         [Triple(room1, "lightMode", SymVal("ON"))],
         [Triple(room1, "lightMode", SymVal("OFF"))],
     )
-    assert not states_equal(paper_state, other)
+    assert paper_state != other
 
 
 def test_states_equal_is_order_insensitive():
     state, r1, r2 = _two_room_state()
     shuffled = State("lighting", [r2, r1], reversed(sorted(state.triples, key=repr)))
-    assert states_equal(state, shuffled)
-
-
-def test_states_equal_rejects_cross_domain(paper_state):
-    foreign = State("container", [], [])
-    with pytest.raises(NlinstructError):
-        states_equal(paper_state, foreign)
+    assert state == shuffled
 
 
 def test_duplicate_entity_ids_rejected():
@@ -105,13 +98,13 @@ def test_triple_subject_must_be_declared():
 
 
 def test_duplicate_triples_are_idempotent(paper_state):
-    room1 = paper_state.entity("room1")
+    room1 = Entity("room1", "Room")
     again = State(
         "lighting",
         paper_state.entities,
         list(paper_state.triples) + [Triple(room1, "floor", IntVal(2))],
     )
-    assert states_equal(paper_state, again)
+    assert paper_state == again
 
 
 def _random_state(rng: random.Random) -> State:
@@ -127,10 +120,10 @@ def test_states_equal_is_an_equivalence_relation():
         a = _random_state(rng)
         b = State(a.domain_id, a.entities, a.triples)
         c = State(a.domain_id, sorted(a.entities, key=lambda e: e.id), sorted(a.triples, key=repr))
-        assert states_equal(a, a)
-        assert states_equal(a, b) == states_equal(b, a)
-        if states_equal(a, b) and states_equal(b, c):
-            assert states_equal(a, c)
+        assert a == a
+        assert (a == b) == (b == a)
+        if a == b and b == c:
+            assert a == c
 
 
 def test_query_directions_are_mutually_consistent():
@@ -153,4 +146,4 @@ def test_serialization_round_trip_preserves_state_equality():
     for _ in range(25):
         state = _random_state(rng)
         back = state_from_json(state.domain_id, state_to_json(state))
-        assert states_equal(state, back)
+        assert state == back

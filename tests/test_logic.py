@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlinstruct.domains import get_domain
 from nlinstruct.domains.base import invoke, typed_entity
-from nlinstruct.errors import ExecutionError, LogicalFormSyntaxError
-from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple
+from nlinstruct.errors import ExecutionError
+from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.logic import (
+    ARGMAX,
     Call,
     ForwardJoin,
     Intersect,
@@ -18,9 +20,9 @@ from nlinstruct.logic import (
     ValueLit,
     evaluate,
     execute_to_call,
-    parse_lf,
 )
 
+from conftest import join, root
 from oracles import brute_force_denotation
 
 
@@ -45,7 +47,7 @@ def _file_state(sizes: dict[str, int]) -> State:
 def test_remove_largest_file_end_to_end():
     domain = get_domain("file")
     state = _file_state({"small": 10, "big": 99})
-    lf = parse_lf("removeFiles(argmax(R[type].File, R[sizeInBytes]))", domain)
+    lf = root(domain, "removeFiles", Superlative(ARGMAX, TypeSet("File"), "sizeInBytes"))
     result = invoke(domain, state, execute_to_call(lf, state))
     names = {
         o.value
@@ -62,14 +64,14 @@ def test_value_literal_denotes_itself(paper_state):
 
 def test_reverse_join_floor(paper_state):
     assert evaluate(ReverseJoin("floor", ValueLit(IntVal(2))), paper_state) == {
-        paper_state.entity("room1")
+        Entity("room1", "Room")
     }
 
 
 def test_execute_to_call_by_index():
     domain = get_domain("container")
     state = domain.generate_state(random.Random(4), {"containers": (5, 5)})
-    lf = parse_lf("unloadContainers(R[index].4)", domain)
+    lf = root(domain, "unloadContainers", join("index", 4))
     call = execute_to_call(lf, state)
     assert call.method.name == "unloadContainers"
     (arg,) = call.args
@@ -89,14 +91,8 @@ def test_remove_by_value_binding():
     domain = get_domain("list")
     e, t = typed_entity("el1", "Element")
     state = State("list", [e], [t, Triple(e, "value", IntVal(2)), Triple(e, "index", IntVal(1))])
-    call = execute_to_call(parse_lf("remove(R[value].2)", domain), state)
+    call = execute_to_call(root(domain, "remove", join("value", 2)), state)
     assert call.args == (frozenset((e,)),)
-
-
-def test_size_counts_canonical_rules():
-    assert ValueLit(IntVal(4)).node_count == 1
-    assert parse_lf("R[floor].2").node_count == 3
-    assert parse_lf("Intersect(R[name].bedroom, R[floor].2)").node_count == 7
 
 
 def test_superlative_ties_keep_all_extremes():
@@ -120,7 +116,7 @@ def test_intersection_is_commutative_at_denotation_level():
 
 def test_text_matching_is_case_insensitive(paper_state):
     got = evaluate(ReverseJoin("name", ValueLit(TextVal("Bedroom"))), paper_state)
-    assert got == {paper_state.entity("room1")}
+    assert got == {Entity("room1", "Room")}
 
 
 def test_forward_join_follows_entity_relations():
@@ -135,41 +131,54 @@ def test_execute_never_mutates_the_input_state():
     domain = get_domain("file")
     state = _file_state({"a": 1, "b": 2})
     snapshot = (set(state.entities), set(state.triples))
-    invoke(domain, state, execute_to_call(parse_lf("removeFiles(R[type].File)", domain), state))
+    invoke(domain, state, execute_to_call(root(domain, "removeFiles", TypeSet("File")), state))
     assert (set(state.entities), set(state.triples)) == snapshot
 
 
-def test_round_trip_printed_notation():
+def test_forms_print_their_canonical_notation():
+    # the chart deduplicates on printed forms and the denotation memo keys
+    # on them
     domain = get_domain("file")
+
+    def remove(arg):
+        return root(domain, "removeFiles", arg)
+
     cases = [
-        "removeFiles(argmax(R[type].File, R[sizeInBytes]))",
-        "moveFiles(R[name].notes, R[name].documents)",
-        "removeFiles(Intersect(R[name].report, R[type].TXT))",
-        "removeFiles(R[index].4)",
-        'removeFiles(R[name]."living room")',
-        "removeFiles(F[childFiles].R[type].Directory)",
+        (remove(Superlative(ARGMAX, TypeSet("File"), "sizeInBytes")),
+         "removeFiles(argmax(R[type].File, R[sizeInBytes]))"),
+        (root(domain, "moveFiles", join("name", "notes"), join("name", "documents")),
+         "moveFiles(R[name].notes, R[name].documents)"),
+        (remove(Intersect(join("type", "TXT"), join("name", "report"))),
+         "removeFiles(Intersect(R[name].report, R[type].TXT))"),
+        (remove(join("index", 4)), "removeFiles(R[index].4)"),
+        (remove(join("name", "living room")), 'removeFiles(R[name]."living room")'),
+        (remove(ForwardJoin("childFiles", TypeSet("Directory"))),
+         "removeFiles(F[childFiles].R[type].Directory)"),
+        # a backslash is escaped like a quote
+        (remove(join("name", "a\\")), r'removeFiles(R[name]."a\\")'),
+        (remove(join("name", 'a\\"b')), r'removeFiles(R[name]."a\\\"b")'),
     ]
-    for value in ("a\\", 'a\\"b'):  # a backslash is escaped like a quote
-        lit = ValueLit(TextVal(value))
-        assert parse_lf(lit.printed).value == TextVal(value)
-        cases.append(f"removeFiles(R[name].{lit.printed})")
-    for text in cases:
-        lf = parse_lf(text, domain)
-        assert lf.printed == text
-        assert parse_lf(lf.printed, domain) == lf
+    for form, text in cases:
+        assert form.printed == text
 
 
-def test_bare_join_is_reverse_join():
-    assert parse_lf("floor.2") == parse_lf("R[floor].2")
+_VALUES = st.one_of(
+    st.text().map(TextVal),
+    st.text('a\\"', max_size=2).map(TextVal),  # few texts, so that close ones meet
+    st.integers().map(IntVal),
+    st.from_regex(r"[A-Z][A-Z0-9_]*", fullmatch=True).map(SymVal),
+)
 
 
-def test_syntax_errors_are_reported():
-    with pytest.raises(LogicalFormSyntaxError):
-        parse_lf("R[floor]")
-    with pytest.raises(LogicalFormSyntaxError):
-        parse_lf("Intersect(R[a].1, R[b].2", None)
-    with pytest.raises(LogicalFormSyntaxError):
-        parse_lf("nosuchmethod(R[type].File)", get_domain("file"))
+@settings(derandomize=True)
+@given(st.lists(_VALUES, unique=True, max_size=8))
+def test_distinct_value_literals_print_distinctly(values):
+    printed = [ValueLit(v).printed for v in values]
+    assert len(set(printed)) == len(printed)
+    # a quoted literal ends at its first unescaped quote, so none is the
+    # start of another and forms built of literals print distinctly too
+    quoted = [p for p in printed if p.startswith('"')]
+    assert not [(a, b) for a in quoted for b in quoted if a != b and b.startswith(a)]
 
 
 def _random_form(rng: random.Random, domain, state, depth: int):

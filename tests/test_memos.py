@@ -257,8 +257,8 @@ def test_a_read_builds_only_its_own_index(monkeypatch, paper_state, read, kind):
 
     monkeypatch.setattr(State, "_build_indexes", recording)
     state = _copy(paper_state)
-    read(state, state.entity("room1"))
-    read(state, state.entity("room1"))
+    read(state, Entity("room1", "Room"))
+    read(state, Entity("room1", "Room"))
     assert built == [kind]
     slots = {"objects": "_obj_idx", "subjects": "_subj_idx", "folded": "_fold_idx",
              "pairs": "_pair_idx"}

@@ -12,8 +12,8 @@ from nlinstruct.domains import get_domain, invoke
 from nlinstruct.domains.base import typed_entity
 from nlinstruct.errors import DomainLogicError
 from nlinstruct.features import tokenize
-from nlinstruct.kb import IntVal, State, SymVal, TextVal, Triple, states_equal
-from nlinstruct.logic import execute_to_call, parse_lf
+from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
+from nlinstruct.logic import execute_to_call
 from nlinstruct.parser import (
     Derivation,
     ParserConfig,
@@ -134,7 +134,7 @@ def test_filter_drops_no_change_calls():
     assert all(d.lf.method.name != "turnLightOff" for d in survivors)
     for d in survivors:
         result = invoke(domain, state, execute_to_call(d.lf, state))
-        assert not states_equal(result, state)
+        assert result != state
 
 
 def test_filter_drops_domain_exceptions():
@@ -159,14 +159,15 @@ def test_filter_never_drops_the_gold_candidate():
             state, call, desired = generate_state_pair(domain, method, rng)
             cands = generate_candidates([], state, domain, config, {})
             survivors = _survivors([], state, domain, config)
-            dropped = {d.lf.printed for d in cands} - {d.lf.printed for d in survivors}
-            for printed in dropped:
-                lf = parse_lf(printed, domain)
+            kept = {d.lf.printed for d in survivors}
+            for d in cands:
+                if d.lf.printed in kept:
+                    continue
                 try:
-                    result = invoke(domain, state, execute_to_call(lf, state))
+                    result = invoke(domain, state, execute_to_call(d.lf, state))
                 except Exception:
                     continue
-                assert not states_equal(result, desired)
+                assert result != desired
 
 
 def test_predict_single_survivor():
@@ -184,7 +185,7 @@ def test_predict_single_survivor():
     assert best[0].deriv.lf.printed == "turnLightOn(R[type].Room)"
     result = best[0].denotation
     assert result is not None
-    (mode,) = result.objects(result.entity("room1"), "lightMode")
+    (mode,) = result.objects(Entity("room1", "Room"), "lightMode")
     assert mode.name == "ON"
 
 
@@ -271,7 +272,7 @@ def test_pipeline_analyze_returns_denotations():
     assert cands
     for c in cands:
         assert c.denotation is not None
-        assert not states_equal(c.denotation, state)
+        assert c.denotation != state
 
 
 # ---------------------------------------------------------------------------

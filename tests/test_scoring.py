@@ -27,10 +27,11 @@ from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
 from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
-from nlinstruct.logic import Call, TypeSet, parse_lf
+from nlinstruct.logic import Call, Intersect, TypeSet
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
+from conftest import join, root
 from oracles import eager_generate_candidates
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
@@ -236,8 +237,7 @@ def _check_offer_strings(monkeypatch) -> list:
         if d.category == parser.CAT_ROOT:
             method, *arguments = d.children
             fresh = Call(method.lf.method, tuple(a.lf for a in arguments))
-            assert (d.lf.printed, d.lf.node_count, d.lf.args) == \
-                (fresh.printed, fresh.node_count, fresh.args), d
+            assert (d.lf.printed, d.lf.args) == (fresh.printed, fresh.args), d
         checked.append(d)
         return d
 
@@ -361,8 +361,7 @@ def test_scorer_memo_never_mixes_roots_and_fragments():
     ctx = Featurizer(domain).context(tuple(tokenize("delete the largest file")))
     weights = {"missing|delete|removeFiles": 1.5, "missing-any|method": 0.25}
     scorer = ctx.scorer(weights, CONFIG.max_rules)
-    frag = Derivation(TypeSet("File"), "EntitySet", 1, (), (),
-                      {"float-type": 1})
+    frag = Derivation(TypeSet("File"), "EntitySet", 1, (), (), rule="float-type")
     key = scorer.key(frag.lf.preds, frag.rules, frag.size_used)
     assert scorer.score(False, *key) == 0.0
     assert scorer.score(True, *key) == kernels.dot(weights, ctx.features(frag, True)) == 1.75
@@ -377,7 +376,7 @@ def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
     domain = get_domain("lighting")
     ctx = Featurizer(domain).context(
         tuple(tokenize("turn off the largest light in the bedroom on the second floor")))
-    lf = parse_lf("turnLightOff(Intersect(R[name].bedroom, R[type].Room))", domain)
+    lf = root(domain, "turnLightOff", Intersect(join("name", "bedroom"), TypeSet("Room")))
     weights = {
         "cooc|turn off|turnLightOff": 0.1, "cooc-any|method|desc": 0.2,
         "missing|floor|floor": 0.3, "missing|light|lightMode": 1 / 7,
@@ -393,7 +392,7 @@ def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
                       {"call": 1, "intersect": 3, "rjoin": 5}):
             key = scorer.key(lf.preds, rules, size)
             for is_root in (False, True):
-                d = Derivation(lf, "Root" if is_root else "EntitySet", size, (), (), rules)
+                d = SimpleNamespace(lf=lf, size_used=size, rules=rules)
                 want = kernels.dot(weights, ctx.features(d, is_root))
                 got = scorer.score(is_root, *key)
                 assert repr(got) == repr(want), (size, rules, is_root)
@@ -424,7 +423,7 @@ def test_analyze_builds_features_only_for_returned_candidates(built, monkeypatch
 
 
 def test_derivation_without_context_has_no_features():
-    d = Derivation(TypeSet("File"), "Root", 1, (), (), {})
+    d = Derivation(TypeSet("File"), "Root", 1, (), ())
     assert d.feats is None
 
 

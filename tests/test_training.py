@@ -363,10 +363,12 @@ def test_model_round_trip(tmp_path):
     weights = {"cooc|x|y": 1.5, "size>2": -0.25}
     path = tmp_path / "model.json"
     save_model(path, weights, cfg, DomainPartition(("a",), ("b",)))
-    w2, cfg2, part2, new_features = load_model(path)
+    w2, cfg2, part2, new_features, logic_filter = load_model(path)
     assert w2 == weights
     assert cfg2 == cfg
     assert part2 == DomainPartition(("a",), ("b",))
-    assert new_features is True  # a model without an ablation block
+    assert new_features is True and logic_filter is True  # a model without an ablation block
     save_model(path, weights, cfg, extra={"ablation": {"use_new_features": False}})
-    assert load_model(path)[2:] == (None, False)
+    assert load_model(path)[2:] == (None, False, True)
+    save_model(path, weights, cfg, extra={"ablation": {"use_logic_filter": False}})
+    assert load_model(path)[2:] == (None, True, False)
