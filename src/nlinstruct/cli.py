@@ -355,9 +355,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _refuse_directory_outputs(args) -> None:
+    """Refuse, before any work, an ``--out`` that would be written over a
+    directory: the path itself, and for ``generate`` its gold sidecar."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    paths = [out, out + ".gold.jsonl"] if args.command == "generate" else [out]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"{path}: output path is a directory")
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        _refuse_directory_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ class ParameterSpec:
     """One formal parameter of an interface method.
 
     ``int_pool`` is a generator hint: the values random argument sampling
-
     may draw for an integer parameter. It plays no role in execution.
     """
 
@@ -264,15 +263,16 @@ def set_value(state: State, entities, relation: str, value: Value) -> State:
     return state.replace_triples(remove, add)
 
 
-def reindex(state: State, entities_in_order: list[Entity]) -> State:
-    """Reassign the ``index`` relation contiguously from 1 over the given
+def reindex(state: State, *orders: list[Entity]) -> State:
+    """Reassign the ``index`` relation contiguously from 1 over each given
     order, leaving alone an entity whose only index is its position."""
     remove, add = [], []
-    for i, e in enumerate(entities_in_order, start=1):
-        old = state.objects(e, "index")
-        if old != {IntVal(i)}:
-            remove.extend(Triple(e, "index", o) for o in old)
-            add.append(Triple(e, "index", IntVal(i)))
+    for order in orders:
+        for i, e in enumerate(order, start=1):
+            old = state.objects(e, "index")
+            if old != {IntVal(i)}:
+                remove.extend(Triple(e, "index", o) for o in old)
+                add.append(Triple(e, "index", IntVal(i)))
     return state.replace_triples(remove, add)
 
 

@@ -24,7 +24,9 @@ from .base import (
     MethodCall,
     ParameterSpec,
     RelationSpec,
+    by_index,
     int_of,
+    reindex,
     the,
     typed_entity,
 )
@@ -78,48 +80,30 @@ def _directory_of(state: State, f: Entity) -> Entity:
     return next(iter(homes))
 
 
-def _compact(state: State, directories) -> State:
-    """Close index gaps among each directory's remaining files."""
-    remove, add = [], []
-    for d in sorted(directories, key=lambda e: e.id):
-        files = sorted(
-            (f for f in state.objects(d, "childFiles") if isinstance(f, Entity)),
-            key=lambda f: (int_of(state, f, "index"), f.id),
-        )
-        for pos, f in enumerate(files, start=1):
-            old = int_of(state, f, "index")
-            if old != pos:
-                remove.append(Triple(f, "index", IntVal(old)))
-                add.append(Triple(f, "index", IntVal(pos)))
-    return state.replace_triples(remove, add)
-
-
 def logic(state: State, call: MethodCall) -> State:
     files = call.args[0]
     if call.method.name == "removeFiles":
         touched = {_directory_of(state, f) for f in files}
         new = state.without_entities(files)
-        return _compact(new, touched)
-    # moveFiles(files, directory)
-    target = the(call.args[1])
-    moving = [
-        f
-        for f in sorted(files, key=lambda e: (int_of(state, e, "index"), e.id))
-        if _directory_of(state, f) != target
-    ]
-    if not moving:
-        return state
-    sources = {_directory_of(state, f) for f in moving}
-    remove, add = [], []
-    slot = len(state.objects(target, "childFiles"))
-    for f in moving:
-        src = _directory_of(state, f)
-        remove.append(Triple(src, "childFiles", f))
-        remove.append(Triple(f, "index", IntVal(int_of(state, f, "index"))))
-        slot += 1
-        add.append(Triple(target, "childFiles", f))
-        add.append(Triple(f, "index", IntVal(slot)))
-    return _compact(state.replace_triples(remove, add), sources)
+    else:  # moveFiles(files, directory)
+        target = the(call.args[1])
+        moving = [f for f in by_index(state, files) if _directory_of(state, f) != target]
+        if not moving:
+            return state
+        touched = {_directory_of(state, f) for f in moving}
+        remove, add = [], []
+        slot = len(state.objects(target, "childFiles"))
+        for f in moving:
+            src = _directory_of(state, f)
+            remove.append(Triple(src, "childFiles", f))
+            remove.append(Triple(f, "index", IntVal(int_of(state, f, "index"))))
+            slot += 1
+            add.append(Triple(target, "childFiles", f))
+            add.append(Triple(f, "index", IntVal(slot)))
+        new = state.replace_triples(remove, add)
+    # close the index gaps that the files left behind, in one new state
+    return reindex(new, *(by_index(new, new.objects(d, "childFiles"))
+                          for d in sorted(touched, key=lambda e: e.id)))
 
 
 def make_domain() -> Domain:

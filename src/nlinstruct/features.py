@@ -28,11 +28,18 @@ With ``use_new_features=False`` features revert to the pre-adaptation
 template set: description-phrase and operator entries leave the lexicon
 (name-token matching remains) and size features are dropped.
 
-:meth:`UtteranceContext.features` is the reference. The parser's chart
-scores derivations without it, through :class:`ChartScorer`: a
-derivation's weighted feature values depend only on a two-int key that
-composes from its children's keys, and the scorer turns a key into the
-same float, bit for bit, as ``kernels.dot`` over the feature dict.
+:class:`UtteranceContext` builds, once per utterance, a table for each
+predicate that the utterance triggers: the ``cooc`` terms its use adds
+and the ``missing`` keys a root without it sets. Two readers share these
+tables and the prefixes :data:`RULE`, :data:`UNEVOKED` and :data:`SIZE`,
+so each template is written once.
+:meth:`UtteranceContext.features` builds a derivation's feature dict, for
+the gradient and ``parse --explain``. The parser's chart scores
+derivations without dicts, through :class:`ChartScorer`: a derivation's
+weighted feature values depend only on a two-int key that composes from
+its children's keys, and the scorer turns a key into the same float, bit
+for bit, as ``kernels.dot`` over the feature dict. The trainer reads that
+float as the candidate's score.
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ from .domains.base import Domain
 KIND_RELATION = "relation"
 KIND_METHOD = "method"
 KIND_OPERATOR = "operator"
+
+#: Predicate kinds, in their order among the fields of a score key.
+KINDS = (KIND_RELATION, KIND_METHOD, KIND_OPERATOR)
+
+# prefixes of the templates whose keys come from a form's counts alone,
+# not from the utterance's tables
+RULE, UNEVOKED, SIZE = "rule|", "unevoked|", "size>"
 
 OPERATOR_PHRASES: dict[str, tuple[str, ...]] = {
     "argmax": ("largest", "longest", "biggest", "most", "last", "highest"),
@@ -67,52 +81,57 @@ def name_tokens(name: str) -> tuple[str, ...]:
     return tuple(w for w in words if len(w) >= 3)
 
 
-class Lexicon:
-    """Maps each predicate to the phrases that can evoke it."""
-
-    def __init__(self, entries: dict[tuple[str, str], frozenset[str]]):
-        self.entries = entries
-
-
-def build_lexicon(domain: Domain, use_new_features: bool = True) -> Lexicon:
-    entries: dict[tuple[str, str], frozenset[str]] = {}
+def build_lexicon(domain: Domain, use_new_features: bool = True) -> dict:
+    """Maps each predicate, as (kind, name), to the phrases that can evoke it."""
+    lexicon: dict[tuple[str, str], frozenset[str]] = {}
     for m in domain.methods:
-        phrases = frozenset(m.phrases) if use_new_features else frozenset()
-        entries[(KIND_METHOD, m.name)] = phrases
+        lexicon[(KIND_METHOD, m.name)] = frozenset(m.phrases) if use_new_features else frozenset()
     for r in domain.relations.values():
         phrases = set(name_tokens(r.name))
         if use_new_features:
             phrases.update(r.phrases)
-        entries[(KIND_RELATION, r.name)] = frozenset(phrases)
+        lexicon[(KIND_RELATION, r.name)] = frozenset(phrases)
     for op, phrases in OPERATOR_PHRASES.items():
-        entries[(KIND_OPERATOR, op)] = frozenset(phrases) if use_new_features else frozenset()
-    return Lexicon(entries)
+        lexicon[(KIND_OPERATOR, op)] = frozenset(phrases) if use_new_features else frozenset()
+    return lexicon
 
 
 class UtteranceContext:
-    """Per-utterance matching tables, reused across all candidate forms."""
+    """Per-utterance feature tables, reused across all candidate forms.
 
-    def __init__(self, tokens: tuple[str, ...], lexicon: Lexicon, use_new_features: bool):
-        self.tokens = tokens
+    ``triggers`` maps each predicate that some phrase of the utterance can
+    evoke to its table: the ``(feature, count)`` terms its use adds (once,
+    however many uses a form has), and the keys set to 1 at a root that
+    lacks it. :meth:`features` and :class:`ChartScorer` both read these
+    tables, so each template is written here once."""
+
+    def __init__(self, tokens: tuple[str, ...], lexicon: dict, use_new_features: bool):
         self.use_new_features = use_new_features
         ngrams: Counter[str] = Counter(tokens)
         for i in range(len(tokens) - 1):
             ngrams[tokens[i] + " " + tokens[i + 1]] += 1
-        self.ngrams = ngrams
-        # (kind, name) -> phrase -> (count, matches_name, in_lexicon).
-        # A phrase can match both ways (a method named like one of its own
-        # description phrases); both unlexicalized channels then fire.
-        trig: dict[tuple[str, str], dict[str, tuple[int, bool, bool]]] = {}
-        for (kind, name), phrases in lexicon.entries.items():
-            hits: dict[str, tuple[int, bool, bool]] = {}
+        self.triggers: dict[tuple[str, str], tuple] = {}
+        for (kind, name), phrases in lexicon.items():
+            terms: list[tuple[str, int]] = []
+            absent: list[str] = []
             lowered = name.lower()
             for p in phrases | {lowered}:
-                c = ngrams.get(p, 0)
-                if c:
-                    hits[p] = (c, p == lowered, p in phrases)
-            if hits:
-                trig[(kind, name)] = hits
-        self.triggers = trig
+                count = ngrams.get(p, 0)
+                if not count:
+                    continue
+                terms.append((f"cooc|{p}|{name}", count))
+                # a phrase can match both ways (a method named like one of
+                # its own description phrases); both unlexicalized channels
+                # then fire
+                for channel, hit in (("desc", p in phrases), ("name", p == lowered)):
+                    if hit:
+                        terms.append((f"cooc-any|{kind}|{channel}", count))
+                if p in phrases:
+                    absent.append(f"missing|{p}|{name}")
+            if absent:
+                absent.append(f"missing-any|{kind}")
+            if terms:
+                self.triggers[kind, name] = (tuple(terms), tuple(absent))
 
     def features(self, deriv, is_root: bool) -> dict[str, float]:
         """The feature dict of a derivation; reads its ``lf``,
@@ -120,49 +139,24 @@ class UtteranceContext:
         feats: dict[str, float] = {}
         preds = deriv.lf.preds
         for key, uses in preds.items():
-            entry = self.triggers.get(key)
-            kind, name = key
-            if not entry:
-                if self.use_new_features:
-                    k = f"unevoked|{kind}"
-                    feats[k] = feats.get(k, 0.0) + uses
-                continue
-            for phrase, (count, is_name, in_lex) in entry.items():
-                k = f"cooc|{phrase}|{name}"
-                feats[k] = feats.get(k, 0.0) + count
-                if in_lex:
-                    k = f"cooc-any|{kind}|desc"
+            table = self.triggers.get(key)
+            if table is not None:
+                for k, count in table[0]:
                     feats[k] = feats.get(k, 0.0) + count
-                if is_name:
-                    k = f"cooc-any|{kind}|name"
-                    feats[k] = feats.get(k, 0.0) + count
+            elif self.use_new_features:
+                k = UNEVOKED + key[0]
+                feats[k] = feats.get(k, 0.0) + uses
         if is_root:
-            for key, entry in self.triggers.items():
-                if key in preds:
-                    continue
-                kind, name = key
-                hit = False
-                for phrase, (_, _, in_lex) in entry.items():
-                    if in_lex:
-                        feats[f"missing|{phrase}|{name}"] = 1.0
-                        hit = True
-                if hit:
-                    feats[f"missing-any|{kind}"] = 1.0
+            for key, (_, absent) in self.triggers.items():
+                if key not in preds:
+                    for k in absent:
+                        feats[k] = 1.0
         if self.use_new_features:
             for n in range(2, deriv.size_used):
-                feats[f"size>{n}"] = 1.0
+                feats[f"{SIZE}{n}"] = 1.0
         for rule, count in deriv.rules.items():
-            feats[f"rule|{rule}"] = float(count)
+            feats[RULE + rule] = float(count)
         return feats
-
-    def scorer(self, weights: dict, max_rules: int) -> "ChartScorer":
-        """The scorer for one parse under ``weights`` whose derivations use
-        at most ``max_rules`` rule applications (see :class:`ChartScorer`)."""
-        return ChartScorer(self, weights, max_rules)
-
-
-#: Predicate kinds, in their order among the fields of a score key.
-KINDS = (KIND_RELATION, KIND_METHOD, KIND_OPERATOR)
 
 
 class ChartScorer:
@@ -221,41 +215,26 @@ class ChartScorer:
         self._mask = (1 << width) - 1
         self._new = ctx.use_new_features
         self._bit = {key: 1 << i for i, key in enumerate(ctx.triggers)}
-        self._rule_keys = tuple(sorted(k for k in weights if k.startswith("rule|")))
-        self._rule_shift = {k[5:]: i * width for i, k in enumerate(self._rule_keys)}
+        self._rule_keys = tuple(sorted(k for k in weights if k.startswith(RULE)))
+        self._rule_shift = {k[len(RULE):]: i * width for i, k in enumerate(self._rule_keys)}
         base = len(self._rule_keys) * width
         self._kind_shift = {kind: base + i * width for i, kind in enumerate(KINDS)}
         self._size_shift = base + len(KINDS) * width
         # triggered predicate -> ((weighted cooc key, count), ...)
-        self._cooc: dict[tuple[str, str], tuple[tuple[str, int], ...]] = {}
+        self._cooc = {key: tuple((k, c) for k, c in terms if k in weights)
+                      for key, (terms, _) in ctx.triggers.items()}
         # (bit of a triggered predicate, weighted keys set to 1 at a root without it)
-        self._missing: list[tuple[int, tuple[str, ...]]] = []
-        for key, entry in ctx.triggers.items():
-            kind, name = key
-            terms: list[tuple[str, int]] = []
-            absent: list[str] = []
-            for phrase, (count, is_name, in_lex) in entry.items():
-                terms.append((f"cooc|{phrase}|{name}", count))
-                if in_lex:
-                    terms.append((f"cooc-any|{kind}|desc", count))
-                    absent.append(f"missing|{phrase}|{name}")
-                if is_name:
-                    terms.append((f"cooc-any|{kind}|name", count))
-            if absent:
-                absent.append(f"missing-any|{kind}")
-            self._cooc[key] = tuple((k, c) for k, c in terms if k in weights)
-            absent_weighted = tuple(k for k in absent if k in weights)
-            if absent_weighted:
-                self._missing.append((self._bit[key], absent_weighted))
+        self._missing = [(self._bit[key], tuple(k for k in absent if k in weights))
+                         for key, (_, absent) in ctx.triggers.items()]
         # (weighted key, its weight, shift of the field it counts, or None
         # for size>n, n) for every key whose value the packed fields give,
         # in sorted key order
         fields = self._rule_keys + tuple(
-            f"unevoked|{kind}" if self._new else None for kind in KINDS)
+            UNEVOKED + kind if self._new else None for kind in KINDS)
         tail = [(k, weights[k], i * width, 0) for i, k in enumerate(fields) if k in weights]
         if self._new:
             tail += [(k, weights[k], None, n) for k, n in
-                     ((f"size>{n}", n) for n in range(2, max_rules)) if k in weights]
+                     ((f"{SIZE}{n}", n) for n in range(2, max_rules)) if k in weights]
         tail.sort()
         self._tail = tuple(tail)
         # the split sum is exact only if every bits key sorts first

@@ -2,10 +2,12 @@
 
 Iteration is in sorted key order, so that summation order never depends
 on dict insertion history and trained weights are reproducible bit for
-bit. The parser's compiled scorer
-(:meth:`nlinstruct.features.UtteranceContext.scorer`) sums
-``weight * value`` in the same sorted key order, so its scores equal
-``dot`` over the feature dict bit for bit; change both or neither.
+bit. The trainer calls :func:`add_scaled` and :func:`adagrad_update`.
+:func:`dot` has no caller in the package: it is the reference that tests
+and the benchmark harness check scores against. The parser's
+:class:`~nlinstruct.features.ChartScorer` sums ``weight * value`` in the
+same sorted key order, so its scores equal ``dot`` over the feature dict
+bit for bit; change both or neither.
 """
 
 from __future__ import annotations

@@ -37,11 +37,12 @@ predicate uses per kind and its weighted rule counts, in fixed-width
 fields) composes: a leaf's key comes from its form's ``preds``, and a
 composite's is its rule's local key with its children's ``bits`` OR-ed in
 and their ``packed`` added, because a form's predicates, rule counts and
-size are its children's plus its rule's own. The scorer that
-:meth:`UtteranceContext.scorer` compiles once per parse maps a key to the
+size are its children's plus its rule's own. The scorer built once per
+parse, a :class:`~nlinstruct.features.ChartScorer`, maps a key to the
 same float, bit for bit, as ``kernels.dot`` over the feature dict (see
-:class:`~nlinstruct.features.ChartScorer` for why the key determines every
-weighted feature value and why no field overflows). Root derivations get
+its docstring for why the key determines every weighted feature value
+and why no field overflows). That float is the derivation's ``score``,
+which the trainer reads too. Root derivations get
 the full feature set (including missing-predicate features); partial
 derivations the templates that are well defined on fragments.
 
@@ -116,7 +117,7 @@ from .domains.base import (
     invoke,
 )
 from .errors import ConfigError, DomainLogicError
-from .features import Featurizer, UtteranceContext, tokenize
+from .features import ChartScorer, Featurizer, UtteranceContext, tokenize
 from .kb import IntVal, State, SymVal, TextVal
 from .logic import (
     ARGMAX,
@@ -303,7 +304,7 @@ def generate_candidates(
     # Offers rank as plain tuples: (printed, spans) is unique in a cell
     cells: dict[tuple[str, int], list] = {}
     seen: set = set()
-    scorer = ctx.scorer(weights, max_rules)
+    scorer = ChartScorer(ctx, weights, max_rules)
     score = scorer.score
     # a composite's own share of its score key: one application of its
     # rule, plus the operator predicate that a superlative introduces

@@ -124,17 +124,18 @@ def _logsumexp(scores: list[float]) -> float:
     return top + math.log(sum(math.exp(s - top) for s in scores))
 
 
-def example_log_likelihood(weights: dict, candidates: list, denotations: list,
+def example_log_likelihood(candidates: list, denotations: list,
                            desired) -> tuple[float, dict] | None:
     """Log-probability of the desired denotation and its gradient in theta.
 
-    The gradient is the difference between the feature expectation over
-    correct candidates and the full feature expectation. Returns None when
-    no candidate denotes the desired state (such examples are skipped)."""
+    A candidate's score is its derivation's ``score``, which the parser
+    computed under the current weights. The gradient is the difference
+    between the feature expectation over correct candidates and the full
+    feature expectation. Returns None when no candidate denotes the
+    desired state (such examples are skipped)."""
     if not candidates:
         raise NlinstructError("no candidates")
-    feats = [c.features for c in candidates]
-    scores = [kernels.dot(weights, f) for f in feats]
+    scores = [c.deriv.score for c in candidates]
     correct = [i for i, d in enumerate(denotations) if d == desired]
     if not correct:
         return None
@@ -143,12 +144,12 @@ def example_log_likelihood(weights: dict, candidates: list, denotations: list,
     logp = lse_correct - lse_all
     correct_set = set(correct)
     grad: dict = {}
-    for i, f in enumerate(feats):
+    for i, c in enumerate(candidates):
         coef = -math.exp(scores[i] - lse_all)
         if i in correct_set:
             coef += math.exp(scores[i] - lse_correct)
         if coef:
-            kernels.add_scaled(grad, f, coef)
+            kernels.add_scaled(grad, c.features, coef)
     return logp, grad
 
 
@@ -185,9 +186,7 @@ def adagrad(
             if not cands:
                 skipped_parse += 1
                 continue
-            result = example_log_likelihood(
-                weights, cands, [c.denotation for c in cands], ex.desired
-            )
+            result = example_log_likelihood(cands, [c.denotation for c in cands], ex.desired)
             if result is None:
                 skipped_gold += 1
                 continue

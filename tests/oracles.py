@@ -4,21 +4,24 @@ Deliberately slow and index-free: denotations come from exhaustive triple
 scans, and the candidate space comes from plain recursive enumeration with
 no beams and no scoring. The one beam-search reference,
 ``eager_generate_candidates``, is the chart that builds every candidate
-before pruning. ``reference_tune`` and ``reference_cv_tune`` are grid
-search as it was before tuning shared training prefixes: a fresh AdaGrad
-or two-step run for every (fold, configuration). These stay out of the
+before pruning. ``reference_features`` spells every feature template out
+as a string for each derivation, with no per-utterance tables.
+``reference_tune`` and ``reference_cv_tune`` are grid search as it was
+before tuning shared training prefixes: a fresh AdaGrad or two-step run
+for every (fold, configuration). These stay out of the
 installed package so they can never become fallbacks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from nlinstruct import training
 from nlinstruct.domains.base import Domain, MethodCall, invoke
 from nlinstruct.domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE
 from nlinstruct.errors import ExecutionError
-from nlinstruct.features import Featurizer, tokenize
+from nlinstruct.features import ChartScorer, Featurizer, tokenize
 from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal
 from nlinstruct.logic import (
     ARGMAX,
@@ -242,6 +245,67 @@ def enumerate_all_forms(domain, state, tokens, budget: EnumerationBudget):
     return roots, truncated
 
 
+def reference_features(tokens, lexicon: dict, use_new_features: bool, deriv,
+                       is_root: bool) -> dict[str, float]:
+    """The feature dict of a derivation, each template written out as a
+    string (see ``nlinstruct.features``): the reference for
+    ``UtteranceContext.features``, whose dicts must equal these, keys in
+    the same insertion order. Reads the derivation's ``lf``,
+    ``size_used`` and ``rules`` only."""
+    tokens = tuple(tokens)
+    ngrams: Counter[str] = Counter(tokens)
+    for i in range(len(tokens) - 1):
+        ngrams[tokens[i] + " " + tokens[i + 1]] += 1
+    # (kind, name) -> phrase -> (count, matches_name, in_lexicon)
+    triggers: dict[tuple[str, str], dict[str, tuple[int, bool, bool]]] = {}
+    for (kind, name), phrases in lexicon.items():
+        hits: dict[str, tuple[int, bool, bool]] = {}
+        lowered = name.lower()
+        for p in phrases | {lowered}:
+            c = ngrams.get(p, 0)
+            if c:
+                hits[p] = (c, p == lowered, p in phrases)
+        if hits:
+            triggers[(kind, name)] = hits
+    feats: dict[str, float] = {}
+    preds = deriv.lf.preds
+    for key, uses in preds.items():
+        entry = triggers.get(key)
+        kind, name = key
+        if not entry:
+            if use_new_features:
+                k = f"unevoked|{kind}"
+                feats[k] = feats.get(k, 0.0) + uses
+            continue
+        for phrase, (count, is_name, in_lex) in entry.items():
+            k = f"cooc|{phrase}|{name}"
+            feats[k] = feats.get(k, 0.0) + count
+            if in_lex:
+                k = f"cooc-any|{kind}|desc"
+                feats[k] = feats.get(k, 0.0) + count
+            if is_name:
+                k = f"cooc-any|{kind}|name"
+                feats[k] = feats.get(k, 0.0) + count
+    if is_root:
+        for key, entry in triggers.items():
+            if key in preds:
+                continue
+            kind, name = key
+            hit = False
+            for phrase, (_, _, in_lex) in entry.items():
+                if in_lex:
+                    feats[f"missing|{phrase}|{name}"] = 1.0
+                    hit = True
+            if hit:
+                feats[f"missing-any|{kind}"] = 1.0
+    if use_new_features:
+        for n in range(2, deriv.size_used):
+            feats[f"size>{n}"] = 1.0
+    for rule, count in deriv.rules.items():
+        feats[f"rule|{rule}"] = float(count)
+    return feats
+
+
 def eager_generate_candidates(
     tokens,
     state: State,
@@ -265,7 +329,7 @@ def eager_generate_candidates(
 
     cells: dict[tuple[str, int], list[Derivation]] = {}
     seen: set = set()
-    scorer = ctx.scorer(weights, max_rules)
+    scorer = ChartScorer(ctx, weights, max_rules)
     score = scorer.score
     # a composite's own share of its score key: one application of its
     # rule, plus the operator predicate that a superlative introduces

@@ -302,3 +302,28 @@ def test_out_of_range_flags_exit_2_with_one_line(inputs, data):
         assert not os.listdir(workdir)
     _assert_contract(code, out, err, (command, flag, value))
     assert code == 2 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["generate", "generate-sidecar", "tune", "train", "eval"])
+def test_an_output_path_that_is_a_directory_is_refused_up_front(inputs, monkeypatch, command):
+    # exit 2 with one line naming the path, before any state is generated
+    # or any model tuned, trained or scored
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for name in ("generate_state_pair", "tune_config", "train_model", "run_experiment"):
+        monkeypatch.setattr(f"nlinstruct.cli.{name}", no_work)
+    _, files = inputs
+    with tempfile.TemporaryDirectory() as workdir:
+        out = blocked = os.path.join(workdir, "out")
+        if command == "generate-sidecar":
+            blocked = out + ".gold.jsonl"
+        os.mkdir(blocked)
+        if command.startswith("generate"):
+            argv = ["generate", "--domain", "list", "--count", "1", "--out", out]
+        else:
+            argv = [command, "--config", files["config"], "--out", out]
+        code, stdout, err = _run(argv)
+        assert os.listdir(workdir) == [os.path.basename(blocked)]
+    _assert_contract(code, stdout, err, command)
+    assert code == 2 and err == f"config error: {blocked}: output path is a directory\n"

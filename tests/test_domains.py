@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlinstruct.domains import builtin_domains, generate_state_pair, get_domain, invoke
 from nlinstruct.domains.base import COLLECTION, SINGLE, MethodCall, reindex, set_value, typed_entity
@@ -201,6 +202,44 @@ def test_move_files_appends_to_target_and_compacts_source():
     assert result.objects(target, "childFiles") == frozenset(files)
     indexes = sorted(next(iter(result.objects(f, "index"))).value for f in files)
     assert indexes == list(range(1, len(files) + 1))
+
+
+def _files_in_order(state: State, directory: Entity) -> list[Entity]:
+    """A directory's files by (index, id), each checked to have one index."""
+    files = state.objects(directory, "childFiles")
+    assert all(len(state.objects(f, "index")) == 1 for f in files)
+    return sorted(files, key=lambda f: (next(iter(state.objects(f, "index"))).value, f.id))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), remove=st.booleans(), data=st.data())
+def test_file_operations_index_each_directory_in_its_earlier_order(seed, remove, data):
+    # after removeFiles/moveFiles every directory's files are indexed 1..n:
+    # the files it kept in their earlier order, then (in the target of a
+    # move) the files moved in, in their earlier order across directories
+    domain = get_domain("file")
+    state = domain.generate_state(random.Random(seed), {"directories": (1, 5), "files": (1, 9)})
+    dirs = sorted(state.entities_of_type("Directory"), key=lambda e: e.id)
+    for d in dirs:  # generated indexes follow the ids; shuffle them
+        state = reindex(state, data.draw(st.permutations(_files_in_order(state, d))))
+    before = {d: _files_in_order(state, d) for d in dirs}
+    files = sorted(state.entities_of_type("File"), key=lambda e: e.id)
+    chosen = frozenset(data.draw(st.lists(st.sampled_from(files), min_size=1, unique=True)))
+    if remove:
+        call = MethodCall(domain.method("removeFiles"), (chosen,))
+        expected = {d: [f for f in before[d] if f not in chosen] for d in dirs}
+    else:
+        target = data.draw(st.sampled_from(dirs))
+        call = MethodCall(domain.method("moveFiles"), (chosen, frozenset((target,))))
+        earlier = sorted(chosen, key=lambda f: (next(iter(state.objects(f, "index"))).value, f.id))
+        expected = {d: [f for f in before[d] if f not in chosen] for d in dirs}
+        expected[target] = before[target] + [f for f in earlier if f not in before[target]]
+    result = invoke(domain, state, call)
+    for d in dirs:
+        in_order = _files_in_order(result, d)
+        assert in_order == expected[d], (d, in_order, expected[d])
+        assert [next(iter(result.objects(f, "index"))).value for f in in_order] == \
+            list(range(1, len(in_order) + 1))
 
 
 def test_demoting_a_manager_with_reports_raises():

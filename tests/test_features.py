@@ -73,21 +73,21 @@ def test_size_indicators_fire_strictly_below_size():
 
 def test_build_lexicon_calendar_remove_events():
     lexicon = build_lexicon(get_domain("calendar"))
-    assert lexicon.entries[("method", "removeEvents")] == {"remove", "cancel"}
+    assert lexicon[("method", "removeEvents")] == {"remove", "cancel"}
 
 
 def test_build_lexicon_copies_method_phrases():
     domain = get_domain("file")
     lexicon = build_lexicon(domain)
-    assert lexicon.entries[("method", "moveFiles")] == set(domain.method("moveFiles").phrases)
+    assert lexicon[("method", "moveFiles")] == set(domain.method("moveFiles").phrases)
 
 
 def test_lexicon_without_relations_has_method_and_operator_entries(toy_domain):
     toy_domain.relations = {}
     lexicon = build_lexicon(toy_domain)
-    kinds = {kind for kind, _ in lexicon.entries}
+    kinds = {kind for kind, _ in lexicon}
     assert kinds == {"method", "operator"}
-    assert lexicon.entries[("operator", "argmax")] == set(OPERATOR_PHRASES["argmax"])
+    assert lexicon[("operator", "argmax")] == set(OPERATOR_PHRASES["argmax"])
 
 
 def test_operator_phrases_are_the_fixed_global_lists():
@@ -131,7 +131,7 @@ def test_cooc_and_missing_are_exclusive_per_lexicon_pair():
     without = root(domain, "loadContainers", join("index", 4))
     for lf in (with_method, without):
         feats = _root_features(tokens, _root(lf, 5), lexicon)
-        for (kind, name), phrases in lexicon.entries.items():
+        for (kind, name), phrases in lexicon.items():
             for p in phrases:
                 both = {f"cooc|{p}|{name}", f"missing|{p}|{name}"}
                 assert not both <= feats.keys(), (p, name)

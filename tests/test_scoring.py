@@ -1,12 +1,15 @@
 """The parser's compiled scorer and score-first chart against references.
 
 The chart scores every candidate from a score key it composes from the
-children's keys, with the scorer that ``UtteranceContext.scorer``
-compiles from the weights, and builds feature dicts only on demand. The
-reference is ``kernels.dot`` over ``UtteranceContext.features``; every
-score must equal it bit for bit, because fractional credit and the beams
-compare scores with ``==``. Every composed key must also decode to the
-counts taken from the derivation's own ``lf.preds`` and ``rules``.
+children's keys, with a ``ChartScorer`` built from the weights and the
+utterance's tables, and builds feature dicts only on demand. The
+reference is ``kernels.dot`` over the feature dict; every score must
+equal it bit for bit, because fractional credit and the beams compare
+scores with ``==``, and the trainer reads a candidate's score instead of
+recomputing it. Every composed key must also decode to the counts taken
+from the derivation's own ``lf.preds`` and ``rules``. The feature dicts
+themselves must equal ``oracles.reference_features``, which spells every
+template out as a string, keys in the same order.
 
 ``generate_candidates`` builds a ``Derivation`` only for the candidates
 that survive their beams, so the checks that cover pruned candidates run
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -26,13 +30,13 @@ import pytest
 from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
-from nlinstruct.features import KINDS, Featurizer, UtteranceContext, tokenize
+from nlinstruct.features import KINDS, ChartScorer, Featurizer, UtteranceContext, tokenize
 from nlinstruct.logic import Call, Intersect, TypeSet
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
 from conftest import join, root
-from oracles import eager_generate_candidates
+from oracles import eager_generate_candidates, reference_features
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
 
@@ -138,7 +142,7 @@ def _check_chart(built: list, ctx: UtteranceContext, weights: dict, max_rules: i
                  label) -> None:
     """Every built derivation's score equals the reference, and its
     composed key is the one its own predicate and rule counts give."""
-    scorer = ctx.scorer(weights, max_rules)
+    scorer = ChartScorer(ctx, weights, max_rules)
     for d in built:
         want = kernels.dot(weights, ctx.features(d, d.category == "Root"))
         assert d.score == want and repr(d.score) == repr(want), (label, d)
@@ -336,7 +340,7 @@ def test_unbounded_and_paper_beams_return_the_eager_reference_roots(toy_domain, 
 def test_key_fields_hold_counts_up_to_max_rules(max_rules):
     ctx = Featurizer(get_domain("file")).context(tuple(tokenize("delete the largest file")))
     weights = {"rule|call": 1.0, "rule|rjoin": 1.0, "rule|argmax": 1.0}
-    scorer = ctx.scorer(weights, max_rules)
+    scorer = ChartScorer(ctx, weights, max_rules)
     assert scorer.width == max_rules.bit_length()
     m = max_rules
     preds = {("relation", "noSuchRelation"): m, ("method", "noSuchMethod"): m,
@@ -360,7 +364,7 @@ def test_scorer_memo_never_mixes_roots_and_fragments():
     domain = get_domain("file")
     ctx = Featurizer(domain).context(tuple(tokenize("delete the largest file")))
     weights = {"missing|delete|removeFiles": 1.5, "missing-any|method": 0.25}
-    scorer = ctx.scorer(weights, CONFIG.max_rules)
+    scorer = ChartScorer(ctx, weights, CONFIG.max_rules)
     frag = Derivation(TypeSet("File"), "EntitySet", 1, (), (), rule="float-type")
     key = scorer.key(frag.lf.preds, frag.rules, frag.size_used)
     assert scorer.score(False, *key) == 0.0
@@ -385,7 +389,7 @@ def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
         "size>2": 1e8, "size>3": -1e8, "size>10": 1 / 3, "size>12": 0.05,
         "unevoked|relation": 0.1, "unevoked|method": 5.0,
     }
-    scorer = ctx.scorer(weights, 15)
+    scorer = ChartScorer(ctx, weights, 15)
     scores = set()
     for size in (9, 11, 15):
         for rules in ({"call": 1, "intersect": 1, "rjoin": 2},
@@ -452,20 +456,54 @@ def test_mean_credit_builds_no_feature_dict(trained, monkeypatch):
 
 
 def test_gradient_reads_the_reference_feature_dicts(trained):
+    # the reference candidates carry the string-template dicts and the
+    # score kernels.dot gives over them; the trainer reads the chart's
+    # scores and the package's dicts, and must agree bit for bit
     pipeline = Pipeline(get_domain, CONFIG)
     gradients = 0
     for ex in _examples(1, seed=19):
         cands = pipeline.analyze(ex, trained)
-        domain = get_domain(ex.domain_id)
-        ctx = pipeline.featurizer(domain).context(tuple(pipeline.tokens_of(ex.utterance)))
-        want = [SimpleNamespace(features=ctx.features(c.deriv, True)) for c in cands]
+        tokens = pipeline.tokens_of(ex.utterance)
+        lexicon = pipeline.featurizer(get_domain(ex.domain_id)).lexicon
+        want = []
+        for c in cands:
+            feats = reference_features(tokens, lexicon, True, c.deriv, True)
+            want.append(SimpleNamespace(features=feats,
+                                        deriv=SimpleNamespace(score=kernels.dot(trained, feats))))
         denots = [c.denotation for c in cands]
-        got = example_log_likelihood(trained, cands, denots, ex.desired)
-        assert got == example_log_likelihood(trained, want, denots, ex.desired)
+        got = example_log_likelihood(cands, denots, ex.desired)
+        assert got == example_log_likelihood(want, denots, ex.desired)
         gradients += got is not None
         for c, ref in zip(cands, want):
             assert c.features == ref.features and list(c.features) == list(ref.features)
+            assert repr(c.deriv.score) == repr(ref.deriv.score)
     assert gradients >= 5
+
+
+@pytest.mark.parametrize("use_new_features", [True, False])
+def test_feature_dicts_equal_the_string_template_reference(built, use_new_features):
+    # every root and fragment the eager chart builds, pruned ones too, in
+    # every domain, each read both as a root and as a fragment
+    checked: Counter = Counter()
+    templates = set()
+    for ex in _busy_examples() + _ordinal_examples():
+        domain = get_domain(ex.domain_id)
+        featurizer = Featurizer(domain, use_new_features)
+        tokens = tokenize(ex.utterance)
+        built.clear()
+        eager_generate_candidates(tokens, ex.initial, domain, CONFIG, EXPLICIT, featurizer)
+        ctx = featurizer.context(tokens)
+        for d in built:
+            for is_root in (False, True):
+                got = ctx.features(d, is_root)
+                want = reference_features(tokens, featurizer.lexicon, use_new_features, d, is_root)
+                assert got == want and list(got) == list(want), (ex.id, d, is_root)
+                templates.update(re.match(r"[a-z-]+[|>]", k).group() for k in got)
+            checked[ex.domain_id, d.category] += 1
+    for did in CORPUS_DOMAINS:
+        assert checked[did, "Root"] > 50 and checked[did, "EntitySet"] > 200, did
+    new = {"unevoked|", "size>"} if use_new_features else set()
+    assert templates == {"cooc|", "cooc-any|", "missing|", "missing-any|", "rule|"} | new
 
 
 def test_lazy_rules_keep_the_application_order(paper_state):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,9 +28,14 @@ from conftest import leave_one_out, make_toy_world
 
 
 class FakeCandidate:
-    def __init__(self, features, denotation):
+    """A candidate as the trainer reads it: its feature dict, its
+    denotation, and its derivation's score, which the parser computes
+    under the current weights ``theta`` and equals ``kernels.dot``."""
+
+    def __init__(self, theta, features, denotation):
         self.features = features
         self.denotation = denotation
+        self.deriv = SimpleNamespace(score=kernels.dot(theta, features))
 
 
 def test_score_is_a_sparse_dot_product():
@@ -44,92 +50,102 @@ def test_score_is_linear():
     assert math.isclose(kernels.dot(theta, merged), kernels.dot(theta, f1) + kernels.dot(theta, f2))
 
 
-def _probability(weights, cands, correct: int) -> float:
-    """The model probability of ``cands[correct]``, as the trainer's
-    softmax gives it: the likelihood of a denotation only it has."""
-    denots = [i == correct for i in range(len(cands))]
-    logp, _ = example_log_likelihood(weights, cands, denots, True)
+def _probability(theta, feature_dicts, correct: int) -> float:
+    """The model probability of candidate ``correct``, as the trainer's
+    softmax gives it under ``theta``: the likelihood of a denotation only
+    it has."""
+    denots = [i == correct for i in range(len(feature_dicts))]
+    cands = [FakeCandidate(theta, f, d) for f, d in zip(feature_dicts, denots)]
+    logp, _ = example_log_likelihood(cands, denots, True)
     return math.exp(logp)
 
 
 def test_distribution_single_candidate():
-    assert _probability({}, [FakeCandidate({}, None)], 0) == 1.0
+    assert _probability({}, [{}], 0) == 1.0
 
 
 def test_distribution_equal_scores():
-    cands = [FakeCandidate({"a": 1.0}, None), FakeCandidate({"a": 1.0}, None)]
+    feature_dicts = [{"a": 1.0}, {"a": 1.0}]
     for correct in (0, 1):
-        assert math.isclose(_probability({"a": 3.0}, cands, correct), 0.5, rel_tol=1e-12)
+        assert math.isclose(_probability({"a": 3.0}, feature_dicts, correct), 0.5, rel_tol=1e-12)
 
 
 def test_distribution_log_two_gap():
-    cands = [FakeCandidate({"a": 1.0}, None), FakeCandidate({}, None)]
+    feature_dicts = [{"a": 1.0}, {}]
     theta = {"a": math.log(2.0)}
-    assert math.isclose(_probability(theta, cands, 0), 2 / 3, rel_tol=1e-12)
-    assert math.isclose(_probability(theta, cands, 1), 1 / 3, rel_tol=1e-12)
+    assert math.isclose(_probability(theta, feature_dicts, 0), 2 / 3, rel_tol=1e-12)
+    assert math.isclose(_probability(theta, feature_dicts, 1), 1 / 3, rel_tol=1e-12)
 
 
 def test_distribution_sums_to_one():
     rng = random.Random(0)
     for _ in range(50):
-        cands = [
-            FakeCandidate({f"f{i}": rng.uniform(-2, 2) for i in range(rng.randint(1, 6))}, None)
+        feature_dicts = [
+            {f"f{i}": rng.uniform(-2, 2) for i in range(rng.randint(1, 6))}
             for _ in range(rng.randint(1, 9))
         ]
         theta = {f"f{i}": rng.uniform(-3, 3) for i in range(6)}
-        total = sum(_probability(theta, cands, i) for i in range(len(cands)))
+        total = sum(_probability(theta, feature_dicts, i) for i in range(len(feature_dicts)))
         assert abs(total - 1.0) < 1e-9
 
 
 def test_loglik_degenerate_single_correct():
-    logp, grad = example_log_likelihood({}, [FakeCandidate({"x": 1.0}, "goal")], ["goal"], "goal")
+    logp, grad = example_log_likelihood([FakeCandidate({}, {"x": 1.0}, "goal")], ["goal"], "goal")
     assert logp == 0.0
     assert all(abs(v) < 1e-15 for v in grad.values())
 
 
 def test_loglik_two_identical_candidates_one_correct():
-    cands = [FakeCandidate({"x": 1.0}, "goal"), FakeCandidate({"x": 1.0}, "other")]
-    logp, grad = example_log_likelihood({"x": 0.7}, cands, ["goal", "other"], "goal")
+    theta = {"x": 0.7}
+    cands = [FakeCandidate(theta, {"x": 1.0}, "goal"), FakeCandidate(theta, {"x": 1.0}, "other")]
+    logp, grad = example_log_likelihood(cands, ["goal", "other"], "goal")
     assert math.isclose(logp, math.log(0.5), rel_tol=1e-12)
     assert all(abs(v) < 1e-12 for v in grad.values())
 
 
 def test_no_correct_candidate_is_skipped():
-    assert example_log_likelihood({}, [FakeCandidate({}, "a")], ["a"], "goal") is None
+    assert example_log_likelihood([FakeCandidate({}, {}, "a")], ["a"], "goal") is None
 
 
 def _random_instance(rng):
     features = [f"f{i}" for i in range(rng.randint(2, 8))]
-    cands = []
+    feature_dicts = []
     denots = []
     n = rng.randint(2, 7)
     correct_at = rng.randrange(n)
     for i in range(n):
         feats = {k: round(rng.uniform(-2, 2), 3) for k in rng.sample(features, rng.randint(1, len(features)))}
         denot = "goal" if (i == correct_at or rng.random() < 0.3) else f"other{i}"
-        cands.append(FakeCandidate(feats, denot))
+        feature_dicts.append(feats)
         denots.append(denot)
     theta = {k: round(rng.uniform(-1, 1), 3) for k in features}
-    return theta, cands, denots
+    return theta, feature_dicts, denots
+
+
+def _log_likelihood(theta, feature_dicts, denots):
+    """The trainer's output for candidates scored under ``theta``."""
+    cands = [FakeCandidate(theta, f, d) for f, d in zip(feature_dicts, denots)]
+    return example_log_likelihood(cands, denots, "goal")
 
 
 def gradient_matches_finite_differences(rng, instances: int) -> int:
-    """Shared oracle: central finite differences of the log-likelihood."""
+    """Shared oracle: central finite differences of the log-likelihood,
+    the candidates scored again under each perturbed theta."""
     checked = 0
     for _ in range(instances):
-        theta, cands, denots = _random_instance(rng)
-        out = example_log_likelihood(theta, cands, denots, "goal")
+        theta, feature_dicts, denots = _random_instance(rng)
+        out = _log_likelihood(theta, feature_dicts, denots)
         assert out is not None
         _, grad = out
-        keys = set(grad) | {k for c in cands for k in c.features}
+        keys = set(grad) | {k for f in feature_dicts for k in f}
         h = 1e-5
         for k in keys:
             up = dict(theta)
             up[k] = up.get(k, 0.0) + h
             down = dict(theta)
             down[k] = down.get(k, 0.0) - h
-            f_up = example_log_likelihood(up, cands, denots, "goal")[0]
-            f_down = example_log_likelihood(down, cands, denots, "goal")[0]
+            f_up = _log_likelihood(up, feature_dicts, denots)[0]
+            f_down = _log_likelihood(down, feature_dicts, denots)[0]
             fd = (f_up - f_down) / (2 * h)
             analytic = grad.get(k, 0.0)
             assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd), abs(analytic)), (
@@ -175,18 +191,12 @@ def test_adagrad_learns_the_separable_toy_problem():
 
 
 def test_one_unregularized_pass_increases_example_likelihood():
-    cands = [
-        FakeCandidate({"a": 1.0, "b": 0.5}, "goal"),
-        FakeCandidate({"a": 0.2, "c": 1.0}, "other"),
-        FakeCandidate({"b": 1.5}, "other"),
-    ]
-    denots = [c.denotation for c in cands]
+    feature_dicts = [{"a": 1.0, "b": 0.5}, {"a": 0.2, "c": 1.0}, {"b": 1.5}]
+    denots = ["goal", "other", "other"]
     theta = {"a": 0.1, "b": -0.2, "c": 0.3}
-    before, grad = example_log_likelihood(theta, cands, denots, "goal")
-    import nlinstruct.kernels as kernels
-
+    before, grad = _log_likelihood(theta, feature_dicts, denots)
     kernels.adagrad_update(theta, {}, grad, 1e-3, 0.0, 1e-8)
-    after, _ = example_log_likelihood(theta, cands, denots, "goal")
+    after, _ = _log_likelihood(theta, feature_dicts, denots)
     assert after > before
 
 
