@@ -54,11 +54,12 @@ def read_input_text(path) -> str:
 
 def read_json_object(path, what: str) -> dict:
     """The JSON object in ``path``; :class:`DataError` naming the path when
-    the file cannot be read, is not valid JSON or holds something other
-    than an object."""
+    the file cannot be read, is not valid JSON (also when it holds an
+    integer too long to convert or nests deeper than the recursion limit)
+    or holds something other than an object."""
     try:
         obj = json.loads(read_input_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a {what} must be a JSON object")
@@ -124,6 +125,8 @@ def state_from_json(domain_id: str, obj: dict) -> State:
         for e in obj["entities"]:
             if not isinstance(e["id"], str) or not isinstance(e["type"], str):
                 raise DataError(f"malformed state object: bad entity {e!r}")
+            if e["id"] in entities:
+                raise DataError(f"malformed state object: entity {e['id']!r} declared twice")
             entities[e["id"]] = Entity(e["id"], e["type"])
         triples = []
         for t in obj["triples"]:
@@ -189,13 +192,14 @@ def read_dataset(path) -> list[Example]:
             continue
         try:
             obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+        try:
             if not isinstance(obj, dict):
                 raise DataError("a dataset row must be a JSON object")
             if "header" in obj:
                 continue
             out.append(example_from_json(obj))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: not valid JSON ({exc})") from None
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -285,7 +289,7 @@ def load_run_config(path) -> dict:
         raw = json.loads(read_input_text(path))
     except DataError as exc:
         raise ConfigError(str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

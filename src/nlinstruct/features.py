@@ -28,18 +28,43 @@ With ``use_new_features=False`` features revert to the pre-adaptation
 template set: description-phrase and operator entries leave the lexicon
 (name-token matching remains) and size features are dropped.
 
-:class:`UtteranceContext` builds, once per utterance, a table for each
-predicate that the utterance triggers: the ``cooc`` terms its use adds
-and the ``missing`` keys a root without it sets. Two readers share these
-tables and the prefixes :data:`RULE`, :data:`UNEVOKED` and :data:`SIZE`,
-so each template is written once.
-:meth:`UtteranceContext.features` builds a derivation's feature dict, for
-the gradient and ``parse --explain``. The parser's chart scores
-derivations without dicts, through :class:`ChartScorer`: a derivation's
-weighted feature values depend only on a two-int key that composes from
-its children's keys, and the scorer turns a key into the same float, bit
-for bit, as ``kernels.dot`` over the feature dict. The trainer reads that
-float as the candidate's score.
+A derivation's features are described once, by its two-int *score key*.
+Of a derivation, the templates read only five things:
+
+- which triggered predicates (those some phrase of the utterance can
+  evoke) its form uses: ``cooc``/``cooc-any`` add each distinct
+  predicate's terms once, ``missing``/``missing-any`` fire at a root for
+  each one it lacks;
+- how many uses of untriggered predicates it has, per kind
+  (``unevoked|kind``);
+- its count of each grammar rule (``rule|name``);
+- its size (``size>n``);
+- whether it is a root.
+
+The key holds the first four: ``bits`` has one bit per triggered
+predicate of the utterance, and ``packed`` holds, in fields of
+:data:`WIDTH` bits from the lowest, the count of each rule in
+:data:`RULES`, the untriggered uses of each kind in :data:`KINDS`, and
+the size. The layout is fixed: neither the weights nor the utterance
+change it. Each field is at most the size: every rule application adds at
+most one predicate use (an ``argmax``/``argmin`` adds its operator, a
+leaf its one predicate), so the uses of a kind and each rule's count are
+bounded by it. The size is at most :data:`MAX_RULES_LIMIT`, which
+``WIDTH`` bits hold, so no field overflows into the next.
+
+Keys compose: a form's predicate multiset is the union of its children's
+plus its rule's own, and its rule counts and size are its children's plus
+one application. So a composite's key is its rule's local key (the
+:meth:`UtteranceContext.key` of the rule's own predicates, ``{rule: 1}``
+and size 1) with the children's ``bits`` OR-ed in and their ``packed``
+added. The parser's chart composes keys this way and never collects a
+form's predicates or a derivation's rule counts.
+
+:meth:`UtteranceContext.features` decodes a key into the feature dict,
+for the gradient and ``parse --explain``. :class:`ChartScorer` turns a key
+into the same float, bit for bit, as ``kernels.dot`` over that dict,
+without building it. The trainer reads that float as the candidate's
+score.
 """
 
 from __future__ import annotations
@@ -56,9 +81,34 @@ KIND_OPERATOR = "operator"
 #: Predicate kinds, in their order among the fields of a score key.
 KINDS = (KIND_RELATION, KIND_METHOD, KIND_OPERATOR)
 
-# prefixes of the templates whose keys come from a form's counts alone,
-# not from the utterance's tables
+#: Grammar rules, in their order among the fields of a score key.
+RULES = ("anchor-int", "anchor-ordinal", "anchor-text", "float-method", "float-relation",
+         "float-sym", "float-type", "rjoin", "fjoin", "intersect", "argmax", "argmin", "call")
+
+#: The largest rule budget a parser accepts, twice the paper's 15. Chart
+#: time and memory grow faster than linearly in the budget: ``nlinstruct
+#: parse`` on a small lighting state at beam 200 peaks at about 32 MB of
+#: RSS at 15 rules and 196 MB at 30. The fields of a score key are sized
+#: to hold it.
+MAX_RULES_LIMIT = 30
+
+# the layout of a score key's packed int: a field per rule, then one per
+# predicate kind, then the size above them all
+WIDTH = MAX_RULES_LIMIT.bit_length()
+MASK = (1 << WIDTH) - 1
+RULE_SHIFT = {rule: i * WIDTH for i, rule in enumerate(RULES)}
+KIND_SHIFT = {kind: (len(RULES) + i) * WIDTH for i, kind in enumerate(KINDS)}
+SIZE_SHIFT = (len(RULES) + len(KINDS)) * WIDTH
+
+# prefixes of the templates that the packed fields give
 RULE, UNEVOKED, SIZE = "rule|", "unevoked|", "size>"
+
+# (feature key, field shift) of the packed fields, in sorted key order;
+# and per size, its size>n keys in sorted order
+_RULE_FIELDS = tuple(sorted((RULE + rule, shift) for rule, shift in RULE_SHIFT.items()))
+_UNEVOKED_FIELDS = tuple(sorted((UNEVOKED + kind, shift) for kind, shift in KIND_SHIFT.items()))
+_SIZE_KEYS = tuple(tuple(sorted(f"{SIZE}{n}" for n in range(2, size)))
+                   for size in range(MAX_RULES_LIMIT + 1))
 
 OPERATOR_PHRASES: dict[str, tuple[str, ...]] = {
     "argmax": ("largest", "longest", "biggest", "most", "last", "highest"),
@@ -97,13 +147,20 @@ def build_lexicon(domain: Domain, use_new_features: bool = True) -> dict:
 
 
 class UtteranceContext:
-    """Per-utterance feature tables, reused across all candidate forms.
+    """Per-utterance feature tables, and the score key that both describes
+    a derivation's features and is scored.
 
     ``triggers`` maps each predicate that some phrase of the utterance can
     evoke to its table: the ``(feature, count)`` terms its use adds (once,
     however many uses a form has), and the keys set to 1 at a root that
-    lacks it. :meth:`features` and :class:`ChartScorer` both read these
-    tables, so each template is written here once."""
+    lacks it. ``bit`` gives each of them its bit in a key's ``bits``.
+
+    :meth:`key` encodes a derivation's predicate counts, rule counts and
+    size as a score key; :meth:`features` decodes a key into the feature
+    dict, and :class:`ChartScorer` weighs one. A dict's keys come in sorted
+    order: :meth:`head`'s ``cooc`` and ``missing`` terms, then the
+    ``rule|``, ``size>`` and ``unevoked|`` keys of the packed fields, whose
+    prefixes sort after both."""
 
     def __init__(self, tokens: tuple[str, ...], lexicon: dict, use_new_features: bool):
         self.use_new_features = use_new_features
@@ -132,136 +189,98 @@ class UtteranceContext:
                 absent.append(f"missing-any|{kind}")
             if terms:
                 self.triggers[kind, name] = (tuple(terms), tuple(absent))
-
-    def features(self, deriv, is_root: bool) -> dict[str, float]:
-        """The feature dict of a derivation; reads its ``lf``,
-        ``size_used`` and ``rules`` only."""
-        feats: dict[str, float] = {}
-        preds = deriv.lf.preds
-        for key, uses in preds.items():
-            table = self.triggers.get(key)
-            if table is not None:
-                for k, count in table[0]:
-                    feats[k] = feats.get(k, 0.0) + count
-            elif self.use_new_features:
-                k = UNEVOKED + key[0]
-                feats[k] = feats.get(k, 0.0) + uses
-        if is_root:
-            for key, (_, absent) in self.triggers.items():
-                if key not in preds:
-                    for k in absent:
-                        feats[k] = 1.0
-        if self.use_new_features:
-            for n in range(2, deriv.size_used):
-                feats[f"{SIZE}{n}"] = 1.0
-        for rule, count in deriv.rules.items():
-            feats[RULE + rule] = float(count)
-        return feats
-
-
-class ChartScorer:
-    """Scores derivations from a two-int *score key*, equal bit for bit to
-    ``kernels.dot(weights, ctx.features(deriv, is_root))``.
-
-    Of a derivation, the templates read only five things:
-
-    - which triggered predicates (entries of ``ctx.triggers``) its form
-      uses: ``cooc``/``cooc-any`` add each distinct predicate's terms once,
-      ``missing``/``missing-any`` fire at a root for each one it lacks;
-    - how many uses of untriggered predicates it has, per kind
-      (``unevoked|kind``);
-    - its rule counts (``rule|name``), of which only weighted ones matter;
-    - its size (``size>n``);
-    - whether it is a root.
-
-    The key holds the first four as two ints: ``bits`` has one bit per
-    trigger, and ``packed`` holds, in fields of ``width`` bits from the
-    lowest, the count of each weighted rule (sorted by key), the
-    untriggered uses of each kind in :data:`KINDS`, and the size. Each
-    field is at most the size: every rule application adds at most one
-    predicate use (an ``argmax``/``argmin`` adds its operator, a leaf its
-    one predicate), so the uses of a kind and each rule's count are
-    bounded by it. The size is at most ``max_rules`` and
-    ``width = max_rules.bit_length()``, so no field overflows into the
-    next.
-
-    Keys compose: a form's predicate multiset is the union of its
-    children's plus its rule's own, and its rule counts and size are its
-    children's plus one application. So a composite's key is its rule's
-    local key (:meth:`key` of the rule's own predicates, ``{rule: 1}`` and
-    size 1) with the children's ``bits`` OR-ed in and their ``packed``
-    added; the chart never reads a composite's ``preds`` or ``rules``.
-
-    :meth:`score` is memoized on (root flag, key). A miss rebuilds the
-    integer feature values of every weighted key exactly as the templates
-    would count them and sums ``weight * value`` in sorted key order, the
-    order ``dot`` uses, in two parts. The keys that ``bits`` determines
-    (``cooc-any|``, ``cooc|``, ``missing-any|``, ``missing|``) all sort
-    before the keys that ``packed`` determines (``rule|``, ``size>``,
-    ``unevoked|``), so ``dot``'s running total passes through the ``bits``
-    part's total before the first ``packed`` term. That partial total is
-    memoized on (root flag, ``bits``); a miss adds to it only the
-    ``packed`` terms, in sorted key order. The scorer asserts the
-    ordering of its weighted keys when it is built, so a template that
-    broke it would fail loudly. ``weights`` must not change while the
-    scorer is in use.
-    """
-
-    def __init__(self, ctx: UtteranceContext, weights: dict, max_rules: int):
-        assert max_rules >= 1, max_rules
-        self.weights = weights
-        self.max_rules = max_rules
-        self.width = width = max_rules.bit_length()
-        self._mask = (1 << width) - 1
-        self._new = ctx.use_new_features
-        self._bit = {key: 1 << i for i, key in enumerate(ctx.triggers)}
-        self._rule_keys = tuple(sorted(k for k in weights if k.startswith(RULE)))
-        self._rule_shift = {k[len(RULE):]: i * width for i, k in enumerate(self._rule_keys)}
-        base = len(self._rule_keys) * width
-        self._kind_shift = {kind: base + i * width for i, kind in enumerate(KINDS)}
-        self._size_shift = base + len(KINDS) * width
-        # triggered predicate -> ((weighted cooc key, count), ...)
-        self._cooc = {key: tuple((k, c) for k, c in terms if k in weights)
-                      for key, (terms, _) in ctx.triggers.items()}
-        # (bit of a triggered predicate, weighted keys set to 1 at a root without it)
-        self._missing = [(self._bit[key], tuple(k for k in absent if k in weights))
-                         for key, (_, absent) in ctx.triggers.items()]
-        # (weighted key, its weight, shift of the field it counts, or None
-        # for size>n, n) for every key whose value the packed fields give,
-        # in sorted key order
-        fields = self._rule_keys + tuple(
-            UNEVOKED + kind if self._new else None for kind in KINDS)
-        tail = [(k, weights[k], i * width, 0) for i, k in enumerate(fields) if k in weights]
-        if self._new:
-            tail += [(k, weights[k], None, n) for k, n in
-                     ((f"{SIZE}{n}", n) for n in range(2, max_rules)) if k in weights]
-        tail.sort()
-        self._tail = tuple(tail)
-        # the split sum is exact only if every bits key sorts first
-        head = [k for terms in self._cooc.values() for k, _ in terms]
-        head += [k for _, absent in self._missing for k in absent]
-        assert not head or not tail or max(head) < tail[0][0], (max(head), tail[0][0])
-        # (bits, packed) -> score, of fragments and of roots: a caller may
-        # read a score here and must call score() when it is missing
-        self.memo: tuple[dict, dict] = ({}, {})
-        self._prefix: tuple[dict, dict] = ({}, {})  # bits -> running total
+        self.bit = {key: 1 << i for i, key in enumerate(self.triggers)}
+        self._heads: tuple[dict, dict] = ({}, {})  # bits -> head(), of fragments and of roots
 
     def key(self, preds: dict, rules: dict, size_used: int) -> tuple[int, int]:
         """``(bits, packed)`` of a derivation with these predicate counts,
         rule counts and size."""
         bits = 0
-        packed = size_used << self._size_shift
+        packed = size_used << SIZE_SHIFT
         for pred, uses in preds.items():
-            bit = self._bit.get(pred)
+            bit = self.bit.get(pred)
             if bit is None:
-                packed += uses << self._kind_shift[pred[0]]
+                packed += uses << KIND_SHIFT[pred[0]]
             else:
                 bits |= bit
         for rule, count in rules.items():
-            shift = self._rule_shift.get(rule)
-            if shift is not None:
-                packed += count << shift
+            packed += count << RULE_SHIFT[rule]
         return bits, packed
+
+    def head(self, is_root: bool, bits: int) -> tuple[tuple[str, float], ...]:
+        """The ``(key, value)`` terms that ``bits`` gives, in sorted key
+        order: the ``cooc`` terms of each triggered predicate the form uses
+        and, at a root, the ``missing`` keys of each one it lacks. Kept per
+        (root flag, ``bits``) for the life of the context."""
+        memo = self._heads[is_root]
+        terms = memo.get(bits)
+        if terms is None:
+            values: dict[str, float] = {}
+            for i, (cooc, absent) in enumerate(self.triggers.values()):
+                if bits >> i & 1:
+                    for k, count in cooc:
+                        values[k] = values.get(k, 0.0) + count
+                elif is_root:
+                    for k in absent:
+                        values[k] = 1.0
+            terms = memo[bits] = tuple(sorted(values.items()))
+        return terms
+
+    def features(self, deriv, is_root: bool) -> dict[str, float]:
+        """The feature dict of a derivation, decoded from its score key
+        (``bits`` and ``packed``, the only attributes read), keys in
+        sorted order."""
+        feats = dict(self.head(is_root, deriv.bits))
+        packed = deriv.packed
+        for k, shift in _RULE_FIELDS:
+            count = packed >> shift & MASK
+            if count:
+                feats[k] = float(count)
+        if self.use_new_features:
+            for k in _SIZE_KEYS[packed >> SIZE_SHIFT]:
+                feats[k] = 1.0
+            for k, shift in _UNEVOKED_FIELDS:
+                uses = packed >> shift & MASK
+                if uses:
+                    feats[k] = float(uses)
+        return feats
+
+
+class ChartScorer:
+    """Scores derivations from their score keys, equal bit for bit to
+    ``kernels.dot(weights, ctx.features(deriv, is_root))``.
+
+    :meth:`score` is memoized on (root flag, key). A miss sums
+    ``weight * value`` over the weighted keys of the decoded dict in sorted
+    key order, the order ``dot`` uses, in two parts. The keys of
+    ``ctx.head`` (``cooc-any|``, ``cooc|``, ``missing-any|``,
+    ``missing|``) all sort before the keys of the packed fields
+    (``rule|``, ``size>``, ``unevoked|``), so ``dot``'s running total
+    passes through the head's total before the first packed term. That
+    partial total is memoized on (root flag, ``bits``); a miss adds to it
+    only the weighted packed terms, read straight from their fields.
+    ``weights`` must not change while the scorer is in use.
+    """
+
+    def __init__(self, ctx: UtteranceContext, weights: dict, max_rules: int):
+        assert 1 <= max_rules <= MAX_RULES_LIMIT, max_rules
+        self.weights = weights
+        self.max_rules = max_rules
+        self._head = ctx.head
+        # (weighted key, its weight, shift of the field it counts, or None
+        # for size>n, n) for every key whose value the packed fields give,
+        # in sorted key order
+        fields = _RULE_FIELDS + (_UNEVOKED_FIELDS if ctx.use_new_features else ())
+        tail = [(k, weights[k], shift, 0) for k, shift in fields if k in weights]
+        if ctx.use_new_features:
+            tail += [(k, weights[k], None, n) for k, n in
+                     ((f"{SIZE}{n}", n) for n in range(2, max_rules)) if k in weights]
+        tail.sort()
+        self._tail = tuple(tail)
+        # (bits, packed) -> score, of fragments and of roots: a caller may
+        # read a score here and must call score() when it is missing
+        self.memo: tuple[dict, dict] = ({}, {})
+        self._prefix: tuple[dict, dict] = ({}, {})  # bits -> running total
 
     def score(self, is_root: bool, bits: int, packed: int) -> float:
         memo = self.memo[is_root]
@@ -271,45 +290,26 @@ class ChartScorer:
         return total
 
     def _total(self, is_root: bool, bits: int, packed: int) -> float:
-        """``dot`` over the weighted feature values of a key: the bits'
-        running total, memoized on (root flag, bits), plus the terms of
-        the packed fields: a ``width``-bit field per weighted rule key,
-        then one per predicate kind, then the size above them all."""
-        size = packed >> self._size_shift
+        size = packed >> SIZE_SHIFT
         assert size <= self.max_rules, f"size {size} exceeds max_rules {self.max_rules}"
         prefix = self._prefix[is_root]
         total = prefix.get(bits)
         if total is None:
-            total = prefix[bits] = self._head(is_root, bits)
-        mask = self._mask
+            total = 0.0
+            get = self.weights.get
+            for k, value in self._head(is_root, bits):
+                weight = get(k)
+                if weight is not None:
+                    total += weight * value
+            prefix[bits] = total
         for _, weight, shift, n in self._tail:
             if shift is None:
                 if n < size:  # value 1, and weight * 1 == weight
                     total += weight
             else:
-                value = packed >> shift & mask
+                value = packed >> shift & MASK
                 if value:
                     total += weight * value
-        return total
-
-    def _head(self, is_root: bool, bits: int) -> float:
-        """The running total of ``dot`` over the weighted ``cooc`` and, at
-        a root, ``missing`` values that ``bits`` gives, in sorted key
-        order."""
-        weights = self.weights
-        values: dict[str, int] = {}
-        for pred, bit in self._bit.items():
-            if bits & bit:
-                for k, count in self._cooc[pred]:
-                    values[k] = values.get(k, 0) + count
-        if is_root:
-            for bit, absent in self._missing:
-                if not bits & bit:
-                    for k in absent:
-                        values[k] = 1
-        total = 0.0
-        for k in sorted(values):
-            total += weights[k] * values[k]
         return total
 
 

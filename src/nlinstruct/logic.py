@@ -31,6 +31,10 @@ on the printed form, so it relies on a candidate's rendered string being
 exactly the ``printed`` of the node it would build. For roots the chart
 writes :func:`render_call`'s format out inline and hands the string to the
 ``Call`` it builds.
+
+A form does not list the predicates it uses. What the features read of
+them lives in its derivation's score key, which the chart composes from
+the children's keys (see :mod:`nlinstruct.features`).
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ import re
 from .domains.base import InterfaceMethod, MethodCall
 from .errors import ExecutionError
 from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Value
-
-REL = "relation"
-METH = "method"
-OP = "operator"
 
 _EMPTY: frozenset = frozenset()
 _BARE_TEXT = re.compile(r"[a-z][a-z0-9]*$")
@@ -86,34 +86,10 @@ def render_call(method: str, args) -> str:
     return f"{method}({', '.join(args)})"
 
 
-def _merge_preds(*parts):
-    merged: dict[tuple[str, str], int] = {}
-    for part in parts:
-        for key, n in part.items():
-            merged[key] = merged.get(key, 0) + n
-    return merged
-
-
 class LogicalForm:
-    """Base node. ``printed`` is the canonical text, ``preds`` the
-    multiset of (kind, name) predicates occurring in the tree.
+    """Base node. ``printed`` is the canonical text."""
 
-    ``preds`` is collected on first read and kept: the parser's chart
-    builds many forms whose predicates nobody reads (it scores them from
-    its own composed counts), so building the dict eagerly is waste."""
-
-    __slots__ = ("printed", "_preds")
-
-    @property
-    def preds(self) -> dict[tuple[str, str], int]:
-        try:
-            return self._preds
-        except AttributeError:
-            self._preds = preds = self._collect_preds()
-            return preds
-
-    def _collect_preds(self) -> dict[tuple[str, str], int]:
-        raise NotImplementedError
+    __slots__ = ("printed",)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.printed == self.printed
@@ -132,9 +108,6 @@ class ValueLit(LogicalForm):
         self.value = value
         self.printed = print_value(value)
 
-    def _collect_preds(self):
-        return {}
-
 
 class TypeSet(LogicalForm):
     """All entities of one type; shorthand for a reverse join on ``type``."""
@@ -144,9 +117,6 @@ class TypeSet(LogicalForm):
     def __init__(self, etype: str):
         self.etype = etype
         self.printed = render_join("R", TYPE_RELATION, etype)
-
-    def _collect_preds(self):
-        return {(REL, TYPE_RELATION): 1}
 
 
 class RelationRef(LogicalForm):
@@ -158,9 +128,6 @@ class RelationRef(LogicalForm):
         self.name = name
         self.printed = f"R[{name}]"
 
-    def _collect_preds(self):
-        return {(REL, self.name): 1}
-
 
 class MethodRef(LogicalForm):
     """A bare interface method; appears only inside partial derivations."""
@@ -171,9 +138,6 @@ class MethodRef(LogicalForm):
         self.method = method
         self.printed = method.name
 
-    def _collect_preds(self):
-        return {(METH, self.method.name): 1}
-
 
 class ReverseJoin(LogicalForm):
     __slots__ = ("relation", "child")
@@ -183,9 +147,6 @@ class ReverseJoin(LogicalForm):
         self.child = child
         self.printed = render_join("R", relation, child.printed)
 
-    def _collect_preds(self):
-        return _merge_preds({(REL, self.relation): 1}, self.child.preds)
-
 
 class ForwardJoin(LogicalForm):
     __slots__ = ("relation", "child")
@@ -194,9 +155,6 @@ class ForwardJoin(LogicalForm):
         self.relation = relation
         self.child = child
         self.printed = render_join("F", relation, child.printed)
-
-    def _collect_preds(self):
-        return _merge_preds({(REL, self.relation): 1}, self.child.preds)
 
 
 class Intersect(LogicalForm):
@@ -212,9 +170,6 @@ class Intersect(LogicalForm):
         self.right = b
         self.printed = render_intersect(a.printed, b.printed)
 
-    def _collect_preds(self):
-        return _merge_preds(self.left.preds, self.right.preds)
-
 
 ARGMAX = "argmax"
 ARGMIN = "argmin"
@@ -229,9 +184,6 @@ class Superlative(LogicalForm):
         self.set_lf = set_lf
         self.key = key
         self.printed = render_superlative(kind, set_lf.printed, key)
-
-    def _collect_preds(self):
-        return _merge_preds({(OP, self.kind): 1, (REL, self.key): 1}, self.set_lf.preds)
 
 
 class Call(LogicalForm):
@@ -251,9 +203,6 @@ class Call(LogicalForm):
         self.args = args
         self.printed = (render_call(method.name, [a.printed for a in args]) if printed is None
                         else printed)
-
-    def _collect_preds(self):
-        return _merge_preds({(METH, self.method.name): 1}, *(a.preds for a in self.args))
 
 
 # ---------------------------------------------------------------------------

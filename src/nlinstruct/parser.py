@@ -30,21 +30,19 @@ it builds beyond ``max_rules - 2`` come after every other set offer, so
 their dedup keys reject only each other, and both charts return the same
 roots.
 
-Every candidate is scored when it is offered, from a two-int *score key*
-rather than from its predicates and rules. The key (``bits``: the
-triggered predicates its form uses; ``packed``: its size, its untriggered
-predicate uses per kind and its weighted rule counts, in fixed-width
-fields) composes: a leaf's key comes from its form's ``preds``, and a
-composite's is its rule's local key with its children's ``bits`` OR-ed in
-and their ``packed`` added, because a form's predicates, rule counts and
-size are its children's plus its rule's own. The scorer built once per
-parse, a :class:`~nlinstruct.features.ChartScorer`, maps a key to the
-same float, bit for bit, as ``kernels.dot`` over the feature dict (see
-its docstring for why the key determines every weighted feature value
-and why no field overflows). That float is the derivation's ``score``,
-which the trainer reads too. Root derivations get
-the full feature set (including missing-predicate features); partial
-derivations the templates that are well defined on fragments.
+Every candidate is scored when it is offered, from its two-int *score
+key* (``bits``: the triggered predicates its form uses; ``packed``: its
+rule counts, its untriggered predicate uses per kind and its size, in
+fixed-width fields; see :mod:`nlinstruct.features`). Keys compose: a
+leaf's key comes from its one predicate and rule, and a composite's is
+its rule's local key with its children's ``bits`` OR-ed in and their
+``packed`` added. The scorer built once per parse, a
+:class:`~nlinstruct.features.ChartScorer`, maps a key to the same float,
+bit for bit, as ``kernels.dot`` over the feature dict the key decodes to.
+That float is the derivation's ``score``, which the trainer reads too.
+Root derivations get the full feature set (including missing-predicate
+features); partial derivations the templates that are well defined on
+fragments.
 
 Candidates are scored before they are built. A composite candidate is
 first rendered: its printed form comes from ``logic``'s ``render_*``
@@ -67,11 +65,11 @@ taken once, outside the loop over the last argument. A surviving root's
 ``Call`` takes that string as its printed form instead of rendering it
 again.
 
-So the chart never builds a composite's predicate or rule dict: a form's
-``preds`` and a derivation's ``rules`` are built on first read, as is
-the feature dict (``Derivation.feats``). Readers are the gradient,
-``Candidate.features`` and ``parse --explain``, all of which see only the
-candidates that survive the beams and the filter.
+The score key is the only description of a derivation's features: its
+feature dict (``Derivation.feats``) is decoded from the key on first read.
+Readers are the gradient, ``Candidate.features`` and ``parse --explain``,
+all of which see only the candidates that survive the beams and the
+filter.
 
 Inference has one path, :func:`infer`: parse, execute each root's call
 against the state and, with the logic filter on, drop the roots with an
@@ -117,12 +115,20 @@ from .domains.base import (
     invoke,
 )
 from .errors import ConfigError, DomainLogicError
-from .features import ChartScorer, Featurizer, UtteranceContext, tokenize
-from .kb import IntVal, State, SymVal, TextVal
+from .features import (
+    KIND_METHOD,
+    KIND_OPERATOR,
+    KIND_RELATION,
+    MAX_RULES_LIMIT,
+    ChartScorer,
+    Featurizer,
+    UtteranceContext,
+    tokenize,
+)
+from .kb import TYPE_RELATION, IntVal, State, SymVal, TextVal
 from .logic import (
     ARGMAX,
     ARGMIN,
-    OP,
     Call,
     ForwardJoin,
     Intersect,
@@ -163,14 +169,6 @@ ORDINAL_WORDS = {
 }
 
 
-
-#: The largest rule budget a parser accepts, twice the paper's 15. Chart
-#: time and memory grow faster than linearly in the budget: ``nlinstruct
-#: parse`` on a small lighting state at beam 200 peaks at about 32 MB of
-#: RSS at 15 rules and 196 MB at 30.
-MAX_RULES_LIMIT = 30
-
-
 @dataclass
 class ParserConfig:
     """``beam_size=None`` disables pruning (exhaustive search).
@@ -190,14 +188,13 @@ class ParserConfig:
 
 
 class Derivation:
-    """A chart entry. ``rules`` maps rule name to application count and
-    sums to ``size_used``. A derivation records only the ``rule`` it
-    applied last; its counts are that one application plus its children's,
-    summed on first read. ``bits`` and ``packed`` are its score key (see
-    :class:`~nlinstruct.features.ChartScorer`), set by the chart."""
+    """A chart entry. A derivation records only the ``rule`` it applied
+    last; ``bits`` and ``packed``, its score key (see
+    :mod:`nlinstruct.features`), set by the chart, hold its rule counts
+    with the rest of what its features read."""
 
     __slots__ = ("lf", "category", "size_used", "spans", "children", "rule", "score",
-                 "bits", "packed", "_rules", "_context", "_feats")
+                 "bits", "packed", "_context", "_feats")
 
     def __init__(self, lf: LogicalForm, category: str, size_used: int,
                  spans: tuple, children: tuple,
@@ -213,21 +210,10 @@ class Derivation:
         self._feats: dict | None = None
 
     @property
-    def rules(self) -> dict:
-        try:
-            return self._rules
-        except AttributeError:
-            rules = {self.rule: 1}
-            for c in self.children:
-                for name, n in c.rules.items():
-                    rules[name] = rules.get(name, 0) + n
-            self._rules = rules
-            return rules
-
-    @property
     def feats(self) -> dict | None:
-        """The feature dict, built from the parse's utterance context on
-        first read and kept; None for a derivation built without one."""
+        """The feature dict, decoded from the score key by the parse's
+        utterance context on first read and kept; None for a derivation
+        built without one."""
         if self._feats is None and self._context is not None:
             self._feats = self._context.features(self, self.category == CAT_ROOT)
         return self._feats
@@ -308,17 +294,18 @@ def generate_candidates(
     score = scorer.score
     # a composite's own share of its score key: one application of its
     # rule, plus the operator predicate that a superlative introduces
-    local = {rule: scorer.key({}, {rule: 1}, 1)
-             for rule in ("rjoin", "fjoin", "intersect", "call")}
+    local = {rule: ctx.key({}, {rule: 1}, 1) for rule in ("rjoin", "fjoin", "intersect", "call")}
     for kind in (ARGMAX, ARGMIN):
-        local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
+        local[kind] = ctx.key({(KIND_OPERATOR, kind): 1}, {kind: 1}, 1)
 
-    def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str) -> None:
+    def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str, pred=None) -> None:
+        """Offer a leaf; ``pred`` is the one predicate its form uses, as
+        (kind, name), if any."""
         key = (category, lf.printed, spans)
         if key in seen:
             return
         seen.add(key)
-        bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+        bits, packed = ctx.key({pred: 1} if pred else {}, {rule: 1}, 1)
         cells.setdefault((category, 1), []).append(
             (-score(False, bits, packed), lf.printed, spans, (), rule, bits, packed, lf))
 
@@ -358,7 +345,10 @@ def generate_candidates(
     toks = list(tokens)
     has_index = "index" in domain.relations
     for i, tok in enumerate(toks):
-        n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+        try:
+            n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+        except ValueError:  # a digit run too long for int() anchors no integer
+            n = None
         span = ((i, i + 1),)
         if n is not None:
             leaf(CAT_VALUE, ValueLit(IntVal(n)), span, "anchor-int")
@@ -368,7 +358,8 @@ def generate_candidates(
             leaf(CAT_VALUE, value, span, "anchor-int")
             if has_index:
                 # prints like the rjoin that builds the same form at size 3
-                leaf(CAT_SET, ReverseJoin("index", value), span, "anchor-ordinal")
+                leaf(CAT_SET, ReverseJoin("index", value), span, "anchor-ordinal",
+                     (KIND_RELATION, "index"))
 
     text_values: dict[tuple, list[TextVal]] = {}
     for t in state.triples:
@@ -384,11 +375,11 @@ def generate_candidates(
                     leaf(CAT_VALUE, ValueLit(v), ((i, j),), "anchor-text")
 
     for rel in sorted(domain.relations):
-        leaf(CAT_REL, RelationRef(rel), (), "float-relation")
+        leaf(CAT_REL, RelationRef(rel), (), "float-relation", (KIND_RELATION, rel))
     for etype in sorted(domain.entity_types):
-        leaf(CAT_SET, TypeSet(etype), (), "float-type")
+        leaf(CAT_SET, TypeSet(etype), (), "float-type", (KIND_RELATION, TYPE_RELATION))
     for method in domain.methods:
-        leaf(CAT_METHOD, MethodRef(method), (), "float-method")
+        leaf(CAT_METHOD, MethodRef(method), (), "float-method", (KIND_METHOD, method.name))
     for sym in sorted(domain.enum_symbols):
         leaf(CAT_VALUE, ValueLit(SymVal(sym)), (), "float-sym")
 

@@ -5,7 +5,9 @@ scans, and the candidate space comes from plain recursive enumeration with
 no beams and no scoring. The one beam-search reference,
 ``eager_generate_candidates``, is the chart that builds every candidate
 before pruning. ``reference_features`` spells every feature template out
-as a string for each derivation, with no per-utterance tables.
+as a string for each derivation, with no per-utterance tables and no
+score key: ``reference_preds`` and ``reference_rules`` walk the form and
+the derivation tree for the counts it reads.
 ``reference_tune`` and ``reference_cv_tune`` are grid search as it was
 before tuning shared training prefixes: a fresh AdaGrad or two-step run
 for every (fold, configuration). These stay out of the
@@ -22,11 +24,10 @@ from nlinstruct.domains.base import Domain, MethodCall, invoke
 from nlinstruct.domains.base import COLLECTION, ENUM_ARG, INT_ARG, OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, SINGLE
 from nlinstruct.errors import ExecutionError
 from nlinstruct.features import ChartScorer, Featurizer, tokenize
-from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal
+from nlinstruct.kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal
 from nlinstruct.logic import (
     ARGMAX,
     ARGMIN,
-    OP,
     Call,
     ForwardJoin,
     Intersect,
@@ -158,7 +159,10 @@ def enumerate_all_forms(domain, state, tokens, budget: EnumerationBudget):
         # anchored and floating leaves
         for i, tok in enumerate(tokens):
             span = frozenset(((i, i + 1),))
-            n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+            try:
+                n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+            except ValueError:  # a digit run too long for int() anchors no integer
+                n = None
             if n is not None:
                 put("value", 1, ValueLit(IntVal(n)), span)
             k = ORDINAL_WORDS.get(tok)
@@ -245,13 +249,54 @@ def enumerate_all_forms(domain, state, tokens, budget: EnumerationBudget):
     return roots, truncated
 
 
-def reference_features(tokens, lexicon: dict, use_new_features: bool, deriv,
-                       is_root: bool) -> dict[str, float]:
-    """The feature dict of a derivation, each template written out as a
-    string (see ``nlinstruct.features``): the reference for
-    ``UtteranceContext.features``, whose dicts must equal these, keys in
-    the same insertion order. Reads the derivation's ``lf``,
-    ``size_used`` and ``rules`` only."""
+def reference_preds(lf: LogicalForm) -> Counter:
+    """(kind, name) -> uses of each predicate in a form, by a walk over
+    its tree."""
+    out: Counter = Counter()
+
+    def walk(node):
+        if isinstance(node, TypeSet):
+            out["relation", TYPE_RELATION] += 1
+        elif isinstance(node, RelationRef):
+            out["relation", node.name] += 1
+        elif isinstance(node, MethodRef):
+            out["method", node.method.name] += 1
+        elif isinstance(node, (ReverseJoin, ForwardJoin)):
+            out["relation", node.relation] += 1
+            walk(node.child)
+        elif isinstance(node, Intersect):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, Superlative):
+            out["operator", node.kind] += 1
+            out["relation", node.key] += 1
+            walk(node.set_lf)
+        elif isinstance(node, Call):
+            out["method", node.method.name] += 1
+            for a in node.args:
+                walk(a)
+        else:
+            assert isinstance(node, ValueLit), node
+
+    walk(lf)
+    return out
+
+
+def reference_rules(deriv) -> Counter:
+    """Rule name -> applications in a derivation, by a walk over its
+    children."""
+    out = Counter({deriv.rule: 1})
+    for c in deriv.children:
+        out.update(reference_rules(c))
+    return out
+
+
+def reference_features(tokens, lexicon: dict, use_new_features: bool, lf: LogicalForm,
+                       rules: dict, size_used: int, is_root: bool) -> dict[str, float]:
+    """The feature dict of a derivation with this form, rule counts and
+    size, each template written out as a string (see
+    ``nlinstruct.features``): the reference for
+    ``UtteranceContext.features``, whose dicts must equal these."""
     tokens = tuple(tokens)
     ngrams: Counter[str] = Counter(tokens)
     for i in range(len(tokens) - 1):
@@ -268,7 +313,7 @@ def reference_features(tokens, lexicon: dict, use_new_features: bool, deriv,
         if hits:
             triggers[(kind, name)] = hits
     feats: dict[str, float] = {}
-    preds = deriv.lf.preds
+    preds = reference_preds(lf)
     for key, uses in preds.items():
         entry = triggers.get(key)
         kind, name = key
@@ -299,9 +344,9 @@ def reference_features(tokens, lexicon: dict, use_new_features: bool, deriv,
             if hit:
                 feats[f"missing-any|{kind}"] = 1.0
     if use_new_features:
-        for n in range(2, deriv.size_used):
+        for n in range(2, size_used):
             feats[f"size>{n}"] = 1.0
-    for rule, count in deriv.rules.items():
+    for rule, count in rules.items():
         feats[f"rule|{rule}"] = float(count)
     return feats
 
@@ -318,7 +363,8 @@ def eager_generate_candidates(
     builds a logical form and a ``Derivation`` for every candidate, pruned
     ones included, and prunes by sorting whole cells. The score-first
     chart must return the same roots, in the same order, with the same
-    scores, spans and rules.
+    scores, spans and rules. A leaf's score key comes from
+    :func:`reference_preds`.
     """
     config = config or ParserConfig()
     weights = weights if weights is not None else {}
@@ -333,10 +379,9 @@ def eager_generate_candidates(
     score = scorer.score
     # a composite's own share of its score key: one application of its
     # rule, plus the operator predicate that a superlative introduces
-    local = {rule: scorer.key({}, {rule: 1}, 1)
-             for rule in ("rjoin", "fjoin", "intersect", "call")}
+    local = {rule: ctx.key({}, {rule: 1}, 1) for rule in ("rjoin", "fjoin", "intersect", "call")}
     for kind in (ARGMAX, ARGMIN):
-        local[kind] = scorer.key({(OP, kind): 1}, {kind: 1}, 1)
+        local[kind] = ctx.key({("operator", kind): 1}, {kind: 1}, 1)
 
     def add(category: str, lf: LogicalForm, size_used: int, spans: tuple,
             children: tuple, rule: str) -> None:
@@ -350,7 +395,7 @@ def eager_generate_candidates(
                 bits |= c.bits
                 packed += c.packed
         else:
-            bits, packed = scorer.key(lf.preds, {rule: 1}, 1)
+            bits, packed = ctx.key(reference_preds(lf), {rule: 1}, 1)
         d = Derivation(lf, category, size_used, spans, children, ctx, rule)
         d.bits = bits
         d.packed = packed
@@ -369,7 +414,10 @@ def eager_generate_candidates(
     toks = list(tokens)
     has_index = "index" in domain.relations
     for i, tok in enumerate(toks):
-        n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+        try:
+            n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
+        except ValueError:  # a digit run too long for int() anchors no integer
+            n = None
         span = ((i, i + 1),)
         if n is not None:
             add(CAT_VALUE, ValueLit(IntVal(n)), 1, span, (), "anchor-int")

@@ -354,6 +354,15 @@ def test_parse_explain_prints_exact_feature_lines(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == lines, flags
 
 
+def test_parse_reads_a_digit_run_too_long_for_an_integer(tmp_path, capsys):
+    # int() refuses digit runs longer than its limit; the parse goes on
+    # without anchoring an integer there
+    args = _paper_state_parse_args(tmp_path)
+    args[1] = "turn off the light in the bedroom " + "2" * 5000
+    assert main(args + ["--nbest", "1"]) == 0
+    assert capsys.readouterr().out.startswith("1. score=")
+
+
 def test_parse_uses_the_models_feature_set(tmp_path, capsys):
     args = _paper_state_parse_args(tmp_path) + ["--nbest", "5", "--explain"]
     model = tmp_path / "m.json"
@@ -531,11 +540,29 @@ def _significance_iterations(tmp_path, iterations):
 
 
 def _eval_with_dataset(tmp_path, rows):
+    """``eval`` on a dataset of ``rows``, each a JSON value or, as a
+    string, the line itself; None leaves the file missing."""
     dataset = tmp_path / "data.jsonl"
     if rows is not None:
-        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        dataset.write_text("".join((row if isinstance(row, str) else json.dumps(row)) + "\n"
+                                   for row in rows))
     config = _write_config(tmp_path / "c.json", dataset=str(dataset))
     return ["eval", "--config", config, "--out", str(tmp_path / "r.json")]
+
+
+def _eval_with_config(tmp_path, text):
+    return ["eval", "--config", _bad_file(tmp_path, "c.json", text),
+            "--out", str(tmp_path / "r.json")]
+
+
+# an integer literal longer than int() converts (4,300 digits by
+# default), and arrays nested deeper than the recursion limit
+_LONG_INT = "1" * 5000
+_DEEP = "[" * 200_000 + "]" * 200_000
+_TOO_LONG = "not valid JSON (Exceeds the limit"
+_TOO_DEEP = "not valid JSON (maximum recursion depth exceeded"
+_TWICE = ('{"entities": [{"id": "f1", "type": "File"}, {"id": "f1", "type": "Directory"}], '
+          '"triples": []}')
 
 
 def _generate_with(tmp_path, generation):
@@ -627,6 +654,16 @@ def _row_without(key):
     (lambda p: _generate_with(p, {"lighting": {"flors": [1, 2]}}), 2,
      "generation.lighting: unknown range 'flors' (known: floors, rooms_per_floor)"),
     (lambda p: _generate_with(p, {"toaster": {}}), 2, "generation.toaster: unknown domain"),
+    (lambda p: _parse_with_state(p, '{"entities": [], "triples": [["x", "r", {"int": %s}]]}'
+                                 % _LONG_INT), 3, "bad_state.json: " + _TOO_LONG),
+    (lambda p: _parse_with_state(p, _DEEP), 3, "bad_state.json: " + _TOO_DEEP),
+    (lambda p: _parse_with_state(p, _TWICE), 3,
+     "bad_state.json: malformed state object: entity 'f1' declared twice"),
+    (lambda p: _eval_with_dataset(p, [{"header": {}}, '{"id": %s}' % _LONG_INT]), 3,
+     "data.jsonl:2: " + _TOO_LONG),
+    (lambda p: _eval_with_dataset(p, [_DEEP]), 3, "data.jsonl:1: " + _TOO_DEEP),
+    (lambda p: _eval_with_config(p, '{"seed": %s}' % _LONG_INT), 2, "c.json: " + _TOO_LONG),
+    (lambda p: _eval_with_config(p, _DEEP), 2, "c.json: " + _TOO_DEEP),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
@@ -635,7 +672,9 @@ def _row_without(key):
         "train-partition-size", "parse-domain", "generate-domain", "tune-target", "train-target",
         "eval-target", "eval-in-domain-target", "config-bootstrap", "significance-iterations",
         "generation-not-object", "generation-reversed", "generation-negative",
-        "generation-string", "generation-float", "generation-misspelled", "generation-domain"])
+        "generation-string", "generation-float", "generation-misspelled", "generation-domain",
+        "state-long-int", "state-deep", "state-repeated-id", "dataset-long-int", "dataset-deep",
+        "config-long-int", "config-deep"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

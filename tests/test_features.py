@@ -15,11 +15,18 @@ from nlinstruct.features import (
 from nlinstruct.logic import ARGMAX, Superlative, TypeSet
 
 from conftest import join, root
+from oracles import reference_preds
 
 
 def _root(lf, size_used: int, rules=None) -> SimpleNamespace:
-    """A root derivation as ``UtteranceContext.features`` reads it."""
+    """A root derivation: its form, size and rule counts."""
     return SimpleNamespace(lf=lf, size_used=size_used, rules=rules or {})
+
+
+def _features(ctx: UtteranceContext, deriv) -> dict[str, float]:
+    """The root feature dict of ``deriv``, decoded from its score key."""
+    bits, packed = ctx.key(reference_preds(deriv.lf), deriv.rules, deriv.size_used)
+    return ctx.features(SimpleNamespace(bits=bits, packed=packed), True)
 
 
 def _remove_largest_file(domain):
@@ -27,7 +34,7 @@ def _remove_largest_file(domain):
 
 
 def _root_features(tokens, deriv, lexicon) -> dict[str, float]:
-    return UtteranceContext(tuple(tokens), lexicon, True).features(deriv, True)
+    return _features(UtteranceContext(tuple(tokens), lexicon, True), deriv)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -153,14 +160,14 @@ def test_baseline_template_set_drops_new_features():
     featurizer = Featurizer(domain, use_new_features=False)
     ctx = featurizer.context(tuple(tokenize("delete the largest file")))
     lf = _remove_largest_file(domain)
-    feats = ctx.features(_root(lf, 7), True)
+    feats = _features(ctx, _root(lf, 7))
     assert "cooc|delete|removeFiles" not in feats  # description phrases are off
     assert not any(k.startswith("size>") for k in feats)
     # name-token matching survives: "size" is a word inside sizeInBytes
     ctx2 = featurizer.context(tuple(tokenize("delete the file of size 9")))
-    assert "cooc|size|sizeInBytes" in ctx2.features(_root(lf, 7), True)
+    assert "cooc|size|sizeInBytes" in _features(ctx2, _root(lf, 7))
     lf2 = root(domain, "removeFiles", TypeSet("File"))
-    assert "missing|size|sizeInBytes" in ctx2.features(_root(lf2, 3), True)
+    assert "missing|size|sizeInBytes" in _features(ctx2, _root(lf2, 3))
 
 
 def test_rule_applications_are_counted():

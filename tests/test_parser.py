@@ -24,7 +24,7 @@ from nlinstruct.parser import (
 )
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 
-from oracles import EnumerationBudget, enumerate_all_forms
+from oracles import EnumerationBudget, eager_generate_candidates, enumerate_all_forms
 
 
 def _bedroom_floor2_state() -> State:
@@ -245,6 +245,28 @@ def test_beam_infinity_matches_exhaustive_enumeration_small(toy_domain):
         )
         assert not truncated
         assert got == want
+
+
+def test_a_digit_run_too_long_for_int_anchors_no_integer(toy_domain):
+    # int() refuses digit runs longer than the interpreter's limit (4,300
+    # digits by default); such a token then anchors nothing, in the chart
+    # and in both references, instead of raising
+    state = toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
+    long_run = "7" * 5000
+    try:
+        anchors = int(long_run) > 0
+    except ValueError:
+        anchors = False
+    tokens = ["zap", long_run, "alpha", "3"]
+    config = ParserConfig(beam_size=None, max_rules=7)
+    got = [(d.lf.printed, d.spans, repr(d.score)) for d in generate_candidates(
+        tokens, state, toy_domain, config, {"rule|anchor-int": 0.5})]
+    assert got == [(d.lf.printed, d.spans, repr(d.score)) for d in eager_generate_candidates(
+        tokens, state, toy_domain, config, {"rule|anchor-int": 0.5})]
+    want, truncated = enumerate_all_forms(toy_domain, state, tokens, EnumerationBudget(max_size=7))
+    assert not truncated and {printed for printed, _, _ in got} == want
+    assert any(long_run in printed for printed in want) == anchors
+    assert any(spans == ((3, 4),) for _, spans, _ in got)  # the short run still anchors
 
 
 def test_beam_pruning_only_shrinks_the_candidate_set(toy_domain):

@@ -2,14 +2,16 @@
 
 The chart scores every candidate from a score key it composes from the
 children's keys, with a ``ChartScorer`` built from the weights and the
-utterance's tables, and builds feature dicts only on demand. The
-reference is ``kernels.dot`` over the feature dict; every score must
+utterance's tables, and decodes feature dicts from keys only on demand.
+The reference is ``kernels.dot`` over the feature dict; every score must
 equal it bit for bit, because fractional credit and the beams compare
 scores with ``==``, and the trainer reads a candidate's score instead of
-recomputing it. Every composed key must also decode to the counts taken
-from the derivation's own ``lf.preds`` and ``rules``. The feature dicts
-themselves must equal ``oracles.reference_features``, which spells every
-template out as a string, keys in the same order.
+recomputing it. Every composed key must also be the key of, and read
+back as, the counts that ``oracles.reference_preds`` and
+``reference_rules`` take by walking the derivation's form and children.
+The decoded dicts themselves must equal ``oracles.reference_features``,
+which spells every template out as a string; their keys come in sorted
+order.
 
 ``generate_candidates`` builds a ``Derivation`` only for the candidates
 that survive their beams, so the checks that cover pruned candidates run
@@ -30,31 +32,44 @@ import pytest
 from nlinstruct import kernels, parser
 from nlinstruct.domains import get_domain
 from nlinstruct.evaluation import mean_credit
-from nlinstruct.features import KINDS, ChartScorer, Featurizer, UtteranceContext, tokenize
+from nlinstruct.features import (
+    KIND_SHIFT,
+    KINDS,
+    MASK,
+    MAX_RULES_LIMIT,
+    RULE_SHIFT,
+    RULES,
+    SIZE_SHIFT,
+    ChartScorer,
+    Featurizer,
+    UtteranceContext,
+    tokenize,
+)
 from nlinstruct.logic import Call, Intersect, TypeSet
 from nlinstruct.parser import Derivation, ParserConfig, Pipeline, generate_candidates
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
 from nlinstruct.training import TrainConfig, adagrad, example_log_likelihood
 from conftest import join, root
-from oracles import eager_generate_candidates, reference_features
+from oracles import (
+    eager_generate_candidates,
+    reference_features,
+    reference_preds,
+    reference_rules,
+)
 
 CONFIG = ParserConfig(beam_size=20, max_rules=9)
 
 
-def decode(scorer, bits: int, packed: int) -> tuple[frozenset, dict, dict, int]:
-    """(triggered predicates, untriggered uses per kind, weighted rule
-    counts, size) of a score key, read at the scorer's field shifts; zero
-    counts are left out."""
-    mask = (1 << scorer.width) - 1
-    triggered = frozenset(pred for pred, bit in scorer._bit.items() if bits & bit)
-    rules = {rule: packed >> shift & mask for rule, shift in scorer._rule_shift.items()
-             if packed >> shift & mask}
-    untriggered = {kind: packed >> shift & mask for kind, shift in scorer._kind_shift.items()
-                   if packed >> shift & mask}
-    size = packed >> scorer._size_shift
-    # a field that overflowed would carry up into the size
-    assert size <= scorer.max_rules, f"size {size} exceeds max_rules {scorer.max_rules}"
-    return triggered, untriggered, rules, size
+def decode(ctx, bits: int, packed: int) -> tuple[frozenset, dict, dict, int]:
+    """(triggered predicates, untriggered uses per kind, rule counts, size)
+    of a score key, read at the layout's field shifts; zero counts are
+    left out."""
+    triggered = frozenset(pred for pred, bit in ctx.bit.items() if bits & bit)
+    rules = {rule: packed >> shift & MASK for rule, shift in RULE_SHIFT.items()
+             if packed >> shift & MASK}
+    untriggered = {kind: packed >> shift & MASK for kind, shift in KIND_SHIFT.items()
+                   if packed >> shift & MASK}
+    return triggered, untriggered, rules, packed >> SIZE_SHIFT
 
 # Weights on every template family, with values whose sums round
 # differently depending on the summation order, plus explicit zeros.
@@ -141,22 +156,22 @@ def _busy_examples():
 def _check_chart(built: list, ctx: UtteranceContext, weights: dict, max_rules: int,
                  label) -> None:
     """Every built derivation's score equals the reference, and its
-    composed key is the one its own predicate and rule counts give."""
-    scorer = ChartScorer(ctx, weights, max_rules)
+    composed key is the one its form's predicates and its rule counts,
+    walked from the tree, give."""
     for d in built:
         want = kernels.dot(weights, ctx.features(d, d.category == "Root"))
         assert d.score == want and repr(d.score) == repr(want), (label, d)
-        preds, rules = d.lf.preds, d.rules
+        preds, rules = reference_preds(d.lf), reference_rules(d)
         assert sum(rules.values()) == d.size_used <= max_rules, (label, d)
-        assert (d.bits, d.packed) == scorer.key(preds, rules, d.size_used), (label, d)
+        assert (d.bits, d.packed) == ctx.key(preds, rules, d.size_used), (label, d)
         untriggered: Counter = Counter()
         for (kind, name), uses in preds.items():
             if (kind, name) not in ctx.triggers:
                 untriggered[kind] += uses
-        assert decode(scorer, d.bits, d.packed) == (
+        assert decode(ctx, d.bits, d.packed) == (
             frozenset(p for p in preds if p in ctx.triggers),
             dict(untriggered),
-            {r: n for r, n in rules.items() if f"rule|{r}" in weights},
+            dict(rules),
             d.size_used,
         ), (label, d)
 
@@ -251,7 +266,7 @@ def _check_offer_strings(monkeypatch) -> list:
 
 def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
     roots = chart(tokens, state, domain, config, weights, Featurizer(domain))
-    return [(d.lf.printed, repr(d.score), d.size_used, d.spans, list(d.rules.items()))
+    return [(d.lf.printed, repr(d.score), d.size_used, d.spans, list(reference_rules(d).items()))
             for d in roots]
 
 
@@ -336,26 +351,52 @@ def test_unbounded_and_paper_beams_return_the_eager_reference_roots(toy_domain, 
     assert _roots(generate_candidates, *args) == want
 
 
-@pytest.mark.parametrize("max_rules", [1, 7, 8, 9, 15, 16, 1000])
+@pytest.mark.parametrize("max_rules", [1, 7, 8, 9, 15, 16, MAX_RULES_LIMIT])
 def test_key_fields_hold_counts_up_to_max_rules(max_rules):
     ctx = Featurizer(get_domain("file")).context(tuple(tokenize("delete the largest file")))
-    weights = {"rule|call": 1.0, "rule|rjoin": 1.0, "rule|argmax": 1.0}
-    scorer = ChartScorer(ctx, weights, max_rules)
-    assert scorer.width == max_rules.bit_length()
     m = max_rules
     preds = {("relation", "noSuchRelation"): m, ("method", "noSuchMethod"): m,
              ("operator", "noSuchOperator"): m, ("method", "removeFiles"): m}
     assert ("method", "removeFiles") in ctx.triggers
-    bits, packed = scorer.key(preds, {"call": m, "rjoin": m, "argmax": m, "fjoin": m}, m)
-    assert packed < 1 << scorer.width * (len(weights) + len(KINDS) + 1)
-    assert decode(scorer, bits, packed) == (
+    bits, packed = ctx.key(preds, {"call": m, "rjoin": m, "argmax": m, "fjoin": m}, m)
+    assert packed < 1 << SIZE_SHIFT + m.bit_length()
+    assert decode(ctx, bits, packed) == (
         frozenset({("method", "removeFiles")}), {kind: m for kind in KINDS},
-        {"argmax": m, "call": m, "rjoin": m}, m)
-    too_big = scorer.key({}, {}, m + 1)
+        {"argmax": m, "call": m, "rjoin": m, "fjoin": m}, m)
+    scorer = ChartScorer(ctx, {"rule|call": 1.0}, max_rules)
     with pytest.raises(AssertionError, match="exceeds max_rules"):
-        decode(scorer, *too_big)
-    with pytest.raises(AssertionError, match="exceeds max_rules"):
-        scorer.score(True, *too_big)
+        scorer.score(True, *ctx.key({}, {}, m + 1))
+
+
+def test_the_widest_key_decodes_and_scores_exactly():
+    # every packed field at its bound (a size of MAX_RULES_LIMIT, and each
+    # rule and each kind's untriggered uses counted that many times), and
+    # one rule counted that many times: decoding, then dot, must give the
+    # scorer's float bit for bit, under a weight on every key
+    m = MAX_RULES_LIMIT
+    ctx = Featurizer(get_domain("file")).context(tuple(tokenize("delete the largest file")))
+    untriggered = {("relation", "noSuchRelation"): m, ("method", "noSuchMethod"): m,
+                   ("operator", "noSuchOperator"): m}
+    keys = {"widest": ctx.key({**untriggered, ("method", "removeFiles"): 1},
+                              dict.fromkeys(RULES, m), m),
+            "one rule": ctx.key({("method", "removeFiles"): 1}, {"intersect": m}, m)}
+    widest = keys["widest"][1]
+    fields = [*RULE_SHIFT.values(), *KIND_SHIFT.values()]
+    assert [widest >> shift & MASK for shift in fields] == [m] * len(fields)
+    assert widest >> SIZE_SHIFT == m
+    dicts = {(label, is_root): ctx.features(SimpleNamespace(bits=bits, packed=packed), is_root)
+             for label, (bits, packed) in keys.items() for is_root in (False, True)}
+    got = dicts["widest", True]
+    assert {k: v for k, v in got.items() if k.startswith(("rule|", "unevoked|"))} == {
+        **{f"rule|{r}": float(m) for r in RULES}, **{f"unevoked|{k}": float(m) for k in KINDS}}
+    assert {k for k in got if k.startswith("size>")} == {f"size>{n}" for n in range(2, m)}
+    rng = random.Random(5)
+    weights = {k: rng.uniform(-3, 3) for feats in dicts.values() for k in feats}
+    scorer = ChartScorer(ctx, weights, m)
+    for (label, is_root), feats in dicts.items():
+        assert list(feats) == sorted(feats)
+        want = kernels.dot(weights, feats)
+        assert repr(scorer.score(is_root, *keys[label])) == repr(want), (label, is_root)
 
 
 def test_scorer_memo_never_mixes_roots_and_fragments():
@@ -366,9 +407,10 @@ def test_scorer_memo_never_mixes_roots_and_fragments():
     weights = {"missing|delete|removeFiles": 1.5, "missing-any|method": 0.25}
     scorer = ChartScorer(ctx, weights, CONFIG.max_rules)
     frag = Derivation(TypeSet("File"), "EntitySet", 1, (), (), rule="float-type")
-    key = scorer.key(frag.lf.preds, frag.rules, frag.size_used)
-    assert scorer.score(False, *key) == 0.0
-    assert scorer.score(True, *key) == kernels.dot(weights, ctx.features(frag, True)) == 1.75
+    frag.bits, frag.packed = ctx.key(reference_preds(frag.lf), reference_rules(frag), 1)
+    assert scorer.score(False, frag.bits, frag.packed) == 0.0
+    assert (scorer.score(True, frag.bits, frag.packed)
+            == kernels.dot(weights, ctx.features(frag, True)) == 1.75)
 
 
 def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
@@ -378,8 +420,9 @@ def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
     # round differently unless the packed terms are summed in sorted key
     # order (size>10 before size>2, size> before unevoked|)
     domain = get_domain("lighting")
-    ctx = Featurizer(domain).context(
-        tuple(tokenize("turn off the largest light in the bedroom on the second floor")))
+    featurizer = Featurizer(domain)
+    tokens = tuple(tokenize("turn off the largest light in the bedroom on the second floor"))
+    ctx = featurizer.context(tokens)
     lf = root(domain, "turnLightOff", Intersect(join("name", "bedroom"), TypeSet("Room")))
     weights = {
         "cooc|turn off|turnLightOff": 0.1, "cooc-any|method|desc": 0.2,
@@ -394,10 +437,11 @@ def test_scorer_sums_packed_terms_after_each_root_flags_bits_total():
     for size in (9, 11, 15):
         for rules in ({"call": 1, "intersect": 1, "rjoin": 2},
                       {"call": 1, "intersect": 3, "rjoin": 5}):
-            key = scorer.key(lf.preds, rules, size)
+            key = ctx.key(reference_preds(lf), rules, size)
             for is_root in (False, True):
-                d = SimpleNamespace(lf=lf, size_used=size, rules=rules)
-                want = kernels.dot(weights, ctx.features(d, is_root))
+                feats = reference_features(tokens, featurizer.lexicon, True, lf, rules, size,
+                                           is_root)
+                want = kernels.dot(weights, feats)
                 got = scorer.score(is_root, *key)
                 assert repr(got) == repr(want), (size, rules, is_root)
                 scores.add((is_root, got))
@@ -467,7 +511,9 @@ def test_gradient_reads_the_reference_feature_dicts(trained):
         lexicon = pipeline.featurizer(get_domain(ex.domain_id)).lexicon
         want = []
         for c in cands:
-            feats = reference_features(tokens, lexicon, True, c.deriv, True)
+            d = c.deriv
+            feats = reference_features(tokens, lexicon, True, d.lf, reference_rules(d),
+                                       d.size_used, True)
             want.append(SimpleNamespace(features=feats,
                                         deriv=SimpleNamespace(score=kernels.dot(trained, feats))))
         denots = [c.denotation for c in cands]
@@ -475,47 +521,54 @@ def test_gradient_reads_the_reference_feature_dicts(trained):
         assert got == example_log_likelihood(want, denots, ex.desired)
         gradients += got is not None
         for c, ref in zip(cands, want):
-            assert c.features == ref.features and list(c.features) == list(ref.features)
+            assert c.features == ref.features and list(c.features) == sorted(ref.features)
             assert repr(c.deriv.score) == repr(ref.deriv.score)
     assert gradients >= 5
 
 
-@pytest.mark.parametrize("use_new_features", [True, False])
-def test_feature_dicts_equal_the_string_template_reference(built, use_new_features):
-    # every root and fragment the eager chart builds, pruned ones too, in
-    # every domain, each read both as a root and as a fragment
+def _check_feature_dicts(built, examples, config, use_new_features) -> tuple[Counter, set]:
+    """Every root and fragment the eager chart builds for ``examples``,
+    pruned ones too, each read both as a root and as a fragment, decodes
+    to the reference dict, keys in sorted order; returns the derivations
+    checked per (domain, category) and the template families seen."""
     checked: Counter = Counter()
     templates = set()
-    for ex in _busy_examples() + _ordinal_examples():
+    for ex in examples:
         domain = get_domain(ex.domain_id)
         featurizer = Featurizer(domain, use_new_features)
         tokens = tokenize(ex.utterance)
         built.clear()
-        eager_generate_candidates(tokens, ex.initial, domain, CONFIG, EXPLICIT, featurizer)
+        eager_generate_candidates(tokens, ex.initial, domain, config, EXPLICIT, featurizer)
         ctx = featurizer.context(tokens)
         for d in built:
+            rules = reference_rules(d)
             for is_root in (False, True):
                 got = ctx.features(d, is_root)
-                want = reference_features(tokens, featurizer.lexicon, use_new_features, d, is_root)
-                assert got == want and list(got) == list(want), (ex.id, d, is_root)
+                want = reference_features(tokens, featurizer.lexicon, use_new_features, d.lf,
+                                          rules, d.size_used, is_root)
+                assert got == want and list(got) == sorted(want), (ex.id, d, is_root)
                 templates.update(re.match(r"[a-z-]+[|>]", k).group() for k in got)
             checked[ex.domain_id, d.category] += 1
+    return checked, templates
+
+
+@pytest.mark.parametrize("use_new_features", [True, False])
+def test_feature_dicts_equal_the_string_template_reference(built, use_new_features):
+    # every domain, new templates on and off
+    checked, templates = _check_feature_dicts(
+        built, _busy_examples() + _ordinal_examples(), CONFIG, use_new_features)
     for did in CORPUS_DOMAINS:
         assert checked[did, "Root"] > 50 and checked[did, "EntitySet"] > 200, did
     new = {"unevoked|", "size>"} if use_new_features else set()
     assert templates == {"cooc|", "cooc-any|", "missing|", "missing-any|", "rule|"} | new
 
 
-def test_lazy_rules_keep_the_application_order(paper_state):
-    # counts are summed on first read: the last rule first, then each
-    # child's counts in child order, as when they were merged eagerly
-    roots = generate_candidates(tokenize("turn off the light in the bedroom"), paper_state,
-                                get_domain("lighting"), ParserConfig(beam_size=20, max_rules=7))
-    by_form = {d.lf.printed: d for d in roots}
-    d = by_form["turnLightOff(R[lightMode].ON)"]
-    assert list(d.rules.items()) == [("call", 1), ("float-method", 1), ("rjoin", 1),
-                                     ("float-relation", 1), ("float-sym", 1)]
-    assert d.rules is d.rules
-    d = by_form["turnLightOff(Intersect(R[name].bedroom, R[type].Room))"]
-    assert list(d.rules) == ["call", "float-method", "intersect", "float-type", "rjoin",
-                             "float-relation", "anchor-text"]
+@pytest.mark.parametrize("max_rules", [15, MAX_RULES_LIMIT])
+def test_feature_dicts_equal_the_reference_at_large_rule_budgets(built, max_rules):
+    # one example per domain, at a small beam, where sizes and rule counts
+    # reach the budget
+    sizes = set()
+    for ex in _busy_examples():
+        _check_feature_dicts(built, [ex], ParserConfig(beam_size=2, max_rules=max_rules), True)
+        sizes.update(d.size_used for d in built)
+    assert max(sizes) == max_rules
