@@ -60,6 +60,17 @@ def generate_state(rng: random.Random, ranges: dict) -> State:
     return State("messenger", entities, triples)
 
 
+def _successor(digits: str) -> str:
+    """The decimal successor of a number written without leading zeros
+    ("" for 0), computed on the digits: ``int()`` refuses strings of more
+    than 4,300 digits, and a state file may hold such a group id."""
+    head = digits.rstrip("9")
+    zeros = "0" * (len(digits) - len(head))
+    if not head:
+        return "1" + zeros
+    return head[:-1] + str(int(head[-1]) + 1) + zeros
+
+
 def logic(state: State, call: MethodCall) -> State:
     name = call.method.name
     if name == "muteChatGroups":
@@ -73,11 +84,12 @@ def logic(state: State, call: MethodCall) -> State:
     # createChatGroup(users)
     users = call.args[0]
     taken = [
-        int(m.group(1))
+        m.group(1).lstrip("0")
         for e in state.entities_of_type("ChatGroup")
         if (m := _GROUP_ID.match(e.id))
     ]
-    g, t = typed_entity(f"g{max(taken, default=0) + 1}", "ChatGroup")
+    g, t = typed_entity(f"g{_successor(max(taken, key=lambda d: (len(d), d), default=''))}",
+                        "ChatGroup")
     last = max(
         (int_of(state, e, "index") for e in state.entities_of_type("ChatGroup")),
         default=0,

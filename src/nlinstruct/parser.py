@@ -44,19 +44,34 @@ Root derivations get the full feature set (including missing-predicate
 features); partial derivations the templates that are well defined on
 fragments.
 
-Candidates are scored before they are built. A composite candidate is
-first rendered: its printed form comes from ``logic``'s ``render_*``
-function for its rule, applied to its children's printed forms, which is
-the string its logical form will print as. It is deduplicated on
-(category, printed form, anchored spans), the same key the eager
-reference chart (``tests/oracles.py``) uses, then scored from its composed
-key and offered to its cell with its printed form. When a cell is
-settled, only the offers that survive its beam get a logical form and a
-``Derivation``: all of them when the cell fits the beam, else those scored
-above the beam's last score plus as many of the offers tied with it as
-the beam has room for, chosen by (printed form, spans). Pruned candidates
-keep their dedup keys, so a later duplicate of a pruned form is still
-rejected.
+Candidates are scored before they are built, and before they are
+rendered. A composite candidate's score comes from its composed key
+alone. If it is strictly below its cell's running cut, the beam-th best
+score among the offers the cell has stored so far, it is dropped: it is
+not span-merged, rendered, deduplicated or stored. Otherwise it is
+rendered: its printed form comes from ``logic``'s ``render_*`` function
+for its rule, applied to its children's printed forms, which is the
+string its logical form will print as. It is deduplicated on (category,
+printed form, anchored spans), the same key the eager reference chart
+(``tests/oracles.py``) uses, and stored in its cell with its printed
+form. When a cell is settled, only the offers that survive its beam get
+a logical form and a ``Derivation``: all of them when the cell fits the
+beam and dropped nothing, else those scored above the beam's last score
+plus as many of the offers tied with it as the beam has room for, chosen
+by (printed form, spans), in rank order.
+
+Dropping is exact, with no float margin. The running cut only rises, so a
+dropped offer is below the final cut too, and ties with the cut are never
+dropped. A dropped offer leaves no dedup key, yet no later offer can meet
+it: when no two leaves share a (category, printed form) at different
+spans, a printed form fixes its spans, and each form is offered once. The
+one printing coincidence, the ``anchor-ordinal`` leaf ``R[index].k``
+against the join that builds the same form at size 3 (a ``TypeSet``
+leaf would meet its join the same way), always meets a leaf, and leaves
+are never dropped. A
+parse whose leaves have such a twin (an ordinal word and the same number
+as a digit, a text value matched twice) can build one form at two spans
+or two sizes, the first of which must win, so its cells drop nothing.
 
 Root offers, the most numerous, are made inline: a call's printed form is
 ``render_call``'s ``method(a)`` or ``method(a, b)``, written out with the
@@ -98,6 +113,8 @@ from __future__ import annotations
 import gc
 import weakref
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
+from math import inf
 from typing import Callable, NamedTuple
 
 from .domains.base import (
@@ -264,6 +281,59 @@ def _build(offer: tuple, category: str, size_used: int, ctx: UtteranceContext) -
     return d
 
 
+class _Open:
+    """A cell's offers while it is open, and its running cut.
+
+    ``best`` is a min-heap of the ``beam`` best scores among the offers
+    stored so far; once it is full, ``best[0]`` is the score at which the
+    beam would cut if no other offer came. That score only rises as offers
+    come, so an offer scored strictly below it is below the cell's final
+    cut and cannot survive: ``cut`` is that score (-inf before the heap is
+    full, when the cell may not drop, or without a beam), and an offer
+    below it is dropped unstored. Ties are never dropped.
+
+    A set cell that fits its beam keeps its offers in offer order, and one
+    that overflows it is put in rank order, so a set cell must know whether
+    it dropped an offer that the full cell would have held. Until it has,
+    an offer below ``cut`` is rendered and deduplicated first, and only a
+    real offer counts as the cell's first drop (:meth:`drop`); from then
+    on ``floor`` follows ``cut`` and offers below it are dropped at once.
+    Root cells are put in rank order either way, so they drop below
+    ``cut`` from the start."""
+
+    __slots__ = ("offers", "best", "beam", "droppable", "cut", "floor", "dropped")
+
+    def __init__(self, beam: int | None, droppable: bool):
+        self.offers: list[tuple] = []
+        self.best: list[float] = []
+        self.beam = beam
+        self.droppable = droppable
+        self.cut = self.floor = -inf
+        self.dropped = False
+
+    def add(self, offer: tuple, total: float) -> None:
+        self.offers.append(offer)
+        best = self.best
+        if self.beam is None:
+            return
+        if len(best) < self.beam:
+            heappush(best, total)
+            if len(best) < self.beam:
+                return
+        elif total > best[0]:
+            heapreplace(best, total)
+        else:
+            return
+        if self.droppable:
+            self.cut = best[0]
+            if self.dropped:
+                self.floor = self.cut
+
+    def drop(self) -> None:
+        self.dropped = True
+        self.floor = self.cut
+
+
 def generate_candidates(
     tokens,
     state: State,
@@ -284,12 +354,17 @@ def generate_candidates(
     beam = config.beam_size
     max_rules = config.max_rules
 
-    # a cell holds offers, (-score, printed, spans, children, rule, bits,
-    # packed, lf), until it is settled, then the derivations of the offers
-    # that survive its beam; lf is None for a composite until it is built.
-    # Offers rank as plain tuples: (printed, spans) is unique in a cell
-    cells: dict[tuple[str, int], list] = {}
+    # a cell holds an _Open of offers, (-score, printed, spans, children,
+    # rule, bits, packed, lf), until it is settled, then the derivations of
+    # the offers that survive its beam; lf is None for a composite until it
+    # is built. Offers rank as plain tuples: (printed, spans) is unique in a
+    # cell
+    cells: dict[tuple[str, int], _Open | list] = {}
     seen: set = set()
+    # (category, printed) -> spans of the first leaf that prints so; a
+    # second leaf that prints alike at other spans is a twin
+    leaf_spans: dict[tuple[str, str], tuple] = {}
+    twin = False
     scorer = ChartScorer(ctx, weights, max_rules)
     score = scorer.score
     # a composite's own share of its score key: one application of its
@@ -300,45 +375,63 @@ def generate_candidates(
 
     def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str, pred=None) -> None:
         """Offer a leaf; ``pred`` is the one predicate its form uses, as
-        (kind, name), if any."""
+        (kind, name), if any. Leaves are never dropped."""
+        nonlocal twin
         key = (category, lf.printed, spans)
         if key in seen:
             return
         seen.add(key)
+        if leaf_spans.setdefault(key[:2], spans) != spans:
+            twin = True
         bits, packed = ctx.key({pred: 1} if pred else {}, {rule: 1}, 1)
-        cells.setdefault((category, 1), []).append(
-            (-score(False, bits, packed), lf.printed, spans, (), rule, bits, packed, lf))
+        total = score(False, bits, packed)
+        cell = cells.get((category, 1))
+        if cell is None:
+            cell = cells[category, 1] = _Open(beam, False)
+        cell.add((-total, lf.printed, spans, (), rule, bits, packed, lf), total)
 
-    def offer(cell: list, printed: str, spans: tuple, children: tuple, rule: str) -> None:
-        """Offer a composite entity set (roots are offered inline below)."""
+    def store(cell: _Open, total: float, printed: str, spans: tuple, children: tuple,
+              rule: str, bits: int, packed: int) -> None:
+        """Deduplicate and store a composite entity set scored at or above
+        its cell's ``floor``. One below the running cut is the cell's first
+        drop: it is not stored and leaves no dedup key."""
         key = (CAT_SET, printed, spans)
         if key in seen:
             return
+        if total < cell.cut:
+            cell.drop()
+            return
         seen.add(key)
+        cell.add((-total, printed, spans, children, rule, bits, packed, None), total)
+
+    def offer(cell: _Open, spans: tuple, children: tuple, rule: str, render, *parts) -> None:
+        """Offer a join or a superlative, scored before it is rendered."""
         bits, packed = local[rule]
         for c in children:
             bits |= c.bits
             packed += c.packed
-        cell.append((-score(False, bits, packed), printed, spans, children, rule, bits, packed,
-                     None))
+        total = score(False, bits, packed)
+        if total >= cell.floor:
+            store(cell, total, render(*parts), spans, children, rule, bits, packed)
 
     def settle(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
         if cell is None:
             return
-        if beam is not None and len(cell) > beam:
+        offers = cell.offers
+        if beam is not None and (len(offers) > beam or cell.dropped):
             # the first `beam` offers in rank order, as sorting the whole
             # cell would pick them: every offer scored above the beam-th
             # best score, then the ties with it by (printed, spans)
-            cut = sorted([o[0] for o in cell])[beam - 1]
-            kept = [o for o in cell if o[0] < cut]
-            ties = sorted(o for o in cell if o[0] == cut)
+            cut = -cell.best[0]
+            kept = [o for o in offers if o[0] < cut]
+            ties = sorted(o for o in offers if o[0] == cut)
             kept += ties[:beam - len(kept)]
             kept.sort()
-            cell = kept
+            offers = kept
         elif category == CAT_ROOT:
-            cell.sort()
-        cells[category, size_used] = [_build(o, category, size_used, ctx) for o in cell]
+            offers.sort()
+        cells[category, size_used] = [_build(o, category, size_used, ctx) for o in offers]
 
     # ---- size 1: anchored and floating leaves -----------------------------
 
@@ -412,8 +505,10 @@ def generate_candidates(
                 out.append(d)
         return out
 
+    set_scores, root_scores = scorer.memo
+    int_bits, int_packed = local["intersect"]
     for k in range(2, max_rules - 1):
-        sets = cells.setdefault((CAT_SET, k), [])
+        sets = cells[CAT_SET, k] = _Open(beam, not twin)
         child_size = k - 2
         if child_size >= 1:
             for rd in rel_derivs:
@@ -423,13 +518,13 @@ def generate_candidates(
                 if want is not None:
                     for c in cells.get((CAT_VALUE, child_size), ()):
                         if isinstance(c.lf.value, want):
-                            offer(sets, render_join("R", rel, c.lf.printed), c.spans,
-                                  (rd, c), "rjoin")
+                            offer(sets, c.spans, (rd, c), "rjoin", render_join, "R", rel,
+                                  c.lf.printed)
                 elif spec.object_kind == OBJ_ENTITY:
                     for c in cells.get((CAT_SET, child_size), ()):
                         printed = c.lf.printed
-                        offer(sets, render_join("R", rel, printed), c.spans, (rd, c), "rjoin")
-                        offer(sets, render_join("F", rel, printed), c.spans, (rd, c), "fjoin")
+                        offer(sets, c.spans, (rd, c), "rjoin", render_join, "R", rel, printed)
+                        offer(sets, c.spans, (rd, c), "fjoin", render_join, "F", rel, printed)
             for rd in int_rels:
                 rel = rd.lf.name
                 for c in cells.get((CAT_SET, child_size), ()):
@@ -438,8 +533,8 @@ def generate_candidates(
                     if isinstance(c.lf, Superlative):
                         continue
                     for kind in (ARGMAX, ARGMIN):
-                        offer(sets, render_superlative(kind, c.lf.printed, rel),
-                              c.spans, (c, rd), kind)
+                        offer(sets, c.spans, (c, rd), kind, render_superlative, kind,
+                              c.lf.printed, rel)
 
         for i in range(1, (k - 1) // 2 + 1):
             j = k - 1 - i
@@ -449,25 +544,37 @@ def generate_candidates(
             right = cells.get((CAT_SET, j), ())
             for x, a in enumerate(left):
                 ap = a.lf.printed
+                a_spans = a.spans
+                abits = int_bits | a.bits
+                apacked = int_packed + a.packed
                 # x-with-x adds nothing; at i == j each pair is met once
                 for b in (right[x:] if i == j else right):
+                    bits = abits | b.bits
+                    packed = apacked + b.packed
+                    total = set_scores.get((bits, packed))
+                    if total is None:
+                        total = score(False, bits, packed)
+                    if total < sets.floor:
+                        continue
                     bp = b.lf.printed
                     if ap == bp:
                         continue
-                    spans = merge_spans(a.spans, b.spans)
+                    spans = merge_spans(a_spans, b.spans)
                     if spans is not None:
-                        offer(sets, render_intersect(ap, bp), spans, (a, b), "intersect")
+                        store(sets, total, render_intersect(ap, bp), spans, (a, b), "intersect",
+                              bits, packed)
         settle(CAT_SET, k)
 
     # a call is a method, one application and at least one argument. Its
     # offers are made inline: the method's (and a two-argument call's
     # first argument's) share of the score key and printed form is taken
     # once, outside the loop over the last argument, so that each offer
-    # costs one string, one dedup key and one scorer lookup
+    # costs one scorer lookup, and one string and one dedup key unless it
+    # is dropped. Root cells are always put in rank order, so a root cell
+    # drops offers from its first one on (see _Open)
     call_bits, call_packed = local["call"]
-    root_scores = scorer.memo[True]
     for k in range(3, max_rules + 1):
-        roots = cells.setdefault((CAT_ROOT, k), [])
+        roots = cells[CAT_ROOT, k] = _Open(beam, not twin)
         budget = k - 2
         for md in cells.get((CAT_METHOD, 1), ()):
             params = md.lf.method.params
@@ -476,18 +583,20 @@ def generate_candidates(
             mpacked = call_packed + md.packed
             if len(params) == 1:
                 for a in arg_pool(params[0], budget):
+                    bits = mbits | a.bits
+                    packed = mpacked + a.packed
+                    total = root_scores.get((bits, packed))
+                    if total is None:
+                        total = score(True, bits, packed)
+                    if total < roots.cut:
+                        continue
                     printed = f"{head}{a.lf.printed})"
                     spans = a.spans
                     key = (CAT_ROOT, printed, spans)
                     if key in seen:
                         continue
                     seen.add(key)
-                    bits = mbits | a.bits
-                    packed = mpacked + a.packed
-                    total = root_scores.get((bits, packed))
-                    if total is None:
-                        total = score(True, bits, packed)
-                    roots.append((-total, printed, spans, (md, a), "call", bits, packed, None))
+                    roots.add((-total, printed, spans, (md, a), "call", bits, packed, None), total)
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
@@ -501,6 +610,13 @@ def generate_candidates(
                         abits = mbits | a.bits
                         apacked = mpacked + a.packed
                         for b in pool1:
+                            bits = abits | b.bits
+                            packed = apacked + b.packed
+                            total = root_scores.get((bits, packed))
+                            if total is None:
+                                total = score(True, bits, packed)
+                            if total < roots.cut:
+                                continue
                             spans = merge_spans(a_spans, b.spans)
                             if spans is None:
                                 continue
@@ -509,13 +625,8 @@ def generate_candidates(
                             if key in seen:
                                 continue
                             seen.add(key)
-                            bits = abits | b.bits
-                            packed = apacked + b.packed
-                            total = root_scores.get((bits, packed))
-                            if total is None:
-                                total = score(True, bits, packed)
-                            roots.append((-total, printed, spans, (md, a, b), "call", bits,
-                                          packed, None))
+                            roots.add((-total, printed, spans, (md, a, b), "call", bits,
+                                       packed, None), total)
         settle(CAT_ROOT, k)
 
     out: list[Derivation] = []

@@ -7,6 +7,7 @@ import pytest
 from nlinstruct import dataio
 from nlinstruct.cli import main
 from nlinstruct.domains import get_domain
+from nlinstruct.domains.base import MethodCall
 from nlinstruct.synthetic import build_domain_corpus
 from nlinstruct.training import TrainConfig, save_model
 
@@ -127,6 +128,31 @@ def test_parse_ranks_fixture_weights(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0].split()[-1].startswith("turnLightOff(")
+
+
+def test_parse_creates_a_group_after_a_group_id_too_long_for_int(tmp_path, capsys):
+    # createChatGroup numbers the new group one past the largest g<digits>
+    # id; int() refuses more than 4,300 digits, so the next id is counted
+    # on the digits
+    long_id = "g" + "9" * 5000
+    state = {"entities": [{"id": "u1", "type": "User"}, {"id": "u2", "type": "User"},
+                          {"id": long_id, "type": "ChatGroup"}],
+             "triples": [["u1", "type", {"sym": "User"}], ["u2", "type", {"sym": "User"}],
+                         [long_id, "type", {"sym": "ChatGroup"}],
+                         [long_id, "index", {"int": 1}], [long_id, "contacts", {"ent": "u1"}]]}
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(state))
+    code = main(["parse", "create a group with all users", "--domain", "messenger",
+                 "--state", str(state_file), "--beam-size", "20", "--max-rules", "5"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert "createChatGroup(" in captured.out
+    domain = get_domain("messenger")
+    initial = dataio.state_from_json("messenger", state)
+    created = domain.logic(initial, MethodCall(domain.method("createChatGroup"),
+                                               (frozenset(initial.entities_of_type("User")),)))
+    assert {e.id for e in created.entities_of_type("ChatGroup")} == {long_id, "g1" + "0" * 5000}
 
 
 def test_eval_writes_report_with_isolation(tmp_path):
