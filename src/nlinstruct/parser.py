@@ -18,9 +18,9 @@ only denote what a smaller form already denotes, or permutation twins
 that no feature can separate.
 
 Each cell keeps at most ``beam_size`` derivations, ranked by model score
-with ties broken on the printed form, so runs are reproducible. Derivations
-are deduplicated chart-wide on (category, printed form, anchored spans),
-keeping the smallest size.
+with ties broken on the printed form and the spans, so runs are
+reproducible. Derivations are deduplicated chart-wide on (category,
+printed form, anchored spans), keeping the smallest size.
 
 Only cells a root can read are built: entity sets up to size
 ``max_rules - 2`` (a set of size s feeds only forms of size s + 2 or more)
@@ -54,11 +54,10 @@ for its rule, applied to its children's printed forms, which is the
 string its logical form will print as. It is deduplicated on (category,
 printed form, anchored spans), the same key the eager reference chart
 (``tests/oracles.py``) uses, and stored in its cell with its printed
-form. When a cell is settled, only the offers that survive its beam get
-a logical form and a ``Derivation``: all of them when the cell fits the
-beam and dropped nothing, else those scored above the beam's last score
-plus as many of the offers tied with it as the beam has room for, chosen
-by (printed form, spans), in rank order.
+form. Every cell, leaf, set or root, settles by one rule: its offers
+are put in rank order, (-score, printed form, spans), and the first
+``beam_size`` of them survive, in that order. Only those get a logical
+form and a ``Derivation``.
 
 Dropping is exact, with no float margin. The running cut only rises, so a
 dropped offer is below the final cut too, and ties with the cut are never
@@ -188,15 +187,15 @@ ORDINAL_WORDS = {
 
 @dataclass
 class ParserConfig:
-    """``beam_size=None`` disables pruning (exhaustive search).
-    ``max_rules`` runs from 1 to :data:`MAX_RULES_LIMIT`."""
+    """``beam_size`` is a positive int; ``max_rules`` runs from 1 to
+    :data:`MAX_RULES_LIMIT`."""
 
-    beam_size: int | None = 200
+    beam_size: int = 200
     max_rules: int = 15
 
     def __post_init__(self):
-        if self.beam_size is not None and self.beam_size <= 0:
-            raise ConfigError(f"beam size must be positive, got {self.beam_size}")
+        if type(self.beam_size) is not int or self.beam_size <= 0:
+            raise ConfigError(f"beam size must be a positive integer, got {self.beam_size!r}")
         if self.max_rules <= 0:
             raise ConfigError(f"max rule applications must be positive, got {self.max_rules}")
         if self.max_rules > MAX_RULES_LIMIT:
@@ -289,33 +288,21 @@ class _Open:
     beam would cut if no other offer came. That score only rises as offers
     come, so an offer scored strictly below it is below the cell's final
     cut and cannot survive: ``cut`` is that score (-inf before the heap is
-    full, when the cell may not drop, or without a beam), and an offer
-    below it is dropped unstored. Ties are never dropped.
+    full, and always in a cell that may not drop), and a composite offer
+    below it is dropped unstored. Ties are never dropped."""
 
-    A set cell that fits its beam keeps its offers in offer order, and one
-    that overflows it is put in rank order, so a set cell must know whether
-    it dropped an offer that the full cell would have held. Until it has,
-    an offer below ``cut`` is rendered and deduplicated first, and only a
-    real offer counts as the cell's first drop (:meth:`drop`); from then
-    on ``floor`` follows ``cut`` and offers below it are dropped at once.
-    Root cells are put in rank order either way, so they drop below
-    ``cut`` from the start."""
+    __slots__ = ("offers", "best", "beam", "droppable", "cut")
 
-    __slots__ = ("offers", "best", "beam", "droppable", "cut", "floor", "dropped")
-
-    def __init__(self, beam: int | None, droppable: bool):
+    def __init__(self, beam: int, droppable: bool):
         self.offers: list[tuple] = []
         self.best: list[float] = []
         self.beam = beam
         self.droppable = droppable
-        self.cut = self.floor = -inf
-        self.dropped = False
+        self.cut = -inf
 
     def add(self, offer: tuple, total: float) -> None:
         self.offers.append(offer)
         best = self.best
-        if self.beam is None:
-            return
         if len(best) < self.beam:
             heappush(best, total)
             if len(best) < self.beam:
@@ -326,12 +313,6 @@ class _Open:
             return
         if self.droppable:
             self.cut = best[0]
-            if self.dropped:
-                self.floor = self.cut
-
-    def drop(self) -> None:
-        self.dropped = True
-        self.floor = self.cut
 
 
 def generate_candidates(
@@ -393,13 +374,9 @@ def generate_candidates(
     def store(cell: _Open, total: float, printed: str, spans: tuple, children: tuple,
               rule: str, bits: int, packed: int) -> None:
         """Deduplicate and store a composite entity set scored at or above
-        its cell's ``floor``. One below the running cut is the cell's first
-        drop: it is not stored and leaves no dedup key."""
+        its cell's running cut."""
         key = (CAT_SET, printed, spans)
         if key in seen:
-            return
-        if total < cell.cut:
-            cell.drop()
             return
         seen.add(key)
         cell.add((-total, printed, spans, children, rule, bits, packed, None), total)
@@ -411,7 +388,7 @@ def generate_candidates(
             bits |= c.bits
             packed += c.packed
         total = score(False, bits, packed)
-        if total >= cell.floor:
+        if total >= cell.cut:
             store(cell, total, render(*parts), spans, children, rule, bits, packed)
 
     def settle(category: str, size_used: int) -> None:
@@ -419,18 +396,13 @@ def generate_candidates(
         if cell is None:
             return
         offers = cell.offers
-        if beam is not None and (len(offers) > beam or cell.dropped):
-            # the first `beam` offers in rank order, as sorting the whole
-            # cell would pick them: every offer scored above the beam-th
-            # best score, then the ties with it by (printed, spans)
+        if len(offers) > beam:
+            # the first `beam` in rank order score at or above the beam-th
+            # best score, so sort only those
             cut = -cell.best[0]
-            kept = [o for o in offers if o[0] < cut]
-            ties = sorted(o for o in offers if o[0] == cut)
-            kept += ties[:beam - len(kept)]
-            kept.sort()
-            offers = kept
-        elif category == CAT_ROOT:
-            offers.sort()
+            offers = [o for o in offers if o[0] <= cut]
+        offers.sort()
+        del offers[beam:]
         cells[category, size_used] = [_build(o, category, size_used, ctx) for o in offers]
 
     # ---- size 1: anchored and floating leaves -----------------------------
@@ -554,7 +526,7 @@ def generate_candidates(
                     total = set_scores.get((bits, packed))
                     if total is None:
                         total = score(False, bits, packed)
-                    if total < sets.floor:
+                    if total < sets.cut:
                         continue
                     bp = b.lf.printed
                     if ap == bp:
@@ -570,8 +542,7 @@ def generate_candidates(
     # first argument's) share of the score key and printed form is taken
     # once, outside the loop over the last argument, so that each offer
     # costs one scorer lookup, and one string and one dedup key unless it
-    # is dropped. Root cells are always put in rank order, so a root cell
-    # drops offers from its first one on (see _Open)
+    # is dropped below its cell's running cut (see _Open)
     call_bits, call_packed = local["call"]
     for k in range(3, max_rules + 1):
         roots = cells[CAT_ROOT, k] = _Open(beam, not twin)

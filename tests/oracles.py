@@ -361,9 +361,10 @@ def eager_generate_candidates(
 ) -> list[Derivation]:
     """The eager chart, the reference for ``generate_candidates``: it
     builds a logical form and a ``Derivation`` for every candidate, pruned
-    ones included, and prunes by sorting whole cells. The score-first
-    chart must return the same roots, in the same order, with the same
-    scores, spans and rules. A leaf's score key comes from
+    ones included, and settles every cell by sorting it whole in rank
+    order, (-score, printed form, spans), and cutting it to the beam.
+    The score-first chart must return the same roots, in the same order,
+    with the same scores, spans and rules. A leaf's score key comes from
     :func:`reference_preds`.
     """
     config = config or ParserConfig()
@@ -404,10 +405,9 @@ def eager_generate_candidates(
 
     def prune(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
-        if cell is None or beam is None or len(cell) <= beam:
-            return
-        cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
-        del cell[beam:]
+        if cell is not None:
+            cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
+            del cell[beam:]
 
     # ---- size 1: anchored and floating leaves -----------------------------
 
@@ -554,10 +554,7 @@ def eager_generate_candidates(
 
     roots: list[Derivation] = []
     for k in range(1, max_rules + 1):
-        cell = cells.get((CAT_ROOT, k))
-        if cell:
-            cell.sort(key=lambda d: (-d.score, d.lf.printed, d.spans))
-            roots.extend(cell)
+        roots.extend(cells.get((CAT_ROOT, k), ()))
     return roots
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 
 import pytest
@@ -114,7 +115,8 @@ def test_criterion_2_beam_soundness():
     state = toy.generate_state(random.Random(2), {"things": (3, 3)})
     tokens = ["zap", "alpha", "3"]
     started = time.time()
-    cands = generate_candidates(tokens, state, toy, ParserConfig(beam_size=None, max_rules=15), {})
+    cands = generate_candidates(tokens, state, toy,
+                                ParserConfig(beam_size=sys.maxsize, max_rules=15), {})
     got = {d.lf.printed for d in cands}
     want, truncated = enumerate_all_forms(toy, state, tokens, EnumerationBudget(max_size=15))
     elapsed = time.time() - started

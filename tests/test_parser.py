@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from nlinstruct import parser
 from nlinstruct.domains import get_domain, invoke
 from nlinstruct.domains.base import typed_entity
-from nlinstruct.errors import DomainLogicError
+from nlinstruct.errors import ConfigError, DomainLogicError
 from nlinstruct.features import tokenize
 from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.logic import execute_to_call
@@ -152,7 +153,7 @@ def test_filter_never_drops_the_gold_candidate():
     from nlinstruct.domains import generate_state_pair
 
     rng = random.Random(31)
-    config = ParserConfig(beam_size=None, max_rules=7)
+    config = ParserConfig(beam_size=sys.maxsize, max_rules=7)
     for domain_id in ("lighting", "list"):
         domain = get_domain(domain_id)
         for method in domain.methods:
@@ -237,7 +238,8 @@ def test_beam_infinity_matches_exhaustive_enumeration_small(toy_domain):
     tokens = ["zap", "alpha", "3"]
     for max_rules in (7, 9):
         cands = generate_candidates(
-            tokens, state, toy_domain, ParserConfig(beam_size=None, max_rules=max_rules), {},
+            tokens, state, toy_domain, ParserConfig(beam_size=sys.maxsize, max_rules=max_rules),
+            {},
         )
         got = {d.lf.printed for d in cands}
         want, truncated = enumerate_all_forms(
@@ -258,7 +260,7 @@ def test_a_digit_run_too_long_for_int_anchors_no_integer(toy_domain):
     except ValueError:
         anchors = False
     tokens = ["zap", long_run, "alpha", "3"]
-    config = ParserConfig(beam_size=None, max_rules=7)
+    config = ParserConfig(beam_size=sys.maxsize, max_rules=7)
     got = [(d.lf.printed, d.spans, repr(d.score)) for d in generate_candidates(
         tokens, state, toy_domain, config, {"rule|anchor-int": 0.5})]
     assert got == [(d.lf.printed, d.spans, repr(d.score)) for d in eager_generate_candidates(
@@ -269,11 +271,17 @@ def test_a_digit_run_too_long_for_int_anchors_no_integer(toy_domain):
     assert any(spans == ((3, 4),) for _, spans, _ in got)  # the short run still anchors
 
 
+@pytest.mark.parametrize("beam", [0, -3, None, True, 20.0])
+def test_parser_config_refuses_a_beam_that_is_not_a_positive_int(beam):
+    with pytest.raises(ConfigError, match="beam size must be a positive integer"):
+        ParserConfig(beam_size=beam)
+
+
 def test_beam_pruning_only_shrinks_the_candidate_set(toy_domain):
     state = toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
     tokens = ["zap", "alpha"]
     wide = {d.lf.printed for d in generate_candidates(
-        tokens, state, toy_domain, ParserConfig(beam_size=None, max_rules=9), {})}
+        tokens, state, toy_domain, ParserConfig(beam_size=sys.maxsize, max_rules=9), {})}
     narrow = {d.lf.printed for d in generate_candidates(
         tokens, state, toy_domain, ParserConfig(beam_size=5, max_rules=9), {})}
     assert narrow <= wide

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -276,9 +277,9 @@ def _roots(chart, tokens, state, domain, config, weights) -> list[tuple]:
     pytest.param(20, 15, id="20-rules15"),
 ])
 def test_chart_returns_the_eager_reference_roots(trained, monkeypatch, beam, max_rules):
-    # empty weights tie every score, so every cell above the beam is
-    # pruned on printed forms alone; rule order shows the order in which
-    # cells that fit their beam were iterated; under "ordinal-pruned",
+    # empty weights tie every score, so every cell is put in rank order
+    # on printed forms alone; rule order shows that both charts meet each
+    # intersection's operands in the same order; under "ordinal-pruned",
     # ordinal leaves lose their size-1 beam at beams below 5 and must
     # still block the size-3 joins that would build them again; the
     # reference builds every set cell, also those no root can read
@@ -324,22 +325,30 @@ def test_chart_builds_no_set_a_root_cannot_read(monkeypatch, max_rules):
 
 def test_chart_builds_at_most_beam_derivations_per_cell(built):
     # under weights {} every offer ties, so a full cell fills its beam from
-    # ties alone; only the offers that survive get a Derivation
+    # ties alone; only the offers that survive get a Derivation. Every
+    # cell, full or not, leaf, set or root, settles in rank order, so its
+    # derivations are built in strictly increasing (-score, printed, spans)
     config = ParserConfig(beam_size=4, max_rules=9)
     full = 0
     for ex in _examples(1, seed=19):
         built.clear()
         generate_candidates(tokenize(ex.utterance), ex.initial, get_domain(ex.domain_id),
                             config, {})
-        per_cell = Counter((d.category, d.size_used) for d in built)
-        assert max(per_cell.values()) <= config.beam_size, (ex.id, per_cell)
-        full += sum(n == config.beam_size for n in per_cell.values())
+        per_cell: dict[tuple, list] = {}
+        for d in built:
+            per_cell.setdefault((d.category, d.size_used), []).append(
+                (-d.score, d.lf.printed, d.spans))
+        for cell, ranks in per_cell.items():
+            assert len(ranks) <= config.beam_size, (ex.id, cell, len(ranks))
+            assert all(a < b for a, b in zip(ranks, ranks[1:])), (ex.id, cell, ranks)
+        full += sum(len(ranks) == config.beam_size for ranks in per_cell.values())
     assert full > 50
 
 
 def test_unbounded_and_paper_beams_return_the_eager_reference_roots(toy_domain, paper_state):
     state = toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
-    args = (["zap", "alpha", "3"], state, toy_domain, ParserConfig(beam_size=None, max_rules=15),
+    args = (["zap", "alpha", "3"], state, toy_domain,
+            ParserConfig(beam_size=sys.maxsize, max_rules=15),
             {"rule|intersect": -0.5})
     want = _roots(eager_generate_candidates, *args)
     assert len(want) > 1000
@@ -409,8 +418,8 @@ def _intersection_pairs(built: list, max_rules: int) -> int:
 
 def test_intersections_below_the_running_cut_are_never_rendered(trained, built, monkeypatch):
     # every intersection pair the chart meets is scored; only those at or
-    # above their cell's running cut are rendered, except before a set
-    # cell's first drop, and none is dropped in a parse with twin leaves
+    # above their cell's running cut are rendered, and none is dropped in
+    # a parse with twin leaves
     rendered = []
     original = parser.render_intersect
     monkeypatch.setattr(parser, "render_intersect",
