@@ -29,6 +29,7 @@ from .training import (
     build_grid,
     final_partition,
     gmdp,
+    sum_in_order,
     tune_hyperparameters,
 )
 
@@ -85,7 +86,8 @@ def score_example(pipeline: Pipeline, weights: dict, example: Example) -> Exampl
 def mean_credit(pipeline: Pipeline, weights: dict, examples: list[Example]) -> float:
     if not examples:
         raise NlinstructError("cannot average over zero examples")
-    return sum(score_example(pipeline, weights, ex).credit for ex in examples) / len(examples)
+    total = sum_in_order(score_example(pipeline, weights, ex).credit for ex in examples)
+    return total / len(examples)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def run_experiment(
         "tuned_config": tuned.to_json(),
         "partition": {"d1": list(partition.d1), "d2": list(partition.d2)} if partition else None,
         "test_split": split,
-        "accuracy": (100.0 * sum(s.credit for s in scores) / len(scores)) if scores else None,
+        "accuracy": (100.0 * sum_in_order(s.credit for s in scores) / len(scores)) if scores else None,
         "no_data": not scores,
         "per_example": [s.to_json() for s in scores],
         "isolation": {
@@ -336,7 +338,7 @@ def ablation_table(
         }
         values = [v for v in per_domain.values() if v is not None]
         table["rows"].append({"label": label, "per_domain": per_domain,
-                              "average": sum(values) / len(values) if values else None})
+                              "average": sum_in_order(values) / len(values) if values else None})
     return table
 
 

@@ -187,7 +187,7 @@ ORDINAL_WORDS = {
 
 @dataclass
 class ParserConfig:
-    """``beam_size`` is a positive int; ``max_rules`` runs from 1 to
+    """``beam_size`` is a positive int; ``max_rules`` is an int from 1 to
     :data:`MAX_RULES_LIMIT`."""
 
     beam_size: int = 200
@@ -196,6 +196,8 @@ class ParserConfig:
     def __post_init__(self):
         if type(self.beam_size) is not int or self.beam_size <= 0:
             raise ConfigError(f"beam size must be a positive integer, got {self.beam_size!r}")
+        if type(self.max_rules) is not int:
+            raise ConfigError(f"max rule applications must be an integer, got {self.max_rules!r}")
         if self.max_rules <= 0:
             raise ConfigError(f"max rule applications must be positive, got {self.max_rules}")
         if self.max_rules > MAX_RULES_LIMIT:

@@ -119,9 +119,19 @@ class DomainPartition:
             raise NlinstructError("partition sides overlap")
 
 
+def sum_in_order(values) -> float:
+    """The float sum, added left to right. The builtin ``sum`` compensates
+    float rounding from Python 3.12 on, which would move the last bits of
+    weights, tuning ties and reports between Python versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _logsumexp(scores: list[float]) -> float:
     top = max(scores)
-    return top + math.log(sum(math.exp(s - top) for s in scores))
+    return top + math.log(sum_in_order(math.exp(s - top) for s in scores))
 
 
 def example_log_likelihood(candidates: list, denotations: list,
@@ -345,38 +355,67 @@ def tune_hyperparameters(grid: list[TrainConfig], folds, algorithm: str, pipelin
     configuration trains on it by :func:`gmdp` over
     :func:`partition_for_fold` (not valid where a side would be empty) or
     by AdaGrad over the pooled examples; ``accuracy_fn(weights, held)``
-    scores it.
+    scores it, and an accuracy outside [0, 1] is an ``NlinstructError``.
 
-    All runs share one :class:`PrefixStore`: a first step serves every fold
-    that leaves its examples in, and the grid's epoch counts share their
-    shorter prefixes (1,296 epochs instead of 4,320 on the default
-    144-point grid over six domains). Every configuration is still scored
-    on the weights a fresh run would give it, so the same one wins."""
+    The search goes configuration by configuration in grid order, each over
+    its valid folds in fold order, its accuracies summed in that order, so
+    a configuration scored in full has the mean a fold-by-fold search gives
+    it. Before each fold it bounds the configuration's mean: the sum so
+    far plus 1.0 per remaining valid fold, one addition at a time, divided
+    by the number of valid folds. Rounded addition and division by a
+    positive count are monotone, and no accuracy exceeds 1, so no float
+    margin is needed: the mean cannot exceed the bound. When the bound is
+    at most the incumbent's mean, the configuration cannot win (the
+    incumbent is earlier and wins a tie), and its remaining folds are
+    neither trained nor scored; one INFO line names them.
+
+    All runs share one :class:`PrefixStore`, which keys runs by their
+    content, so the visiting order moves no weight: a first step serves
+    every fold that leaves its examples in, and the grid's epoch counts
+    share their shorter prefixes (at most 1,296 epochs instead of 4,320 on
+    the default 144-point grid over six domains). Every configuration is
+    scored on the weights a fresh run would give it, so the same one wins."""
     if not grid:
         raise NlinstructError("empty hyper-parameter grid")
     if len(grid) == 1:
         return grid[0]
+    folds = list(folds)
     store = PrefixStore()
-    totals = [0.0] * len(grid)
-    counts = [0] * len(grid)
-    for fold, (train, held) in enumerate(folds):
-        for gi, cfg in enumerate(grid):
+    best = best_mean = None  # the incumbent: the earliest entry with the highest mean so far
+    for gi, cfg in enumerate(grid):
+        if algorithm != "gmdp":
+            valid = [(fold, train, held, None) for fold, (train, held) in enumerate(folds)]
+        else:
+            valid = [(fold, train, held, partition) for fold, (train, held) in enumerate(folds)
+                     if (partition := partition_for_fold(cfg, list(train))) is not None]
+        total = 0.0
+        for done, (fold, train, held, partition) in enumerate(valid):
+            if best is not None:
+                bound = total
+                for _ in range(len(valid) - done):
+                    bound += 1.0
+                bound /= len(valid)
+                if bound <= best_mean:
+                    log.info("tuning: grid[%d] cannot beat grid[%d]: bound %r <= mean %r, "
+                             "folds %s skipped", gi, best, bound, best_mean,
+                             [f for f, _, _, _ in valid[done:]])
+                    break
             if algorithm != "gmdp":
                 pool = [ex for examples in train.values() for ex in examples]
                 weights = store.train(pool, cfg, pipeline, cfg.iterations)[0]
             else:
-                partition = partition_for_fold(cfg, list(train))
-                if partition is None:
-                    continue
                 weights = gmdp(partition, train, cfg, pipeline, store)
             acc = accuracy_fn(weights, held)
-            totals[gi] += acc
-            counts[gi] += 1
+            if not 0.0 <= acc <= 1.0:
+                raise NlinstructError(f"fold {fold} grid[{gi}] accuracy {acc!r} lies outside [0, 1]")
+            total += acc
             log.info("tuning: fold %d grid[%d] accuracy=%.3f", fold, gi, acc)
-    valid = [gi for gi in range(len(grid)) if counts[gi]]
-    if not valid:
+        else:  # scored in full
+            if valid and (best is None or total / len(valid) > best_mean):
+                best, best_mean = gi, total / len(valid)
+    if best is None:
         raise NlinstructError("no grid configuration was valid for any fold")
-    return grid[max(valid, key=lambda gi: (totals[gi] / counts[gi], -gi))]
+    return grid[best]
 
 
 def final_partition(tuned: TrainConfig, training_domains: list[str]) -> DomainPartition:

@@ -577,20 +577,24 @@ def reference_two_step(partition, examples_by_domain, config, pipeline) -> dict:
                             sumsq=None if config.reset_accumulators else sumsq)
 
 
-def reference_select(grid, folds, fit, accuracy_fn):
+def reference_select(grid, folds, fit, accuracy_fn, table=None):
     """The highest mean accuracy over the folds where a configuration is
     valid, fold accuracies added in fold order, the earliest entry winning
-    a tie; a single entry wins untrained."""
+    a tie; a single entry wins untrained. ``table``, if given, receives
+    every accuracy keyed by (fold, grid index), in the order scored."""
     if len(grid) == 1:
         return grid[0]
     totals = [0.0] * len(grid)
     counts = [0] * len(grid)
-    for data, held in folds:
+    for fold, (data, held) in enumerate(folds):
         for gi, cfg in enumerate(grid):
             weights = fit(cfg, data)
             if weights is not None:
-                totals[gi] += accuracy_fn(weights, held)
+                accuracy = accuracy_fn(weights, held)
+                totals[gi] += accuracy
                 counts[gi] += 1
+                if table is not None:
+                    table[fold, gi] = accuracy
     best = None
     for gi in range(len(grid)):
         if counts[gi] and (best is None or totals[gi] / counts[gi] > totals[best] / counts[best]):
@@ -598,9 +602,39 @@ def reference_select(grid, folds, fit, accuracy_fn):
     return grid[best]
 
 
-def reference_tune(training_domains, examples_by_domain, grid, algorithm, pipeline, accuracy_fn):
+def reference_skipped(table: dict) -> set:
+    """The (fold, grid index) pairs of a full accuracy table that need not
+    be scored: an entry's folds from the first one before which its bound,
+    (its accuracies so far + 1.0 per fold left) / its fold count, is at most
+    the highest mean of the entries before it. Such an entry's mean is at
+    most that of an earlier entry, which wins the tie."""
+    folds_of: dict = {}
+    for fold, gi in sorted(table):
+        folds_of.setdefault(gi, []).append(fold)
+    skipped = set()
+    best = None  # the highest mean of the entries visited
+    for gi, folds in sorted(folds_of.items()):
+        accuracies = [table[fold, gi] for fold in folds]
+        for k in range(len(folds)):
+            bound = 0.0
+            for accuracy in accuracies[:k] + [1.0] * (len(folds) - k):
+                bound += accuracy
+            if best is not None and bound / len(folds) <= best:
+                skipped.update((fold, gi) for fold in folds[k:])
+                break
+        mean = 0.0
+        for accuracy in accuracies:
+            mean += accuracy
+        mean /= len(folds)
+        if best is None or mean > best:
+            best = mean
+    return skipped
+
+
+def reference_tune(training_domains, examples_by_domain, grid, algorithm, pipeline, accuracy_fn,
+                   table=None):
     """Leave-one-domain-out search with a fresh run for every (held-out
-    domain, configuration)."""
+    domain, configuration); ``table`` as for :func:`reference_select`."""
 
     def fit(cfg, sources):
         if algorithm != "gmdp":
@@ -612,11 +646,12 @@ def reference_tune(training_domains, examples_by_domain, grid, algorithm, pipeli
 
     folds = [([d for d in training_domains if d != held], examples_by_domain[held])
              for held in training_domains]
-    return reference_select(grid, folds, fit, accuracy_fn)
+    return reference_select(grid, folds, fit, accuracy_fn, table)
 
 
-def reference_cv_tune(folds, grid, pipeline, accuracy_fn):
+def reference_cv_tune(folds, grid, pipeline, accuracy_fn, table=None):
     """Cross-validation over (training examples, held-out examples) folds
-    with a fresh AdaGrad run for every (fold, configuration)."""
+    with a fresh AdaGrad run for every (fold, configuration); ``table`` as
+    for :func:`reference_select`."""
     return reference_select(grid, folds, lambda cfg, rest: training.adagrad(rest, {}, cfg, pipeline),
-                            accuracy_fn)
+                            accuracy_fn, table)

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlinstruct import evaluation
+from nlinstruct import evaluation, training
 from nlinstruct.domains.base import Example
 from nlinstruct.errors import ConfigError, NlinstructError
 from nlinstruct.evaluation import (
     ExampleScore,
     ExperimentSpec,
     InstrumentedRegistry,
+    ablation_table,
     credit_candidates,
     mean_credit,
     paired_bootstrap,
@@ -238,3 +241,40 @@ def test_training_examples_refuse_a_target_the_dataset_lacks():
     # zero-shot training without a target learns from every domain
     assert list(training_examples(ExperimentSpec(target_domain=None), registry)) == [
         "toya", "toyb", "toyc"]
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier summation, which Python 3.12's builtin ``sum`` does for floats."""
+    total, low = float(start), 0.0
+    for v in values:
+        t = total + v
+        low += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + low
+
+
+def test_float_sums_do_not_follow_a_compensated_builtin_sum(monkeypatch):
+    # 1 + 1e-16 rounds to 1 left to right, but not compensated; ten 0.1s
+    # add up to 0.9999999999999999 left to right, but to 1.0 compensated
+    scores = [0.0] + [math.log(1e-16)] * 10
+    registry = _toy_registry(("toya", "toyb"), with_test=True, per_domain=10)
+    examples = registry.examples("toya", "test")
+    monkeypatch.setattr(evaluation, "score_example",
+                        lambda pipeline, weights, ex: ExampleScore(ex.id, 0.1, 10, 1, False))
+    monkeypatch.setattr(evaluation, "tune_config", lambda *args: training.TrainConfig())
+    monkeypatch.setattr(evaluation, "train_model", lambda *args: ({}, None))
+    spec = ExperimentSpec("toya", use_gmdp=False, in_domain=True)
+
+    def sums():
+        return (training._logsumexp(scores), evaluation.mean_credit(None, {}, examples),
+                run_experiment(spec, registry)["accuracy"],
+                ablation_table(SimpleNamespace(domain_ids=[f"d{i}" for i in range(10)]))["rows"])
+
+    # the table's rows, not the experiment above, which runs through this module's import
+    monkeypatch.setattr(evaluation, "run_experiment", lambda *args: {"accuracy": 0.1})
+    want = sums()
+    assert want[:3] == (0.0, 0.09999999999999999, 9.999999999999998)
+    assert {row["average"] for row in want[3]} == {0.09999999999999999}
+    monkeypatch.setattr(training, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(evaluation, "sum", _compensated_sum, raising=False)
+    assert sums() == want

@@ -277,6 +277,12 @@ def test_parser_config_refuses_a_beam_that_is_not_a_positive_int(beam):
         ParserConfig(beam_size=beam)
 
 
+@pytest.mark.parametrize("rules", [9.0, True, None, "9"])
+def test_parser_config_refuses_max_rules_that_is_not_an_int(rules):
+    with pytest.raises(ConfigError, match="max rule applications must be an integer"):
+        ParserConfig(max_rules=rules)
+
+
 def test_beam_pruning_only_shrinks_the_candidate_set(toy_domain):
     state = toy_domain.generate_state(random.Random(2), {"things": (3, 3)})
     tokens = ["zap", "alpha"]

@@ -1,18 +1,25 @@
-"""Grid search that trains each shared prefix once, against the reference
-tuner in ``oracles`` that trains every (fold, configuration) afresh.
+"""Grid search that trains each shared prefix once and stops a
+configuration once it provably cannot win, against the reference tuner in
+``oracles`` that trains and scores every (fold, configuration) afresh.
 
-The two must score the same weights, bit for bit and in the same order,
-pick the same grid entry and so train the same final model. The work
-counts hold the sharing to the figures the grid's shape gives.
+The two must pick the same grid entry and so train the same final model.
+Every (fold, configuration) pair the tuner scores, the reference scores on
+the same weights, bit for bit; the pairs it skips are exactly those the
+reference bound proves cannot win. The work counts hold the sharing and
+the bound to the figures the grid's shape gives.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+import zlib
 from dataclasses import dataclass, replace
 
 import pytest
 
 from nlinstruct import evaluation, training
+from nlinstruct.errors import NlinstructError
 from nlinstruct.evaluation import ExperimentSpec, _cv_folds, mean_credit, tune_config
 from nlinstruct.training import (
     TrainConfig,
@@ -24,7 +31,7 @@ from nlinstruct.training import (
 )
 
 from conftest import leave_one_out, make_toy_world
-from oracles import reference_cv_tune, reference_tune, reference_two_step
+from oracles import reference_cv_tune, reference_skipped, reference_tune, reference_two_step
 
 DOMAINS = ("toya", "toyb", "toyc", "toyd")
 
@@ -35,29 +42,58 @@ def world():
     return examples, pipeline
 
 
-def _bits(weights: dict) -> list:
-    return [(k, v.hex()) for k, v in weights.items()]
+def _bits(weights: dict) -> tuple:
+    return tuple((k, v.hex()) for k, v in weights.items())
 
 
-def _scored(pipeline):
-    """An accuracy function that also records, in call order, the exact
-    weights it was asked to score."""
+def _credit(pipeline):
+    return lambda weights, held: mean_credit(pipeline, weights, held)
+
+
+def _coarse(weights, held) -> float:
+    """0, 0.5 or 1 by a checksum of the weights: many configurations tie
+    and many bounds meet the incumbent's mean exactly."""
+    return zlib.crc32(repr(_bits(weights)).encode()) % 3 / 2
+
+
+def _scored(score):
+    """``score`` as an accuracy function that also records, in call order,
+    the held-out examples and the exact weights it was asked to score."""
     seen = []
 
     def accuracy(weights, held):
-        seen.append(_bits(weights))
-        return mean_credit(pipeline, weights, held)
+        seen.append((tuple(ex.id for ex in held), _bits(weights)))
+        return score(weights, held)
 
     return seen, accuracy
 
 
-def _same_choice(tune, reference, pipeline):
-    seen, accuracy = _scored(pipeline)
-    chosen = tune(accuracy)
-    want_seen, want_accuracy = _scored(pipeline)
-    want = reference(want_accuracy)
+def _tuner_log(caplog) -> tuple[list, set]:
+    """The (fold, grid index) pairs the tuner logged as scored, in order,
+    and those it logged as skipped."""
+    scored, skipped = [], set()
+    for record in caplog.records:
+        if record.msg.startswith("tuning: fold"):
+            scored.append(record.args[:2])
+        elif "cannot beat" in record.msg:
+            skipped.update((fold, record.args[0]) for fold in record.args[4])
+    return scored, skipped
+
+
+def _same_choice(tune, reference, score, caplog):
+    seen, accuracy = _scored(score)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger=training.log.name):
+        chosen = tune(accuracy)
+    scored, skipped = _tuner_log(caplog)
+    want_seen, want_accuracy = _scored(score)
+    table: dict = {}
+    want = reference(want_accuracy, table)
     assert chosen is want
-    assert seen == want_seen
+    # keyed by (fold, grid index), since the two visit the pairs in another order
+    assert len(scored) == len(seen) == len(set(scored))
+    assert dict(zip(scored, seen)).items() <= dict(zip(table, want_seen)).items()
+    assert skipped == reference_skipped(table) == set(table) - set(scored)
     return chosen
 
 
@@ -68,17 +104,19 @@ def _same_choice(tune, reference, pipeline):
      "partition_sizes": [2, 3], "iterations_step1": [2, 1], "num_orderings": 1},
 ], ids=["grid", "reversed-counts-and-invalid-size"])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_zero_shot_gmdp_matches_the_reference(world, overrides, seed):
+def test_zero_shot_gmdp_matches_the_reference(world, overrides, seed, caplog):
     examples, pipeline = world
     domains = list(DOMAINS)
     grid = build_grid("gmdp", domains, seed, overrides)
     assert len({g.domain_ordering for g in grid}) == overrides["num_orderings"]
-    chosen = _same_choice(
-        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
-        lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
-    partition = final_partition(chosen, domains)
-    assert (_bits(gmdp(partition, examples, chosen, pipeline))
-            == _bits(reference_two_step(partition, examples, chosen, pipeline)))
+    for score in (_credit(pipeline), _coarse):
+        chosen = _same_choice(
+            lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
+            lambda acc, table: reference_tune(domains, examples, grid, "gmdp", pipeline, acc, table),
+            score, caplog)
+        partition = final_partition(chosen, domains)
+        assert (_bits(gmdp(partition, examples, chosen, pipeline))
+                == _bits(reference_two_step(partition, examples, chosen, pipeline)))
 
 
 def test_ties_go_to_the_earliest_valid_entry(world):
@@ -94,33 +132,59 @@ def test_ties_go_to_the_earliest_valid_entry(world):
     assert chosen is grid[1] and chosen.partition_size == 1
 
 
-def test_zero_shot_adagrad_matches_the_reference(world):
+def test_zero_shot_adagrad_matches_the_reference(world, caplog):
     examples, pipeline = world
     domains = list(DOMAINS)
     grid = build_grid("adagrad", domains, 3, {"l1": [0.001, 0.01], "step_size": [0.05, 0.1]})
-    _same_choice(
-        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "adagrad", pipeline, acc),
-        lambda acc: reference_tune(domains, examples, grid, "adagrad", pipeline, acc), pipeline)
+    for score in (_credit(pipeline), _coarse):
+        _same_choice(
+            lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "adagrad", pipeline, acc),
+            lambda acc, table: reference_tune(domains, examples, grid, "adagrad", pipeline, acc,
+                                              table),
+            score, caplog)
 
 
-def test_hand_made_grid_without_accumulator_reset_matches_the_reference(world):
+def test_hand_made_grid_without_accumulator_reset_matches_the_reference(world, caplog):
     examples, pipeline = world
     domains = list(DOMAINS)
     ordering = ("toyc", "toya", "toyd", "toyb")
     grid = [TrainConfig(l1=0.001, step_size=0.2, iterations=it, iterations_step1=it1,
                         partition_size=m, domain_ordering=ordering, seed=2, reset_accumulators=r)
             for it in (2, 1) for r in (False, True) for m in (1, 2) for it1 in (1, 2)]
+    for score in (_credit(pipeline), _coarse):
+        chosen = _same_choice(
+            lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
+            lambda acc, table: reference_tune(domains, examples, grid, "gmdp", pipeline, acc, table),
+            score, caplog)
+        partition = final_partition(chosen, domains)
+        for cfg in (chosen, replace(chosen, reset_accumulators=not chosen.reset_accumulators)):
+            assert (_bits(gmdp(partition, examples, cfg, pipeline))
+                    == _bits(reference_two_step(partition, examples, cfg, pipeline)))
+
+
+def test_a_decisive_entry_stops_every_later_one_before_it_trains(world, caplog):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    grid = build_grid("gmdp", domains, 0, {
+        "l1": [0.001, 0.01], "step_size": [0.1], "iterations": [1, 2], "partition_sizes": [1, 2],
+        "iterations_step1": [1, 2], "num_orderings": 1})
+    folds = leave_one_out(examples)
+    k = 5
+    decisive = {_bits(gmdp(partition_for_fold(grid[k], list(train)), train, grid[k], pipeline))
+                for train, _ in folds}
+    score = lambda weights, held: 1.0 if _bits(weights) in decisive else _coarse(weights, held)
     chosen = _same_choice(
-        lambda acc: tune_hyperparameters(grid, leave_one_out(examples), "gmdp", pipeline, acc),
-        lambda acc: reference_tune(domains, examples, grid, "gmdp", pipeline, acc), pipeline)
-    partition = final_partition(chosen, domains)
-    for cfg in (chosen, replace(chosen, reset_accumulators=not chosen.reset_accumulators)):
-        assert (_bits(gmdp(partition, examples, cfg, pipeline))
-                == _bits(reference_two_step(partition, examples, cfg, pipeline)))
+        lambda acc: tune_hyperparameters(grid, folds, "gmdp", pipeline, acc),
+        lambda acc, table: reference_tune(domains, examples, grid, "gmdp", pipeline, acc, table),
+        score, caplog)
+    assert chosen is grid[k]
+    scored, skipped = _tuner_log(caplog)
+    assert {gi for _, gi in scored} == set(range(k + 1))
+    assert skipped >= {(fold, gi) for fold in range(len(folds)) for gi in range(k + 1, len(grid))}
 
 
 @pytest.mark.parametrize("seed", [0, 4])
-def test_in_domain_cross_validation_matches_the_reference(monkeypatch, seed):
+def test_in_domain_cross_validation_matches_the_reference(monkeypatch, seed, caplog):
     _, examples, pipeline = make_toy_world(("toya",), per_domain=9, seed=seed)
     grid = build_grid("adagrad", ["toya"], seed, {"l1": [0.001, 0.01], "step_size": [0.05, 0.1]})
     monkeypatch.setattr(evaluation, "build_grid", lambda *args: grid)
@@ -132,7 +196,9 @@ def test_in_domain_cross_validation_matches_the_reference(monkeypatch, seed):
         monkeypatch.setattr(evaluation, "mean_credit", lambda p, w, held: accuracy(w, held))
         return tune_config(spec, examples, pipeline)
 
-    _same_choice(tune, lambda acc: reference_cv_tune(folds, grid, pipeline, acc), pipeline)
+    for score in (_credit(pipeline), _coarse):
+        _same_choice(tune, lambda acc, table: reference_cv_tune(folds, grid, pipeline, acc, table),
+                     score, caplog)
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +292,34 @@ def test_cross_validation_trains_each_fold_to_its_longest_count_once(runs, monke
     assert _epochs(runs) == 3 * 4 * (1 + 2 + 3)
     tune_config(ExperimentSpec("t", in_domain=True), examples, _NoParse())
     assert _epochs(runs) == 3 * 4 * 3
+
+
+def test_a_decisive_first_entry_trains_only_its_own_folds(runs, caplog):
+    sources = ["a", "b", "c", "d", "e", "f"]
+    examples = _examples(sources)
+    grid = build_grid("gmdp", sources, 0)
+    with caplog.at_level(logging.INFO, logger=training.log.name):
+        chosen = tune_hyperparameters(grid, leave_one_out(examples), "gmdp", _NoParse(),
+                                      lambda w, held: 1.0)
+    assert chosen is grid[0]
+    # grid[0] splits each fold's five sources 3 + 2 and trains 2 + 1 epochs:
+    # the three folds that hold out one of its last three domains share a
+    # first step, so 4 first steps and 6 second steps
+    assert _epochs(runs) == 4 * 2 + 6 * 1
+    scored, skipped = _tuner_log(caplog)
+    assert scored == [(fold, 0) for fold in range(6)]
+    assert skipped == {(fold, gi) for fold in range(6) for gi in range(1, 144)}
+    first = next(r.getMessage() for r in caplog.records if "cannot beat" in r.msg)
+    assert first == ("tuning: grid[1] cannot beat grid[0]: bound 1.0 <= mean 1.0, "
+                     "folds [0, 1, 2, 3, 4, 5] skipped")
+
+
+@pytest.mark.parametrize("accuracy", [1.5, -0.25, math.nan])
+def test_a_fold_accuracy_outside_0_1_is_an_error(accuracy):
+    # the bound assumes no fold scores above 1
+    sources = ["a", "b", "c"]
+    grid = build_grid("adagrad", sources, 0, {"l1": [0.001, 0.01], "step_size": [0.1],
+                                              "iterations": [1]})
+    with pytest.raises(NlinstructError, match=r"outside \[0, 1\]"):
+        tune_hyperparameters(grid, leave_one_out(_examples(sources)), "adagrad", _NoParse(),
+                             lambda w, held: accuracy)
