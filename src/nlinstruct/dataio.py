@@ -263,24 +263,30 @@ DEFAULTS = {
 
 def _check_generation(path, section: dict) -> None:
     """``generation`` maps built-in domain ids to objects of that domain's
-    range names, each a [lo, hi] pair of integers with 0 <= lo <= hi."""
+    range names, each a [lo, hi] pair of integers with 0 <= lo <= hi, and
+    within the domain's ``range_limits`` where it has one."""
     from .domains import builtin_domains
 
-    known = {d.id: d.default_ranges for d in builtin_domains()}
+    domains = {d.id: d for d in builtin_domains()}
     for domain_id, ranges in section.items():
         where = f"{path}: generation.{domain_id}"
-        if domain_id not in known:
-            raise ConfigError(f"{where}: unknown domain (known: {', '.join(sorted(known))})")
+        domain = domains.get(domain_id)
+        if domain is None:
+            raise ConfigError(f"{where}: unknown domain (known: {', '.join(sorted(domains))})")
         if not isinstance(ranges, dict):
             raise ConfigError(f"{where} must be an object")
         for name, pair in ranges.items():
-            if name not in known[domain_id]:
+            if name not in domain.default_ranges:
                 raise ConfigError(f"{where}: unknown range {name!r} "
-                                  f"(known: {', '.join(known[domain_id])})")
+                                  f"(known: {', '.join(domain.default_ranges)})")
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(v) is int for v in pair) and 0 <= pair[0] <= pair[1]):
                 raise ConfigError(f"{where}.{name} must be a [lo, hi] pair of integers "
                                   f"with 0 <= lo <= hi, got {pair!r}")
+            least, most = domain.range_limits.get(name, (0, pair[1]))
+            if pair[0] < least or pair[1] > most:
+                raise ConfigError(f"{where}.{name} must lie within [{least}, {most}] for "
+                                  f"this domain's state generator, got {pair!r}")
 
 
 def load_run_config(path) -> dict:

@@ -167,6 +167,9 @@ class Domain:
     logic: ApplicationLogic
     generate_state: StateGenerator
     default_ranges: dict = field(default_factory=dict)
+    #: range name -> (least lo, greatest hi) that ``generate_state`` can
+    #: honour, for the ranges that have such a limit
+    range_limits: dict = field(default_factory=dict)
 
     def __post_init__(self):
         names = [m.name for m in self.methods]

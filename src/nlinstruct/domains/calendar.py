@@ -31,13 +31,17 @@ EVENT_TITLES = ("meeting", "lunch", "standup", "review", "interview", "workshop"
 LOCATIONS = ("office", "cafe", "gym", "lobby")
 COLORS = ("RED", "GREEN", "BLUE", "YELLOW")
 
+START_HOURS = range(8, 20)
+
 DEFAULT_RANGES = {"events": (2, 6), "attendees": (1, 9)}
+# events start at distinct hours
+RANGE_LIMITS = {"events": (0, len(START_HOURS))}
 
 
 def generate_state(rng: random.Random, ranges: dict) -> State:
     n = rng.randint(*ranges.get("events", DEFAULT_RANGES["events"]))
     attendees = ranges.get("attendees", DEFAULT_RANGES["attendees"])
-    times = sorted(rng.sample(range(8, 20), n))
+    times = sorted(rng.sample(START_HOURS, n))
     entities, triples = [], []
     for i, start in enumerate(times, start=1):
         e, t = typed_entity(f"ev{i}", "Event")
@@ -89,4 +93,5 @@ def make_domain() -> Domain:
         logic=logic,
         generate_state=generate_state,
         default_ranges=dict(DEFAULT_RANGES),
+        range_limits=RANGE_LIMITS,
     )

@@ -36,6 +36,8 @@ DIR_NAMES = ("documents", "pictures", "music", "downloads", "backup")
 FILE_KINDS = ("TXT", "JPG", "PDF", "MP3")
 
 DEFAULT_RANGES = {"directories": (2, 3), "files": (2, 6), "size": (1, 500)}
+# directories have distinct names
+RANGE_LIMITS = {"directories": (0, len(DIR_NAMES))}
 
 
 def generate_state(rng: random.Random, ranges: dict) -> State:
@@ -136,4 +138,5 @@ def make_domain() -> Domain:
         logic=logic,
         generate_state=generate_state,
         default_ranges=dict(DEFAULT_RANGES),
+        range_limits=RANGE_LIMITS,
     )

@@ -32,6 +32,8 @@ from .base import (
 FIRST_NAMES = ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi")
 
 DEFAULT_RANGES = {"users": (2, 5), "groups": (1, 4)}
+# users have distinct first names, and every group gets at least one user
+RANGE_LIMITS = {"users": (1, len(FIRST_NAMES))}
 
 _GROUP_ID = re.compile(r"g(\d+)$")
 
@@ -134,4 +136,5 @@ def make_domain() -> Domain:
         logic=logic,
         generate_state=generate_state,
         default_ranges=dict(DEFAULT_RANGES),
+        range_limits=RANGE_LIMITS,
     )

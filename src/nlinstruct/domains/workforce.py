@@ -33,6 +33,8 @@ NAMES = ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi")
 SALARIES = tuple(range(40000, 95001, 5000))
 
 DEFAULT_RANGES = {"employees": (3, 7)}
+# employees have distinct names
+RANGE_LIMITS = {"employees": (0, len(NAMES))}
 
 
 def generate_state(rng: random.Random, ranges: dict) -> State:
@@ -145,4 +147,5 @@ def make_domain() -> Domain:
         logic=logic,
         generate_state=generate_state,
         default_ranges=dict(DEFAULT_RANGES),
+        range_limits=RANGE_LIMITS,
     )

@@ -28,9 +28,8 @@ The constructors print through them, and so does the parser's chart, which
 renders each candidate before it builds anything: it deduplicates chart
 entries on (category, printed form, anchored spans) and breaks score ties
 on the printed form, so it relies on a candidate's rendered string being
-exactly the ``printed`` of the node it would build. For roots the chart
-writes :func:`render_call`'s format out inline and hands the string to the
-``Call`` it builds.
+exactly the ``printed`` of the node it would build. A root's string, from
+:func:`render_call`, is handed to the ``Call`` the chart builds.
 
 A form does not list the predicates it uses. What the features read of
 them lives in its derivation's score key, which the chart composes from
@@ -80,9 +79,8 @@ def render_superlative(kind: str, set_form: str, key: str) -> str:
     return f"{kind}({set_form}, R[{key}])"
 
 
-def render_call(method: str, args) -> str:
-    """``method(a)`` or ``method(a, b)``; the parser's root offers write
-    this format out inline."""
+def render_call(method: str, *args: str) -> str:
+    """``method(a)`` or ``method(a, b)``."""
     return f"{method}({', '.join(args)})"
 
 
@@ -201,7 +199,7 @@ class Call(LogicalForm):
             )
         self.method = method
         self.args = args
-        self.printed = (render_call(method.name, [a.printed for a in args]) if printed is None
+        self.printed = (render_call(method.name, *(a.printed for a in args)) if printed is None
                         else printed)
 
 

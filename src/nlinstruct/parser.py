@@ -45,39 +45,51 @@ features); partial derivations the templates that are well defined on
 fragments.
 
 Candidates are scored before they are built, and before they are
-rendered. A composite candidate's score comes from its composed key
-alone. If it is strictly below its cell's running cut, the beam-th best
-score among the offers the cell has stored so far, it is dropped: it is
-not span-merged, rendered, deduplicated or stored. Otherwise it is
-rendered: its printed form comes from ``logic``'s ``render_*`` function
-for its rule, applied to its children's printed forms, which is the
-string its logical form will print as. It is deduplicated on (category,
-printed form, anchored spans), the same key the eager reference chart
-(``tests/oracles.py``) uses, and stored in its cell with its printed
-form. Every cell, leaf, set or root, settles by one rule: its offers
-are put in rank order, (-score, printed form, spans), and the first
-``beam_size`` of them survive, in that order. Only those get a logical
-form and a ``Derivation``.
+rendered. Every composite offer is made by one loop, ``walk`` in
+:func:`generate_candidates`. It takes a rule, a fixed *left part* (a join's
+or a superlative's relation, an intersection's left set, a call's method,
+or a two-argument call's method and first argument) with its share of the
+score key and its spans, and a list of right children: a settled cell, or
+a filtered pool of one, in rank order. For each right child, in that
+order, it
+
+1. composes the score key: the left part's ``bits`` OR-ed with the
+   child's, their ``packed`` added;
+2. reads the score from the scorer's memo, scoring on a miss;
+3. drops the pair if that score is strictly below the cell's running cut,
+   the beam-th best score among the offers the cell has stored so far
+   (see ``_Open``);
+4. merges the spans, when the left part has any, and drops a pair that
+   claims a token twice (an intersection also drops a right operand that
+   prints as its left one);
+5. renders the printed form with ``logic``'s ``render_*`` function for the
+   rule, from the parts' printed forms: the string its logical form will
+   print as;
+6. deduplicates on (category, printed form, anchored spans), the key the
+   eager reference chart (``tests/oracles.py``) uses;
+7. stores the offer in its cell, its children the left part's plus the
+   right child.
+
+So a dropped pair is never span-merged, rendered, deduplicated or stored.
+Every cell, leaf, set or root, settles by one rule: its offers are put in
+rank order, (-score, printed form, spans), and the first ``beam_size`` of
+them survive, in that order. Only those get a logical form and a
+``Derivation``; a root's ``Call`` takes its offer's string as its printed
+form rather than rendering it again.
 
 Dropping is exact, with no float margin. The running cut only rises, so a
 dropped offer is below the final cut too, and ties with the cut are never
-dropped. A dropped offer leaves no dedup key, yet no later offer can meet
-it: when no two leaves share a (category, printed form) at different
-spans, a printed form fixes its spans, and each form is offered once. The
-one printing coincidence, the ``anchor-ordinal`` leaf ``R[index].k``
-against the join that builds the same form at size 3 (a ``TypeSet``
-leaf would meet its join the same way), always meets a leaf, and leaves
-are never dropped. A
-parse whose leaves have such a twin (an ordinal word and the same number
-as a digit, a text value matched twice) can build one form at two spans
-or two sizes, the first of which must win, so its cells drop nothing.
-
-Root offers, the most numerous, are made inline: a call's printed form is
-``render_call``'s ``method(a)`` or ``method(a, b)``, written out with the
-method's (and first argument's) part of the string and of the score key
-taken once, outside the loop over the last argument. A surviving root's
-``Call`` takes that string as its printed form instead of rendering it
-again.
+dropped; so neither the order in which a cell's offers come nor which of
+them were dropped changes its survivors. A dropped offer leaves no dedup
+key, yet no later offer can meet it: when no two leaves share a
+(category, printed form) at different spans, a printed form fixes its
+spans, and each form is offered once. The one printing coincidence, the
+``anchor-ordinal`` leaf ``R[index].k`` against the join that builds the
+same form at size 3 (a ``TypeSet`` leaf would meet its join the same
+way), always meets a leaf, and leaves are never dropped. A parse whose
+leaves have such a twin (an ordinal word and the same number as a digit,
+a text value matched twice) can build one form at two spans or two
+sizes, the first of which must win, so its cells drop nothing.
 
 The score key is the only description of a derivation's features: its
 feature dict (``Derivation.feats``) is decoded from the key on first read.
@@ -112,6 +124,7 @@ from __future__ import annotations
 import gc
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappush, heapreplace
 from math import inf
 from typing import Callable, NamedTuple
@@ -157,6 +170,7 @@ from .logic import (
     ValueLit,
     evaluate,
     execute_to_call,  # not called here; kept as perfbench's tracer patches it by this name
+    render_call,
     render_intersect,
     render_join,
     render_superlative,
@@ -255,13 +269,15 @@ def merge_spans(a: tuple, b: tuple) -> tuple | None:
 
 def _compose(rule: str, children: tuple) -> LogicalForm:
     """The logical form a composite rule builds from its children."""
+    a, b = children
     if rule == "intersect":
-        return Intersect(children[0].lf, children[1].lf)
+        return Intersect(a.lf, b.lf)
+    # a join's or a superlative's children are (relation, set or value)
     if rule == "rjoin":
-        return ReverseJoin(children[0].lf.name, children[1].lf)
+        return ReverseJoin(a.lf.name, b.lf)
     if rule == "fjoin":
-        return ForwardJoin(children[0].lf.name, children[1].lf)
-    return Superlative(rule, children[0].lf, children[1].lf.name)
+        return ForwardJoin(a.lf.name, b.lf)
+    return Superlative(rule, b.lf, a.lf.name)
 
 
 def _build(offer: tuple, category: str, size_used: int, ctx: UtteranceContext) -> Derivation:
@@ -373,26 +389,6 @@ def generate_candidates(
             cell = cells[category, 1] = _Open(beam, False)
         cell.add((-total, lf.printed, spans, (), rule, bits, packed, lf), total)
 
-    def store(cell: _Open, total: float, printed: str, spans: tuple, children: tuple,
-              rule: str, bits: int, packed: int) -> None:
-        """Deduplicate and store a composite entity set scored at or above
-        its cell's running cut."""
-        key = (CAT_SET, printed, spans)
-        if key in seen:
-            return
-        seen.add(key)
-        cell.add((-total, printed, spans, children, rule, bits, packed, None), total)
-
-    def offer(cell: _Open, spans: tuple, children: tuple, rule: str, render, *parts) -> None:
-        """Offer a join or a superlative, scored before it is rendered."""
-        bits, packed = local[rule]
-        for c in children:
-            bits |= c.bits
-            packed += c.packed
-        total = score(False, bits, packed)
-        if total >= cell.cut:
-            store(cell, total, render(*parts), spans, children, rule, bits, packed)
-
     def settle(category: str, size_used: int) -> None:
         cell = cells.get((category, size_used))
         if cell is None:
@@ -479,97 +475,98 @@ def generate_candidates(
                 out.append(d)
         return out
 
-    set_scores, root_scores = scorer.memo
-    int_bits, int_packed = local["intersect"]
+    memos = scorer.memo
+
+    def walk(cell: _Open, is_root: bool, rule: str, left: tuple, lbits: int, lpacked: int,
+             lspans: tuple, render: Callable[[str], str], rights, exclude=None) -> None:
+        """Offer to ``cell`` the composites of ``rule`` made of the left
+        part ``left`` (its children; ``lbits`` and ``lpacked``, its share of
+        the score key, the rule's own share included; ``lspans``) and each
+        derivation of ``rights`` in turn. ``render`` makes the printed form
+        from the right child's, and a right child that prints as
+        ``exclude`` is skipped. See the module docstring for the steps."""
+        memo = memos[is_root]
+        category = CAT_ROOT if is_root else CAT_SET
+        for b in rights:
+            bits = lbits | b.bits
+            packed = lpacked + b.packed
+            total = memo.get((bits, packed))
+            if total is None:
+                total = score(is_root, bits, packed)
+            if total < cell.cut:
+                continue
+            printed = b.lf.printed
+            if printed == exclude:
+                continue
+            if lspans:
+                spans = merge_spans(lspans, b.spans)
+                if spans is None:
+                    continue
+            else:
+                spans = b.spans
+            printed = render(printed)
+            key = (category, printed, spans)
+            if key in seen:
+                continue
+            seen.add(key)
+            cell.add((-total, printed, spans, left + (b,), rule, bits, packed, None), total)
+
     for k in range(2, max_rules - 1):
         sets = cells[CAT_SET, k] = _Open(beam, not twin)
         child_size = k - 2
         if child_size >= 1:
+            values: dict[type, list] = {}
+            for c in cells.get((CAT_VALUE, child_size), ()):
+                values.setdefault(type(c.lf.value), []).append(c)
+            set_children = cells.get((CAT_SET, child_size), ())
             for rd in rel_derivs:
                 rel = rd.lf.name
-                spec = rel_specs[rel]
-                want = _VALUE_KIND.get(spec.object_kind)
-                if want is not None:
-                    for c in cells.get((CAT_VALUE, child_size), ()):
-                        if isinstance(c.lf.value, want):
-                            offer(sets, c.spans, (rd, c), "rjoin", render_join, "R", rel,
-                                  c.lf.printed)
-                elif spec.object_kind == OBJ_ENTITY:
-                    for c in cells.get((CAT_SET, child_size), ()):
-                        printed = c.lf.printed
-                        offer(sets, c.spans, (rd, c), "rjoin", render_join, "R", rel, printed)
-                        offer(sets, c.spans, (rd, c), "fjoin", render_join, "F", rel, printed)
-            for rd in int_rels:
-                rel = rd.lf.name
-                for c in cells.get((CAT_SET, child_size), ()):
-                    # directly nested superlatives only breed permutation
-                    # twins that no feature can tell apart
-                    if isinstance(c.lf, Superlative):
-                        continue
-                    for kind in (ARGMAX, ARGMIN):
-                        offer(sets, c.spans, (c, rd), kind, render_superlative, kind,
-                              c.lf.printed, rel)
+                obj = rel_specs[rel].object_kind
+                if obj == OBJ_ENTITY:
+                    joins = (("rjoin", "R", set_children), ("fjoin", "F", set_children))
+                else:
+                    joins = (("rjoin", "R", values.get(_VALUE_KIND.get(obj))),)
+                for rule, op, rights in joins:
+                    if rights:
+                        bits, packed = local[rule]
+                        walk(sets, False, rule, (rd,), bits | rd.bits, packed + rd.packed,
+                             rd.spans, partial(render_join, op, rel), rights)
+            # directly nested superlatives only breed permutation twins that
+            # no feature can tell apart
+            plain = [c for c in set_children if not isinstance(c.lf, Superlative)]
+            for rd in int_rels if plain else ():
+                for kind in (ARGMAX, ARGMIN):
+                    bits, packed = local[kind]
+                    walk(sets, False, kind, (rd,), bits | rd.bits, packed + rd.packed, rd.spans,
+                         partial(render_superlative, kind, key=rd.lf.name), plain)
 
+        int_bits, int_packed = local["intersect"]
         for i in range(1, (k - 1) // 2 + 1):
             j = k - 1 - i
-            if j < i:
-                continue
             left = cells.get((CAT_SET, i), ())
             right = cells.get((CAT_SET, j), ())
             for x, a in enumerate(left):
                 ap = a.lf.printed
-                a_spans = a.spans
-                abits = int_bits | a.bits
-                apacked = int_packed + a.packed
                 # x-with-x adds nothing; at i == j each pair is met once
-                for b in (right[x:] if i == j else right):
-                    bits = abits | b.bits
-                    packed = apacked + b.packed
-                    total = set_scores.get((bits, packed))
-                    if total is None:
-                        total = score(False, bits, packed)
-                    if total < sets.cut:
-                        continue
-                    bp = b.lf.printed
-                    if ap == bp:
-                        continue
-                    spans = merge_spans(a_spans, b.spans)
-                    if spans is not None:
-                        store(sets, total, render_intersect(ap, bp), spans, (a, b), "intersect",
-                              bits, packed)
+                walk(sets, False, "intersect", (a,), int_bits | a.bits, int_packed + a.packed,
+                     a.spans, partial(render_intersect, ap), right[x:] if i == j else right, ap)
         settle(CAT_SET, k)
 
-    # a call is a method, one application and at least one argument. Its
-    # offers are made inline: the method's (and a two-argument call's
-    # first argument's) share of the score key and printed form is taken
-    # once, outside the loop over the last argument, so that each offer
-    # costs one scorer lookup, and one string and one dedup key unless it
-    # is dropped below its cell's running cut (see _Open)
+    # a call is a method, one application and at least one argument; the
+    # left part is the method, or a two-argument call's method and first
+    # argument
     call_bits, call_packed = local["call"]
     for k in range(3, max_rules + 1):
         roots = cells[CAT_ROOT, k] = _Open(beam, not twin)
         budget = k - 2
         for md in cells.get((CAT_METHOD, 1), ()):
-            params = md.lf.method.params
-            head = md.lf.printed + "("  # a method prints as its name
+            method = md.lf.method
+            params = method.params
             mbits = call_bits | md.bits
             mpacked = call_packed + md.packed
             if len(params) == 1:
-                for a in arg_pool(params[0], budget):
-                    bits = mbits | a.bits
-                    packed = mpacked + a.packed
-                    total = root_scores.get((bits, packed))
-                    if total is None:
-                        total = score(True, bits, packed)
-                    if total < roots.cut:
-                        continue
-                    printed = f"{head}{a.lf.printed})"
-                    spans = a.spans
-                    key = (CAT_ROOT, printed, spans)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    roots.add((-total, printed, spans, (md, a), "call", bits, packed, None), total)
+                walk(roots, True, "call", (md,), mbits, mpacked, md.spans,
+                     partial(render_call, method.name), arg_pool(params[0], budget))
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
@@ -578,28 +575,8 @@ def generate_candidates(
                     if not pool1:
                         continue
                     for a in pool0:
-                        first = f"{head}{a.lf.printed}, "
-                        a_spans = a.spans
-                        abits = mbits | a.bits
-                        apacked = mpacked + a.packed
-                        for b in pool1:
-                            bits = abits | b.bits
-                            packed = apacked + b.packed
-                            total = root_scores.get((bits, packed))
-                            if total is None:
-                                total = score(True, bits, packed)
-                            if total < roots.cut:
-                                continue
-                            spans = merge_spans(a_spans, b.spans)
-                            if spans is None:
-                                continue
-                            printed = f"{first}{b.lf.printed})"
-                            key = (CAT_ROOT, printed, spans)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            roots.add((-total, printed, spans, (md, a, b), "call", bits,
-                                       packed, None), total)
+                        walk(roots, True, "call", (md, a), mbits | a.bits, mpacked + a.packed,
+                             a.spans, partial(render_call, method.name, a.lf.printed), pool1)
         settle(CAT_ROOT, k)
 
     out: list[Derivation] = []

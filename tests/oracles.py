@@ -494,7 +494,7 @@ def eager_generate_candidates(
                         continue
                     for kind in (ARGMAX, ARGMIN):
                         add(CAT_SET, Superlative(kind, c.lf, rd.lf.name), k,
-                            c.spans, (c, rd), kind)
+                            c.spans, (rd, c), kind)
 
         for i in range(1, (k - 1) // 2 + 1):
             j = k - 1 - i

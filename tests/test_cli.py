@@ -591,16 +591,17 @@ _TWICE = ('{"entities": [{"id": "f1", "type": "File"}, {"id": "f1", "type": "Dir
           '"triples": []}')
 
 
-def _generate_with(tmp_path, generation):
-    """``generate`` for the lighting domain under a config whose
-    ``generation`` section is ``generation``."""
+def _generate_with(tmp_path, generation, domain="lighting"):
+    """``generate`` for ``domain`` under a config whose ``generation``
+    section is ``generation``."""
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"generation": generation}))
-    return ["generate", "--domain", "lighting", "--count", "1", "--config", str(config),
+    return ["generate", "--domain", domain, "--count", "1", "--config", str(config),
             "--out", str(tmp_path / "pairs.jsonl")]
 
 
 _BAD_RANGE = "must be a [lo, hi] pair of integers with 0 <= lo <= hi"
+_UNHONOURED = "for this domain's state generator, got"
 
 
 def _run_with(tmp_path, command, **overrides):
@@ -680,6 +681,17 @@ def _row_without(key):
     (lambda p: _generate_with(p, {"lighting": {"flors": [1, 2]}}), 2,
      "generation.lighting: unknown range 'flors' (known: floors, rooms_per_floor)"),
     (lambda p: _generate_with(p, {"toaster": {}}), 2, "generation.toaster: unknown domain"),
+    # each past what its generator draws distinct values from
+    (lambda p: _generate_with(p, {"messenger": {"users": [9, 9]}}, "messenger"), 2,
+     "generation.messenger.users must lie within [1, 8] " + _UNHONOURED + " [9, 9]"),
+    (lambda p: _generate_with(p, {"messenger": {"users": [0, 0]}}, "messenger"), 2,
+     "generation.messenger.users must lie within [1, 8] " + _UNHONOURED + " [0, 0]"),
+    (lambda p: _generate_with(p, {"calendar": {"events": [13, 13]}}, "calendar"), 2,
+     "generation.calendar.events must lie within [0, 12] " + _UNHONOURED),
+    (lambda p: _generate_with(p, {"file": {"directories": [6, 6]}}, "file"), 2,
+     "generation.file.directories must lie within [0, 5] " + _UNHONOURED),
+    (lambda p: _generate_with(p, {"workforce": {"employees": [2, 9]}}, "workforce"), 2,
+     "generation.workforce.employees must lie within [0, 8] " + _UNHONOURED),
     (lambda p: _parse_with_state(p, '{"entities": [], "triples": [["x", "r", {"int": %s}]]}'
                                  % _LONG_INT), 3, "bad_state.json: " + _TOO_LONG),
     (lambda p: _parse_with_state(p, _DEEP), 3, "bad_state.json: " + _TOO_DEEP),
@@ -699,6 +711,9 @@ def _row_without(key):
         "eval-target", "eval-in-domain-target", "config-bootstrap", "significance-iterations",
         "generation-not-object", "generation-reversed", "generation-negative",
         "generation-string", "generation-float", "generation-misspelled", "generation-domain",
+        "generation-messenger-users-above", "generation-messenger-users-zero",
+        "generation-calendar-events", "generation-file-directories",
+        "generation-workforce-employees",
         "state-long-int", "state-deep", "state-repeated-id", "dataset-long-int", "dataset-deep",
         "config-long-int", "config-deep"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
