@@ -284,10 +284,13 @@ def cmd_significance(args) -> int:
         except TypeError as exc:
             raise DataError(f"{path}: malformed report ({exc})") from None
 
-    p, significant = paired_bootstrap(
-        scores(args.report_a), scores(args.report_b),
-        iterations=args.iterations, alpha=args.alpha, seed=args.seed,
-    )
+    try:
+        p, significant = paired_bootstrap(
+            scores(args.report_a), scores(args.report_b),
+            iterations=args.iterations, alpha=args.alpha, seed=args.seed,
+        )
+    except NlinstructError as exc:  # unaligned or empty per-example lists
+        raise DataError(f"{args.report_a} and {args.report_b}: {exc}") from None
     verdict = "significant" if significant else "not significant"
     print(f"p-value {p:.4f} at alpha {args.alpha}: {verdict}")
     return 0

@@ -23,11 +23,7 @@ from .base import (
     RelationSpec,
     invoke,
 )
-from .generate import (
-    ARGUMENT_ATTEMPTS,
-    generate_state_pair,
-    sample_arguments,
-)
+from .generate import ARGUMENT_ATTEMPTS, generate_state_pair
 from . import calendar, container, filemanager, lighting, listdomain, messenger, workforce
 
 _BUILTIN_MAKERS = (
@@ -79,5 +75,4 @@ __all__ = [
     "generate_state_pair",
     "get_domain",
     "invoke",
-    "sample_arguments",
 ]

@@ -1,11 +1,13 @@
 """Random (initial state, method call, desired state) generation.
 
-The loop: draw an initial state, draw random arguments, invoke. Whenever
-invocation raises or leaves the state unchanged, redraw the arguments; after
-1,000 failed argument draws the initial state is deemed problematic and a
-fresh one is drawn. Every returned triple therefore satisfies
-``invoke(s, c) == s'`` with ``s' != s`` and no exception, which is what
-makes application-logic filtering unable to reject a gold call.
+One loop serves ``nlinstruct generate``'s state pairs and the template
+corpus alike: draw an initial state, propose a call up to ``tries`` times
+on it, and invoke. A proposal the state cannot supply, a call that fails
+or raises, and one that changes nothing are rejected; a state is redrawn
+after ``tries`` rejections (1,000 random argument draws, or one template),
+and generation gives up after :data:`STATE_RESTARTS` states. So every
+triple satisfies ``invoke(s, c) == s'`` with ``s' != s`` and no exception,
+and application-logic filtering cannot reject a gold call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,29 @@ from .base import (
 #: Failed argument draws tolerated before the initial state is discarded.
 ARGUMENT_ATTEMPTS = 1000
 
-#: Initial-state restarts tolerated before generation gives up.
+#: Initial states drawn before generation gives up.
 STATE_RESTARTS = 100
+
+
+def draw_triple(domain: Domain, rng: random.Random, propose, tries: int,
+                ranges: dict | None, what: str) -> tuple[State, MethodCall, State, object]:
+    """A valid (initial state, call, desired state, payload) quadruple;
+    ``propose(state)`` gives ``(call, payload)``, or None for no proposal."""
+    for _ in range(STATE_RESTARTS):
+        state = domain.generate_state(rng, ranges or domain.default_ranges)
+        for _ in range(tries):
+            try:
+                proposed = propose(state)
+                if proposed is None:
+                    continue
+                call, payload = proposed
+                result = invoke(domain, state, call)
+            except (DomainLogicError, ExecutionError):
+                continue
+            if result != state:
+                return state, call, result, payload
+    raise GenerationError(f"{what}: no usable state pair after {STATE_RESTARTS} "
+                          f"initial states x {tries} proposals")
 
 
 def sample_arguments(domain: Domain, state: State, method: InterfaceMethod,
@@ -57,23 +80,10 @@ def sample_arguments(domain: Domain, state: State, method: InterfaceMethod,
 def generate_state_pair(domain: Domain, method: InterfaceMethod, rng: random.Random,
                         ranges: dict | None = None) -> tuple[State, MethodCall, State]:
     """A valid (initial state, gold call, desired state) triple."""
-    if ranges is None:
-        ranges = domain.default_ranges
-    for _ in range(STATE_RESTARTS):
-        state = domain.generate_state(rng, ranges)
-        for _ in range(ARGUMENT_ATTEMPTS):
-            drawn = sample_arguments(domain, state, method, rng)
-            if drawn is None:
-                continue
-            try:
-                call = MethodCall(method, drawn)
-                result = invoke(domain, state, call)
-            except (DomainLogicError, ExecutionError):
-                continue
-            if result == state:
-                continue
-            return state, call, result
-    raise GenerationError(
-        f"{domain.id}.{method.name}: no usable state pair after "
-        f"{STATE_RESTARTS} initial states x {ARGUMENT_ATTEMPTS} argument draws"
-    )
+
+    def propose(state):
+        drawn = sample_arguments(domain, state, method, rng)
+        return None if drawn is None else (MethodCall(method, drawn), None)
+
+    return draw_triple(domain, rng, propose, ARGUMENT_ATTEMPTS, ranges,
+                       f"{domain.id}.{method.name}")[:3]

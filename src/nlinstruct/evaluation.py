@@ -211,12 +211,22 @@ def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example
     over folds that each hold out one source domain zero-shot, and over a
     3-fold cross-validation of the target's train split in-domain (its mean
     credit ranks configs as their summed credit would, except where two
-    sums divide to the same double: the earlier grid entry wins)."""
+    sums divide to the same double: the earlier grid entry wins). Partition
+    sizes that leave a two-step side empty are a ``ConfigError``, and a
+    target too small to cross-validate a grid on is a ``DataError``."""
     domains = list(examples_by_domain)
     grid = build_grid(spec.algorithm, domains, spec.seed, grid_overrides)
+    sizes = sorted({cfg.partition_size for cfg in grid})
+    if spec.algorithm == "gmdp" and not any(0 < m < len(domains) - 1 for m in sizes):
+        raise ConfigError(f"grid partition_sizes {sizes} leave a side of the two-step split of "
+                          f"{len(domains)} source domains empty (a fold holds {len(domains) - 1})")
     if spec.in_domain:  # the target is the only domain
         folds = [({d: rest}, held) for d, examples in examples_by_domain.items()
                  for rest, held in _cv_folds(examples, 3, spec.seed)]
+        if not folds and len(grid) > 1:
+            raise DataError(f"target {spec.target_domain!r} has "
+                            f"{len(examples_by_domain[spec.target_domain])} train example(s); "
+                            f"tuning a grid of {len(grid)} points needs 2 to cross-validate")
     else:
         folds = [({d: examples_by_domain[d] for d in domains if d != held},
                   examples_by_domain[held]) for held in domains]

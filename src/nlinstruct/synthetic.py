@@ -3,12 +3,12 @@
 Test and experiment support: each template renders an English instruction
 from a method's description phrases and a describable argument (a name, an
 index, a property value, a superlative, or a whole entity type) and pairs
-it with the logical form it means. The desired state is whatever the call
-does to the generated initial state, so gold calls are exact by
-construction. Methods whose only distinguishing argument is a floating
-enum symbol (event colors, job positions) have no template: nothing in an
-utterance can select among those symbols, and such examples would cap at
-fractional credit.
+it with the logical form it means. Examples come from the state-pair loop
+of :mod:`nlinstruct.domains.generate`, one try per state, so gold calls are
+exact by construction. Methods whose only distinguishing argument is a
+floating enum symbol (event colors, job positions) have no template:
+nothing in an utterance can select among those symbols, and such examples
+would cap at fractional credit.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 
 from .domains import Domain, Example
-from .domains.base import invoke
-from .errors import DomainLogicError, ExecutionError, GenerationError
+from .domains.base import int_of
+from .domains.generate import draw_triple
 from .kb import Entity, IntVal, State, SymVal, TextVal
 from .logic import (
     ARGMAX,
@@ -56,11 +56,6 @@ def _sym(state: State, e: Entity, relation: str) -> str:
     return o.name
 
 
-def _int(state: State, e: Entity, relation: str) -> int:
-    (o,) = [v for v in state.objects(e, relation) if isinstance(v, IntVal)]
-    return o.value
-
-
 def _number_phrase(rng: random.Random, n: int) -> str:
     word = _WORD_OF.get(n)
     return rng.choice((str(n), word)) if word else str(n)
@@ -90,7 +85,7 @@ def _lighting_by_floor(domain, state, rng):
     want = "OFF" if turn_on else "ON"
     floors = sorted(
         {
-            _int(state, e, "floor")
+            int_of(state, e, "floor")
             for e in state.entities_of_type("Room")
             if _sym(state, e, "lightMode") == want
         }
@@ -145,7 +140,7 @@ def _container_superlative(domain, state, rng):
 def _container_by_terminal(domain, state, rng):
     containers = sorted(state.entities_of_type("ShippingContainer"), key=lambda e: e.id)
     method = domain.method(rng.choice(_CONTAINER_METHODS))
-    k = _int(state, rng.choice(containers), "index")
+    k = int_of(state, rng.choice(containers), "index")
     return (
         f"{method.phrases[0]} the container in terminal {_number_phrase(rng, k)}",
         Call(method, (ReverseJoin("index", ValueLit(IntVal(k))),)),
@@ -155,7 +150,7 @@ def _container_by_terminal(domain, state, rng):
 def _container_by_ordinal(domain, state, rng):
     containers = sorted(state.entities_of_type("ShippingContainer"), key=lambda e: e.id)
     method = domain.method(rng.choice(_CONTAINER_METHODS))
-    k = _int(state, rng.choice(containers), "index")
+    k = int_of(state, rng.choice(containers), "index")
     word = _ORDINAL_OF.get(k)
     if word is None:
         return None
@@ -224,7 +219,7 @@ def _file_move(domain, state, rng):
 
 def _list_by_value(domain, state, rng):
     elements = sorted(state.entities_of_type("Element"), key=lambda e: e.id)
-    v = _int(state, rng.choice(elements), "value")
+    v = int_of(state, rng.choice(elements), "value")
     method = domain.method("remove")
     return (
         f"{method.phrases[0]} the number {v}",
@@ -234,7 +229,7 @@ def _list_by_value(domain, state, rng):
 
 def _list_by_ordinal(domain, state, rng):
     elements = sorted(state.entities_of_type("Element"), key=lambda e: e.id)
-    k = _int(state, rng.choice(elements), "index")
+    k = int_of(state, rng.choice(elements), "index")
     word = _ORDINAL_OF.get(k)
     if word is None:
         return None
@@ -302,7 +297,7 @@ def _messenger_by_ordinal(domain, state, rng):
     groups = sorted(state.entities_of_type("ChatGroup"), key=lambda e: e.id)
     if not groups:
         return None
-    k = _int(state, rng.choice(groups), "index")
+    k = int_of(state, rng.choice(groups), "index")
     word = _ORDINAL_OF.get(k)
     if word is None:
         return None
@@ -417,32 +412,19 @@ def build_domain_corpus(
     seed: int = 0,
     ranges: dict | None = None,
 ) -> list[tuple[Example, LogicalForm]]:
-    """``count`` instruction examples with their gold logical forms.
-
-    Templates rotate for balance; an instantiation is kept only when its
-    call assembles, raises nothing and changes the state."""
+    """``count`` instruction examples with their gold logical forms; the
+    templates take turns, one example each."""
     templates = TEMPLATES[domain.id]
     rng = random.Random(f"{seed}:{domain.id}")
     out: list[tuple[Example, LogicalForm]] = []
-    slot = 0
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 500 * count:
-            raise GenerationError(f"{domain.id}: templates keep failing to instantiate")
-        state = domain.generate_state(rng, ranges if ranges is not None else domain.default_ranges)
-        made = templates[slot % len(templates)](domain, state, rng)
-        if made is None:
-            continue
-        utterance, lf = made
-        try:
-            call = execute_to_call(lf, state)
-            desired = invoke(domain, state, call)
-        except (ExecutionError, DomainLogicError):
-            continue
-        if desired == state:
-            continue
-        slot += 1
-        example = Example(f"{domain.id}-{len(out):04d}", domain.id, state, utterance, desired)
-        out.append((example, lf))
+    for i in range(count):
+        template = templates[i % len(templates)]
+
+        def propose(state):
+            made = template(domain, state, rng)
+            return None if made is None else (execute_to_call(made[1], state), made)
+
+        state, _, desired, (utterance, lf) = draw_triple(
+            domain, rng, propose, 1, ranges, f"{domain.id} template {template.__name__}")
+        out.append((Example(f"{domain.id}-{i:04d}", domain.id, state, utterance, desired), lf))
     return out

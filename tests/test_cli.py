@@ -627,6 +627,36 @@ def _row_without(key):
     return row
 
 
+def _zero_shot_on_two_sources(tmp_path, command, l1):
+    """``command`` with the two-step trainer over list, lighting and
+    container with target ``list``: no partition size splits one source
+    domain in a tuning fold, nor two in the final model."""
+    examples = [ex for domain_id in ("list", "lighting", "container")
+                for ex, _ in build_domain_corpus(get_domain(domain_id), 3, seed=4)]
+    dataio.write_dataset(tmp_path / "data.jsonl", examples)
+    config = _write_config(tmp_path / "c.json", dataset=str(tmp_path / "data.jsonl"),
+                           algorithm="gmdp", grid=dict(_GMDP_GRID, l1=l1))
+    return [command, "--config", config, "--out", str(tmp_path / "out.json")]
+
+
+def _in_domain_on_one_train_example(tmp_path):
+    """In-domain ``eval`` of a two-point grid on a target with a single
+    train example, which no cross-validation fold can split."""
+    directory = tmp_path / "splits"
+    directory.mkdir()
+    for split, count, seed in (("train", 1, 4), ("test", 2, 9)):
+        dataio.write_dataset(directory / f"{split}.jsonl",
+                             [ex for ex, _ in build_domain_corpus(get_domain("list"), count, seed)])
+    config = _write_config(tmp_path / "c.json", dataset=str(directory),
+                           grid={"l1": [0.001, 0.01], "step_size": [0.1], "iterations": [1]})
+    return ["eval", "--config", config, "--out", str(tmp_path / "r.json"), "--in-domain"]
+
+
+_ONE_SCORE = json.dumps({"per_example": [{"id": "list-0000", "credit": 1.0, "tie_count": 1,
+                                          "correct_in_tie": 1, "parse_failed": False}]})
+_TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2 source domains empty"
+
+
 @pytest.mark.parametrize("make_args, code, words", [
     (lambda p: _parse_with_state(p, '{"entities": ['), 3, "bad_state.json: not valid JSON"),
     (lambda p: _parse_with_state(p, "[1, 2]"), 3, "bad_state.json: a state must be"),
@@ -702,6 +732,14 @@ def _row_without(key):
     (lambda p: _eval_with_dataset(p, [_DEEP]), 3, "data.jsonl:1: " + _TOO_DEEP),
     (lambda p: _eval_with_config(p, '{"seed": %s}' % _LONG_INT), 2, "c.json: " + _TOO_LONG),
     (lambda p: _eval_with_config(p, _DEEP), 2, "c.json: " + _TOO_DEEP),
+    (lambda p: _zero_shot_on_two_sources(p, "tune", [0.001, 0.01]), 2, _TWO_SOURCES),
+    (lambda p: _zero_shot_on_two_sources(p, "eval", [0.001, 0.01]), 2, _TWO_SOURCES),
+    (lambda p: _zero_shot_on_two_sources(p, "eval", [0.001]), 2, _TWO_SOURCES),
+    (lambda p: _in_domain_on_one_train_example(p), 3,
+     "target 'list' has 1 train example(s); tuning a grid of 2 points needs 2 to cross-validate"),
+    (lambda p: _significance(p, _ONE_SCORE), 3,
+     "good.json: score lists are not aligned on the same examples"),
+    (lambda p: _significance(p, '{"per_example": []}'), 3, "good.json: empty score lists"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
@@ -715,7 +753,9 @@ def _row_without(key):
         "generation-calendar-events", "generation-file-directories",
         "generation-workforce-employees",
         "state-long-int", "state-deep", "state-repeated-id", "dataset-long-int", "dataset-deep",
-        "config-long-int", "config-deep"])
+        "config-long-int", "config-deep", "tune-two-sources", "eval-two-sources",
+        "eval-two-sources-one-point", "eval-in-domain-one-example", "significance-unaligned",
+        "significance-empty"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

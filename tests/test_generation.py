@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -12,10 +14,14 @@ from nlinstruct.domains import (
     get_domain,
     invoke,
 )
+from nlinstruct import dataio, synthetic
 from nlinstruct.domains import generate
 from nlinstruct.errors import GenerationError
 from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.domains.base import typed_entity
+from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
+
+from test_memos import LARGE_RANGES
 
 
 def test_lighting_initial_state_invariants():
@@ -120,3 +126,55 @@ def test_generation_is_deterministic_per_seed():
     a = generate_state_pair(domain, method, random.Random(123))
     b = generate_state_pair(domain, method, random.Random(123))
     assert a[0] == b[0] and a[2] == b[2] and a[1] == b[1]
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+    return h.hexdigest()[:16]
+
+
+def test_template_corpus_bytes_are_pinned():
+    # every template corpus the tests and the benchmark build stays the
+    # same, example for example, at default and large ranges
+    def chunks():
+        for domain_id in CORPUS_DOMAINS:
+            for seed in (0, 3, 4, 5, 7, 17, 23):
+                for ranges in (None, LARGE_RANGES[domain_id]):
+                    for ex, lf in build_domain_corpus(get_domain(domain_id), 6, seed, ranges):
+                        yield json.dumps(dataio.example_to_json(ex), sort_keys=True)
+                        yield lf.printed
+
+    assert _digest(chunks()) == "fc7eb9e85c30be25"
+
+
+def test_state_pair_bytes_are_pinned(tmp_path):
+    # one pair per built-in method from one stream, written as `generate`
+    # writes them: the dataset file and its gold sidecar
+    rng = random.Random(7)
+    examples, gold = [], []
+    for domain in builtin_domains():
+        for method in domain.methods:
+            state, call, desired = generate_state_pair(domain, method, rng)
+            ex_id = f"{domain.id}-{method.name}"
+            examples.append(dataio.Example(ex_id, domain.id, state, "", desired))
+            gold.append((ex_id, call))
+    dataio.write_dataset(tmp_path / "pairs.jsonl", examples)
+    dataio.write_gold_sidecar(tmp_path / "gold.jsonl", gold)
+    files = (tmp_path / "pairs.jsonl", tmp_path / "gold.jsonl")
+    assert _digest(path.read_text() for path in files) == "15a37a983daeda93"
+
+
+def test_a_template_that_never_instantiates_gives_up_after_the_state_restart_cap(monkeypatch):
+    calls = {"n": 0}
+
+    def never(domain, state, rng):
+        calls["n"] += 1
+        return None
+
+    monkeypatch.setattr(generate, "STATE_RESTARTS", 3)
+    monkeypatch.setitem(synthetic.TEMPLATES, "lighting", (never,))
+    with pytest.raises(GenerationError, match="lighting template never: .* after 3 initial states"):
+        build_domain_corpus(get_domain("lighting"), 2, seed=0)
+    assert calls["n"] == 3
