@@ -225,7 +225,10 @@ def cmd_eval(args) -> int:
             print(f"{row['label']:12s} {cells}  {row['average']:7.1f}")
         return 0
     spec = _spec(config, "eval")
-    report = run_experiment(spec, registry, parser_config, config.get("grid"))
+    try:
+        report = run_experiment(spec, registry, parser_config, config.get("grid"))
+    except DataError as exc:
+        raise DataError(f"{config['dataset']}: {exc}") from None
     dataio.atomic_write_json(args.out, report)
     accuracy = report["accuracy"]
     shown = "no data" if accuracy is None else f"{accuracy:.1f}"

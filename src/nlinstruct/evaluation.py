@@ -269,7 +269,7 @@ def run_experiment(
     if target is None:
         raise ConfigError("an experiment needs a target_domain")
     if spec.in_domain and target in registry.domain_ids and not registry.has_split(target, "test"):
-        raise NlinstructError("in-domain experiments need a test split")
+        raise DataError(f"in-domain experiments need a test split; target {target!r} has none")
     pipeline = spec.pipeline(registry, parser_config)
     started = time.time()
 

@@ -5,12 +5,21 @@ over a set of entities. Subjects are always entities; objects may be
 entities, integers, text strings or enum symbols. States compare by value
 (order-insensitive set equality) and are never mutated in place; application
 logic derives new states from old ones.
+
+Values are interned. ``Entity``, ``IntVal``, ``TextVal`` and ``SymVal``
+return the one object of their class for the given fields, so equal values
+are the same object and compare and hash by identity, in C. Each class
+keeps its own table (``TextVal("ON") != SymVal("ON")``). The tables are
+never emptied: they grow only with the distinct values a process makes (a
+few hundred in a benchmark pass). A ``Triple`` is a named tuple of interned
+fields, so it hashes and compares in C as well. Since a value's hash is its
+address, a set of values iterates in an order that changes from run to run:
+whatever reaches an output must not depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NlinstructError
 
@@ -18,40 +27,97 @@ from .errors import NlinstructError
 # Values
 # ---------------------------------------------------------------------------
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Entity:
+
+class _Interned:
+    """Base of the interned values: immutable, compared and hashed by
+    identity (``object``'s own ``__eq__`` and ``__hash__``), and copied,
+    deep-copied and unpickled as the interned object of the same fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+_ENTITIES: dict[tuple[str, str], Entity] = {}
+_INTS: dict[int, IntVal] = {}
+_TEXTS: dict[str, TextVal] = {}
+_SYMBOLS: dict[str, SymVal] = {}
+
+
+class Entity(_Interned):
     """A domain entity. Ids are opaque generation-time handles (``room1``,
     ``c2``) and must never leak into feature names."""
 
+    __slots__ = ("id", "etype")
     id: str
     etype: str
+
+    def __new__(cls, id: str, etype: str) -> Entity:
+        self = _ENTITIES.get((id, etype))
+        if self is None:
+            self = _ENTITIES[id, etype] = _new(cls)
+            _set(self, "id", id)
+            _set(self, "etype", etype)
+        return self
 
     def __repr__(self) -> str:
         return f"Entity({self.id}:{self.etype})"
 
 
-@dataclass(frozen=True, slots=True)
-class IntVal:
+class IntVal(_Interned):
+    """An integer. Interned on its value, so ``IntVal(True) is IntVal(1)``."""
+
+    __slots__ = ("value",)
     value: int
+
+    def __new__(cls, value: int) -> IntVal:
+        self = _INTS.get(value)
+        if self is None:
+            self = _INTS[value] = _new(cls)
+            _set(self, "value", value)
+        return self
 
     def __repr__(self) -> str:
         return f"IntVal({self.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class TextVal:
+class TextVal(_Interned):
+    __slots__ = ("value",)
     value: str
+
+    def __new__(cls, value: str) -> TextVal:
+        self = _TEXTS.get(value)
+        if self is None:
+            self = _TEXTS[value] = _new(cls)
+            _set(self, "value", value)
+        return self
 
     def __repr__(self) -> str:
         return f"TextVal({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class SymVal:
+class SymVal(_Interned):
     """An enum symbol such as ON, OFF or LOADED."""
 
+    __slots__ = ("name",)
     name: str
+
+    def __new__(cls, name: str) -> SymVal:
+        self = _SYMBOLS.get(name)
+        if self is None:
+            self = _SYMBOLS[name] = _new(cls)
+            _set(self, "name", name)
+        return self
 
     def __repr__(self) -> str:
         return f"SymVal({self.name})"
@@ -63,8 +129,7 @@ Value = Entity | IntVal | TextVal | SymVal
 TYPE_RELATION = "type"
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Entity
     relation: str
     object: Value
@@ -281,17 +346,7 @@ class State:
         Needs no check: kept subjects are kept entities, and a subset of
         entities with unique ids has unique ids."""
         gone = frozenset(gone)
-        # equal entities have equal ids, and a str caches its hash while an
-        # Entity recomputes its own: test the id before the entity
-        ids = {e.id for e in gone}
-        dropped = [
-            t
-            for t in self.triples
-            if (t.subject.id in ids and t.subject in gone)
-            or (isinstance(t.object, Entity) and t.object.id in ids and t.object in gone)
-        ]
-        # difference() carries the kept triples' stored hashes over, so only
-        # the dropped ones run the dataclass __hash__
+        dropped = [t for t in self.triples if t.subject in gone or t.object in gone]
         return State(self.domain_id, self.entities - gone, self.triples.difference(dropped),
                      _checked=True)
 

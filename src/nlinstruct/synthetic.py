@@ -139,6 +139,8 @@ def _container_superlative(domain, state, rng):
 
 def _container_by_terminal(domain, state, rng):
     containers = sorted(state.entities_of_type("ShippingContainer"), key=lambda e: e.id)
+    if not containers:
+        return None
     method = domain.method(rng.choice(_CONTAINER_METHODS))
     k = int_of(state, rng.choice(containers), "index")
     return (
@@ -149,6 +151,8 @@ def _container_by_terminal(domain, state, rng):
 
 def _container_by_ordinal(domain, state, rng):
     containers = sorted(state.entities_of_type("ShippingContainer"), key=lambda e: e.id)
+    if not containers:
+        return None
     method = domain.method(rng.choice(_CONTAINER_METHODS))
     k = int_of(state, rng.choice(containers), "index")
     word = _ORDINAL_OF.get(k)
@@ -219,6 +223,8 @@ def _file_move(domain, state, rng):
 
 def _list_by_value(domain, state, rng):
     elements = sorted(state.entities_of_type("Element"), key=lambda e: e.id)
+    if not elements:
+        return None
     v = int_of(state, rng.choice(elements), "value")
     method = domain.method("remove")
     return (
@@ -229,6 +235,8 @@ def _list_by_value(domain, state, rng):
 
 def _list_by_ordinal(domain, state, rng):
     elements = sorted(state.entities_of_type("Element"), key=lambda e: e.id)
+    if not elements:
+        return None
     k = int_of(state, rng.choice(elements), "index")
     word = _ORDINAL_OF.get(k)
     if word is None:

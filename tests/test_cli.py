@@ -740,6 +740,8 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
     (lambda p: _significance(p, _ONE_SCORE), 3,
      "good.json: score lists are not aligned on the same examples"),
     (lambda p: _significance(p, '{"per_example": []}'), 3, "good.json: empty score lists"),
+    (lambda p: _run_with(p, "eval", in_domain=True), 3,
+     "data.jsonl: in-domain experiments need a test split; target 'list' has none"),
 ], ids=["state-json", "state-not-object", "state-keys", "model-weights", "model-train-config",
         "model-nan-weight", "tuned-json", "tuned-keys", "tuned-value", "report-json", "report-per-example",
         "missing-state", "missing-model", "missing-tuned", "missing-report", "missing-dataset",
@@ -755,7 +757,7 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
         "state-long-int", "state-deep", "state-repeated-id", "dataset-long-int", "dataset-deep",
         "config-long-int", "config-deep", "tune-two-sources", "eval-two-sources",
         "eval-two-sources-one-point", "eval-in-domain-one-example", "significance-unaligned",
-        "significance-empty"])
+        "significance-empty", "eval-in-domain-no-test-split"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

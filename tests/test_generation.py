@@ -178,3 +178,30 @@ def test_a_template_that_never_instantiates_gives_up_after_the_state_restart_cap
     with pytest.raises(GenerationError, match="lighting template never: .* after 3 initial states"):
         build_domain_corpus(get_domain("lighting"), 2, seed=0)
     assert calls["n"] == 3
+
+
+# every count range of each built-in domain at zero, or at its least where
+# the domain cannot honour zero (a messenger group needs a user)
+ZERO_ENTITY_RANGES = {
+    "calendar": {"events": (0, 0)},
+    "container": {"containers": (0, 0)},
+    "file": {"directories": (0, 0), "files": (0, 0)},
+    "lighting": {"floors": (0, 0)},
+    "list": {"elements": (0, 0)},
+    "messenger": {"users": (1, 1), "groups": (0, 0)},
+    "workforce": {"employees": (0, 0)},
+}
+
+
+@pytest.mark.parametrize("domain_id", CORPUS_DOMAINS)
+def test_templates_on_empty_entity_pools_give_up_with_a_generation_error(monkeypatch, domain_id):
+    domain = get_domain(domain_id)
+    ranges = {**domain.default_ranges, **ZERO_ENTITY_RANGES[domain_id]}
+    rng = random.Random(0)
+    state = domain.generate_state(rng, ranges)
+    for template in synthetic.TEMPLATES[domain_id]:
+        made = template(domain, state, rng)
+        assert made is None or isinstance(made[0], str), template.__name__
+    monkeypatch.setattr(generate, "STATE_RESTARTS", 5)
+    with pytest.raises(GenerationError, match=f"{domain_id} template "):
+        build_domain_corpus(domain, len(synthetic.TEMPLATES[domain_id]), 0, ranges)

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +154,101 @@ def test_serialization_round_trip_preserves_state_equality():
         state = _random_state(rng)
         back = state_from_json(state.domain_id, state_to_json(state))
         assert state == back
+
+
+_VALUES = {
+    "entity": lambda: Entity("room1", "Room"),
+    "int": lambda: IntVal(2),
+    "text": lambda: TextVal("bedroom"),
+    "sym": lambda: SymVal("ON"),
+}
+
+
+@pytest.mark.parametrize("make", _VALUES.values(), ids=_VALUES)
+def test_equal_fields_give_one_immutable_object_that_copies_as_itself(make):
+    value = make()
+    assert make() is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
+    for field in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+
+def test_each_value_class_interns_apart():
+    assert TextVal("ON") != SymVal("ON")
+    assert IntVal(1) != TextVal("1")
+    assert Entity("x", "Room") != Entity("x", "Hall")
+    assert Entity(id="x", etype="Room") is Entity("x", "Room")
+    assert IntVal(True) is IntVal(1)
+    assert len({TextVal("ON"), SymVal("ON"), TextVal("ON"), IntVal(1), TextVal("1")}) == 4
+
+
+def test_triples_are_tuples_of_interned_values():
+    room = Entity("room1", "Room")
+    triple = Triple(room, "floor", IntVal(2))
+    assert triple == Triple(subject=room, relation="floor", object=IntVal(2))
+    assert hash(triple) == hash(Triple(room, "floor", IntVal(2)))
+    assert triple != Triple(room, "floor", TextVal("2"))
+    assert repr(triple) == "(room1, floor, IntVal(2))"
+    with pytest.raises(AttributeError):
+        triple.object = IntVal(3)
+    for back in (copy.copy(triple), copy.deepcopy(triple), pickle.loads(pickle.dumps(triple))):
+        assert back == triple
+        assert back.subject is room and back.object is IntVal(2)
+
+
+def test_a_copied_state_shares_the_interned_values(paper_state):
+    for back in (copy.deepcopy(paper_state), pickle.loads(pickle.dumps(paper_state))):
+        assert back == paper_state
+        assert {id(t.object) for t in back.triples} == {id(t.object) for t in paper_state.triples}
+
+
+# Parses one template example per domain after training on them, and prints
+# every candidate's printed form, repr(score) and denotation (as sorted
+# JSON). argv[1] says in which order the intern tables are filled first:
+# "forward" or "reverse" (integers, then the domains' states).
+_PARSE_ONE_PER_DOMAIN = r"""
+import json, sys
+from nlinstruct.kb import IntVal
+from nlinstruct.dataio import state_to_json
+from nlinstruct.domains import get_domain
+from nlinstruct.parser import ParserConfig, Pipeline
+from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
+from nlinstruct.training import TrainConfig, adagrad
+
+step = 1 if sys.argv[1] == "forward" else -1
+for v in range(-100, 1000)[::step]:
+    IntVal(v)
+examples = {d: build_domain_corpus(get_domain(d), 1, seed=3)[0][0] for d in CORPUS_DOMAINS[::step]}
+examples = [examples[d] for d in CORPUS_DOMAINS]
+pipeline = Pipeline(get_domain, ParserConfig(beam_size=20, max_rules=9))
+weights = adagrad(examples, {}, TrainConfig(iterations=1, seed=7), pipeline)
+print(json.dumps({
+    "int_set_order": [v.value for v in frozenset(map(IntVal, range(64)))],
+    "weights": sorted((k, repr(w)) for k, w in weights.items()),
+    "parses": [[(c.deriv.lf.printed, repr(c.deriv.score), state_to_json(c.denotation))
+                for c in pipeline.analyze(ex, weights)] for ex in examples],
+}, sort_keys=True))
+"""
+
+
+def test_set_iteration_order_does_not_reach_parses():
+    # a value hashes by its address, so a set of values iterates in an order
+    # that changes with allocation order; str hashes change with the seed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for order, hash_seed in (("forward", "0"), ("reverse", "1")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _PARSE_ONE_PER_DOMAIN, order], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        runs.append(json.loads(done.stdout))
+    forward, reverse = runs
+    # the two runs do iterate sets differently
+    assert forward["int_set_order"] != reverse["int_set_order"]
+    assert len(forward["parses"]) == 7 and all(forward["parses"])
+    assert forward["weights"] == reverse["weights"]
+    assert forward["parses"] == reverse["parses"]
