@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .domains.base import Example, MethodCall
 from .errors import ConfigError, DataError
-from .kb import Entity, IntVal, State, SymVal, TextVal, Triple, Value
+from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Triple, Value
 
 DATASET_FORMAT = "nlinstruct-dataset"
 DATASET_VERSION = 1
@@ -128,7 +128,8 @@ def state_from_json(domain_id: str, obj: dict) -> State:
             if e["id"] in entities:
                 raise DataError(f"malformed state object: entity {e['id']!r} declared twice")
             entities[e["id"]] = Entity(e["id"], e["type"])
-        triples = []
+        # an entity's type is also a triple; files in the README's format may leave it out
+        triples = [Triple(e, TYPE_RELATION, SymVal(e.etype)) for e in entities.values()]
         for t in obj["triples"]:
             if not (isinstance(t, list) and len(t) == 3
                     and isinstance(t[0], str) and isinstance(t[1], str)):

@@ -15,8 +15,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains.base import Domain, Example
 from .errors import ConfigError, DataError, NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
@@ -378,6 +376,8 @@ def paired_bootstrap(
         raise NlinstructError("score lists are not aligned on the same examples")
     if not scores_a:
         raise NlinstructError("empty score lists")
+    import numpy as np  # here, not at the top: nothing else needs it, and it costs every command
+
     a = np.array([s.credit for s in scores_a], dtype=float)
     b = np.array([s.credit for s in scores_b], dtype=float)
     if a.mean() <= b.mean():

@@ -138,6 +138,10 @@ class Triple(NamedTuple):
         return f"({self.subject.id}, {self.relation}, {self.object!r})"
 
 
+#: What a query returns when nothing matches: one shared empty set.
+_EMPTY: frozenset = frozenset()
+
+
 def _text_key(value: Value) -> Value:
     """Fold text for the executor's case-insensitive matching."""
     if isinstance(value, TextVal):
@@ -166,11 +170,15 @@ def _check(entities: frozenset[Entity], triples: frozenset[Triple]) -> None:
 class State:
     """An immutable application snapshot.
 
-    Query indexes are built lazily, one kind at a time, each on its first
-    read: many states exist only long enough to be compared against
-    another state (e.g. results of filtered method calls) or are read
-    through one index only (intermediate states inside application logic),
-    so paying for indexing up front would be wasted work.
+    Queries read two indexes keyed on interned values, each built on its
+    first read: ``objects`` maps (subject, relation) and ``subjects`` maps
+    (relation, object with text case folded) to a frozenset, which a read
+    returns without copying. A value the state does not hold, such as
+    another state's entity with the same id, misses. Many states exist
+    only long enough to be compared against another state (e.g. results of
+    filtered method calls) or are read through one index only (intermediate
+    states inside application logic), so paying for indexing up front would
+    be wasted work.
 
     A state also keeps two memos, made on first use and living exactly as
     long as the state, so they carry over between parses of the same state
@@ -196,8 +204,6 @@ class State:
         "_hash",
         "_obj_idx",
         "_subj_idx",
-        "_fold_idx",
-        "_pair_idx",
         "_denotations",
         "_call_outcomes",
         "__weakref__",
@@ -213,8 +219,6 @@ class State:
         self._hash: int | None = None
         self._obj_idx: dict | None = None
         self._subj_idx: dict | None = None
-        self._fold_idx: dict | None = None
-        self._pair_idx: dict | None = None
         self._denotations: dict | None = None
         self._call_outcomes: dict | None = None
 
@@ -276,56 +280,50 @@ class State:
 
     def _build_indexes(self, kind: str) -> dict:
         """Build, keep and return the one index of ``kind``: ``"objects"``,
-        ``"subjects"``, ``"folded"`` (subjects, text case folded) or
-        ``"pairs"``."""
-        idx: dict = {}
+        keyed on (subject, relation), or ``"subjects"``, keyed on
+        (relation, object) with text case folded."""
+        groups: dict = {}
         if kind == "objects":
             for t in self.triples:
-                idx.setdefault((t.subject.id, t.relation), set()).add(t.object)
-            self._obj_idx = idx
-        elif kind == "subjects":
-            for t in self.triples:
-                idx.setdefault((t.relation, t.object), set()).add(t.subject)
-            self._subj_idx = idx
-        elif kind == "folded":
-            for t in self.triples:
-                idx.setdefault((t.relation, _text_key(t.object)), set()).add(t.subject)
-            self._fold_idx = idx
+                groups.setdefault((t.subject, t.relation), []).append(t.object)
         else:
             for t in self.triples:
-                idx.setdefault(t.relation, []).append((t.subject, t.object))
-            self._pair_idx = idx
+                groups.setdefault((t.relation, _text_key(t.object)), []).append(t.subject)
+        idx = {key: frozenset(members) for key, members in groups.items()}
+        if kind == "objects":
+            self._obj_idx = idx
+        else:
+            self._subj_idx = idx
         return idx
 
     def objects(self, subject: Value, relation: str) -> frozenset[Value]:
         """All o with (subject, relation, o) in the state. Exact matching."""
-        if not isinstance(subject, Entity):
-            return frozenset()
         idx = self._obj_idx
         if idx is None:
             idx = self._build_indexes("objects")
-        return frozenset(idx.get((subject.id, relation), ()))
+        return idx.get((subject, relation), _EMPTY)
 
     def subjects(self, relation: str, obj: Value) -> frozenset[Entity]:
-        """All s with (s, relation, obj) in the state. Exact matching."""
+        """All s with (s, relation, obj) in the state. Exact matching: for
+        text, the folded index's subjects whose exact triple is present."""
         idx = self._subj_idx
         if idx is None:
             idx = self._build_indexes("subjects")
-        return frozenset(idx.get((relation, obj), ()))
+        if isinstance(obj, TextVal):
+            found = idx.get((relation, _text_key(obj)), _EMPTY)
+            return frozenset(s for s in found if (s, relation, obj) in self.triples)
+        return idx.get((relation, obj), _EMPTY)
 
     def subjects_matching(self, relation: str, obj: Value) -> frozenset[Entity]:
         """Like :meth:`subjects` but folds text case, for executor joins."""
-        idx = self._fold_idx
+        idx = self._subj_idx
         if idx is None:
-            idx = self._build_indexes("folded")
-        return frozenset(idx.get((relation, _text_key(obj)), ()))
+            idx = self._build_indexes("subjects")
+        return idx.get((relation, _text_key(obj)), _EMPTY)
 
     def pairs(self, relation: str) -> tuple[tuple[Entity, Value], ...]:
         """All (subject, object) pairs of a relation."""
-        idx = self._pair_idx
-        if idx is None:
-            idx = self._build_indexes("pairs")
-        return tuple(idx.get(relation, ()))
+        return tuple((t.subject, t.object) for t in self.triples if t.relation == relation)
 
     def entities_of_type(self, etype: str) -> frozenset[Entity]:
         return frozenset(e for e in self.entities if e.etype == etype)

@@ -42,7 +42,7 @@ import re
 
 from .domains.base import InterfaceMethod, MethodCall
 from .errors import ExecutionError
-from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Value
+from .kb import TYPE_RELATION, IntVal, State, SymVal, TextVal, Value
 
 _EMPTY: frozenset = frozenset()
 _BARE_TEXT = re.compile(r"[a-z][a-z0-9]*$")
@@ -242,8 +242,7 @@ def _denote(lf: LogicalForm, state: State, memo: dict | None) -> frozenset[Value
         child = evaluate(lf.child, state, memo)
         out = set()
         for sub in child:
-            if isinstance(sub, Entity):
-                out.update(state.objects(sub, lf.relation))
+            out.update(state.objects(sub, lf.relation))
         return frozenset(out)
     if isinstance(lf, Intersect):
         return evaluate(lf.left, state, memo) & evaluate(lf.right, state, memo)
@@ -252,8 +251,6 @@ def _denote(lf: LogicalForm, state: State, memo: dict | None) -> frozenset[Value
         best: int | None = None
         winners: list[Value] = []
         for m in members:
-            if not isinstance(m, Entity):
-                continue
             vals = [o.value for o in state.objects(m, lf.key) if isinstance(o, IntVal)]
             if not vals:
                 continue

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlinstruct
 from nlinstruct import dataio
 from nlinstruct.cli import main
 from nlinstruct.domains import get_domain
 from nlinstruct.domains.base import MethodCall
+from nlinstruct.kb import SymVal
 from nlinstruct.synthetic import build_domain_corpus
 from nlinstruct.training import TrainConfig, save_model
 
@@ -153,6 +159,27 @@ def test_parse_creates_a_group_after_a_group_id_too_long_for_int(tmp_path, capsy
     created = domain.logic(initial, MethodCall(domain.method("createChatGroup"),
                                                (frozenset(initial.entities_of_type("User")),)))
     assert {e.id for e in created.entities_of_type("ChatGroup")} == {long_id, "g1" + "0" * 5000}
+
+
+def test_parse_reads_type_triples_from_a_state_in_the_readme_format(tmp_path, capsys):
+    # the README's state format lists each entity's type but no type triple
+    state = {"entities": [{"id": "room1", "type": "Room"}, {"id": "room2", "type": "Room"}],
+             "triples": [["room1", "floor", {"int": 1}], ["room1", "lightMode", {"sym": "OFF"}],
+                         ["room1", "name", {"str": "kitchen"}], ["room2", "floor", {"int": 2}],
+                         ["room2", "lightMode", {"sym": "OFF"}], ["room2", "name", {"str": "bedroom"}]]}
+    loaded = dataio.state_from_json("lighting", state)
+    assert loaded.subjects("type", SymVal("Room")) == loaded.entities
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(state))
+    code = main(["parse", "turn on all the lights", "--domain", "lighting",
+                 "--state", str(state_file), "--beam-size", "20", "--max-rules", "7",
+                 "--nbest", "10"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "turnLightOn(R[type].Room)" in [line.split()[-1] for line in captured.out.splitlines()]
+    # a file that already holds the type triples loads to the same state
+    state["triples"] += [[e["id"], "type", {"sym": e["type"]}] for e in state["entities"]]
+    assert dataio.state_from_json("lighting", state) == loaded
 
 
 def test_eval_writes_report_with_isolation(tmp_path):
@@ -766,3 +793,12 @@ def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_a
     err = captured.err.strip()
     assert err.startswith("data error:" if code == 3 else "config error:")
     assert "\n" not in err and words in err
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # only the paired bootstrap needs numpy; every other command skips its import
+    env = dict(os.environ, PYTHONPATH=str(Path(nlinstruct.__file__).parents[1]))
+    code = "import sys, nlinstruct.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -42,6 +42,8 @@ def _two_room_state():
 def test_query_objects_floor(paper_state):
     room1 = Entity("room1", "Room")
     assert paper_state.objects(room1, "floor") == {IntVal(2)}
+    # an entity the state does not hold reads nothing, even with a state entity's id
+    assert paper_state.objects(Entity("room1", "Hall"), "floor") == frozenset()
 
 
 def test_query_objects_empty_state():
@@ -144,6 +146,48 @@ def test_query_directions_are_mutually_consistent():
                     assert e in state.subjects(rel, o)
         for t in state.triples:
             assert t.object in state.objects(t.subject, t.relation)
+
+
+def _fold(v):
+    return ("text", v.value.casefold()) if isinstance(v, TextVal) else v
+
+
+def _corpus_states():
+    from nlinstruct.domains import builtin_domains
+    from nlinstruct.synthetic import build_domain_corpus
+
+    for domain in builtin_domains():
+        for ex, _ in build_domain_corpus(domain, 4, seed=7):
+            yield ex.initial
+            yield ex.desired
+
+
+def test_queries_match_a_linear_scan_of_the_triples():
+    """Every query on every domain's corpus states against a scan of
+    ``state.triples``, with case variants of the text values and, for each
+    entity, an entity of another type that shares its id: it must read
+    nothing."""
+    for state in _corpus_states():
+        relations = {t.relation for t in state.triples} | {"noSuchRelation"}
+        foreign = {Entity(e.id, e.etype + "X") for e in state.entities}
+        values = {t.object for t in state.triples} | foreign | {IntVal(-7)}
+        for v in [v for v in values if isinstance(v, TextVal)]:
+            values |= {TextVal(v.value.upper()), TextVal(v.value.title()),
+                       TextVal(v.value.swapcase())}
+        for rel in relations:
+            for subject in state.entities | foreign | {IntVal(2)}:
+                expected = {t.object for t in state.triples
+                            if t.subject == subject and t.relation == rel}
+                assert state.objects(subject, rel) == expected, (subject, rel)
+            for obj in values:
+                exact = {t.subject for t in state.triples if t.relation == rel and t.object == obj}
+                folded = {t.subject for t in state.triples
+                          if t.relation == rel and _fold(t.object) == _fold(obj)}
+                assert state.subjects(rel, obj) == exact, (rel, obj)
+                assert state.subjects_matching(rel, obj) == folded, (rel, obj)
+            pairs = state.pairs(rel)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == {(t.subject, t.object) for t in state.triples if t.relation == rel}
 
 
 def test_serialization_round_trip_preserves_state_equality():
