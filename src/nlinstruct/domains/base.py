@@ -190,8 +190,10 @@ class Domain:
 
 def validate_state_for_domain(state: State, domain: Domain) -> None:
     """Every entity type and relation in a state must be declared by its
-    domain; loaders call this so mismatches fail with a message instead of
-    an empty parse."""
+    domain, and a ``type`` triple must give its subject the subject's own
+    entity type or one of the domain's symbols (a file's kind); loaders
+    call this so mismatches fail with a message instead of an empty or
+    wrong parse."""
     if state.domain_id != domain.id:
         raise DataError(f"state belongs to {state.domain_id!r}, not {domain.id!r}")
     for e in state.entities:
@@ -200,6 +202,12 @@ def validate_state_for_domain(state: State, domain: Domain) -> None:
     for t in state.triples:
         if t.relation not in domain.relations:
             raise DataError(f"{domain.id}: undeclared relation {t.relation!r}")
+        if t.relation == TYPE_RELATION and t.object is not SymVal(t.subject.etype):
+            name = t.object.name if isinstance(t.object, SymVal) else None
+            if name not in domain.enum_symbols or name in domain.entity_types:
+                raise DataError(f"{domain.id}: entity {t.subject.id!r} has type "
+                                f"{t.subject.etype!r}, but a type triple gives it "
+                                f"{name or t.object!r}")
 
 
 def invoke(domain: Domain, state: State, call: MethodCall) -> State:

@@ -4,7 +4,10 @@ A state is a knowledge base: a set of (subject, relation, object) triples
 over a set of entities. Subjects are always entities; objects may be
 entities, integers, text strings or enum symbols. States compare by value
 (order-insensitive set equality) and are never mutated in place; application
-logic derives new states from old ones.
+logic derives new states from old ones. A derived state is held as its
+changes to the state its chain started from, so it costs what changed, and
+its full triple set is built only if something reads it (see
+:class:`State`).
 
 Values are interned. ``Entity``, ``IntVal``, ``TextVal`` and ``SymVal``
 return the one object of their class for the given fields, so equal values
@@ -170,15 +173,30 @@ def _check(entities: frozenset[Entity], triples: frozenset[Triple]) -> None:
 class State:
     """An immutable application snapshot.
 
+    A state made by ``State(...)`` is a *root*: it holds its triples. A
+    state derived from another (:meth:`replace_triples`,
+    :meth:`without_entities`, :meth:`with_entity`, :meth:`with_changes`)
+    holds its entities and its changes to that state's root, never to an
+    intermediate state: the root's triples it drops and the triples it adds
+    that the root lacks, two frozensets as small as the change. So deriving
+    a state costs what it changes, not what it keeps, and application logic
+    that chains several helpers pays for none of the copies. Reading
+    :attr:`triples` on a derived state builds the whole set once, in C, and
+    keeps it; ``==`` against a state of the same root compares only the
+    entities and the changes, and :meth:`changes_to` and
+    :meth:`with_changes` read and make the changes without copying.
+
     Queries read two indexes keyed on interned values, each built on its
     first read: ``objects`` maps (subject, relation) and ``subjects`` maps
     (relation, object with text case folded) to a frozenset, which a read
     returns without copying. A value the state does not hold, such as
-    another state's entity with the same id, misses. Many states exist
-    only long enough to be compared against another state (e.g. results of
-    filtered method calls) or are read through one index only (intermediate
-    states inside application logic), so paying for indexing up front would
-    be wasted work.
+    another state's entity with the same id, misses. A root builds an index
+    from its triples; a derived state copies its root's (building it first
+    if need be) and recomputes only the keys its changes touch. Many states
+    exist only long enough to be compared against another state (e.g.
+    results of filtered method calls) or are read for a key or two
+    (intermediate states inside application logic), so paying for indexing
+    up front would be wasted work.
 
     A state also keeps two memos, made on first use and living exactly as
     long as the state, so they carry over between parses of the same state
@@ -191,6 +209,9 @@ class State:
       on this state, a kept result stored as its :meth:`changes_to` this
       state (see ``parser.infer``).
 
+    A derived state refers to its root and a root to nothing, so states
+    make no reference cycle.
+
     ``State(...)`` checks that every triple's subject is one of the
     entities and that entity ids are unique. The derivation helpers below
     check only what they add to an already checked state, and on a
@@ -200,7 +221,10 @@ class State:
     __slots__ = (
         "domain_id",
         "entities",
-        "triples",
+        "_triples",
+        "_root",
+        "_dropped",
+        "_added",
         "_hash",
         "_obj_idx",
         "_subj_idx",
@@ -209,29 +233,72 @@ class State:
         "__weakref__",
     )
 
-    def __init__(self, domain_id: str, entities: Iterable[Entity], triples: Iterable[Triple],
-                 *, _checked: bool = False):
+    def __init__(self, domain_id: str, entities: Iterable[Entity], triples: Iterable[Triple]):
         self.domain_id = domain_id
         self.entities: frozenset[Entity] = frozenset(entities)
-        self.triples: frozenset[Triple] = frozenset(triples)
-        if not _checked:
-            _check(self.entities, self.triples)
+        self._triples: frozenset[Triple] | None = frozenset(triples)
+        _check(self.entities, self._triples)
+        self._root: State | None = None
+        self._dropped = self._added = _EMPTY
         self._hash: int | None = None
         self._obj_idx: dict | None = None
         self._subj_idx: dict | None = None
         self._denotations: dict | None = None
         self._call_outcomes: dict | None = None
 
+    def _derive(self, entities: frozenset[Entity], dropped: frozenset[Triple],
+                added: frozenset[Triple]) -> State:
+        """The state on this state's root with ``entities`` and the root's
+        triples less ``dropped`` (a subset of them) plus ``added`` (none of
+        them). Checks nothing."""
+        root = self._root or self
+        new = _new(State)
+        new.domain_id = self.domain_id
+        new.entities = entities
+        new._triples = None if dropped or added else root._triples
+        new._root = root
+        new._dropped = dropped
+        new._added = added
+        new._hash = new._obj_idx = new._subj_idx = None
+        new._denotations = new._call_outcomes = None
+        return new
+
+    def _edit(self, entities: frozenset[Entity], remove: frozenset[Triple],
+              add: frozenset[Triple]) -> State:
+        """This state with ``entities``, less the triples of ``remove``,
+        plus those of ``add``, as changes to the root."""
+        base = (self._root or self)._triples
+        return self._derive(entities, (self._dropped | (remove & base)) - add,
+                            (self._added - remove) | (add - base))
+
     # -- value semantics ----------------------------------------------------
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        """Every triple of the state; on a derived state, built from the
+        root's on first read and kept."""
+        triples = self._triples
+        if triples is None:
+            triples = self._triples = self._root._triples.difference(self._dropped).union(
+                self._added)
+        return triples
+
+    def _size(self) -> int:
+        """How many triples the state holds, without building them."""
+        root = self._root
+        if root is None:
+            return len(self._triples)
+        return len(root._triples) - len(self._dropped) + len(self._added)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return (
-            self.domain_id == other.domain_id
-            and self.entities == other.entities
-            and self.triples == other.triples
-        )
+        if self.domain_id != other.domain_id or self.entities != other.entities:
+            return False
+        if (self._root or self) is (other._root or other):
+            # changes to one root are unique: dropped within it, added outside
+            return self._dropped == other._dropped and self._added == other._added
+        return self._size() == other._size() and self.triples == other.triples
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -239,7 +306,7 @@ class State:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"State({self.domain_id}, {len(self.entities)} entities, {len(self.triples)} triples)"
+        return f"State({self.domain_id}, {len(self.entities)} entities, {self._size()} triples)"
 
     # -- memos --------------------------------------------------------------
 
@@ -263,33 +330,83 @@ class State:
 
     def changes_to(self, other: "State") -> tuple:
         """What turns this state into ``other``: the entities it drops and
-        adds, then the triples it drops and adds. A few sets of the items
-        that differ, so it is much smaller than ``other``."""
-        return (tuple(self.entities - other.entities), tuple(other.entities - self.entities),
-                tuple(self.triples - other.triples), tuple(other.triples - self.triples))
+        adds, then the triples it drops and adds, as frozensets of the items
+        that differ, so it is much smaller than ``other``. For a state
+        derived from this one, its own changes, not copied."""
+        if self.entities is other.entities:
+            entity_changes = (_EMPTY, _EMPTY)
+        else:
+            entity_changes = (self.entities - other.entities, other.entities - self.entities)
+        if other._root is self:
+            return (*entity_changes, other._dropped, other._added)
+        if (self._root or self) is (other._root or other):
+            return (*entity_changes,
+                    (other._dropped - self._dropped) | (self._added - other._added),
+                    (self._dropped - other._dropped) | (other._added - self._added))
+        return (*entity_changes, self.triples - other.triples, other.triples - self.triples)
 
     def with_changes(self, changes: tuple) -> "State":
-        """The state equal to ``other`` for ``changes = self.changes_to(other)``.
-        Not checked again: ``other`` was checked when it was built."""
+        """The state equal to ``other`` for ``changes = self.changes_to(other)``,
+        or for the same four collections as tuples. Not checked again:
+        ``other`` was checked when it was built. On a root, the changes
+        become the new state's own, and frozensets are not copied."""
         gone, new, dropped, added = changes
         entities = self.entities.difference(gone).union(new) if gone or new else self.entities
-        return State(self.domain_id, entities, self.triples.difference(dropped).union(added),
-                     _checked=True)
+        dropped, added = frozenset(dropped), frozenset(added)
+        if self._root is None:
+            return self._derive(entities, dropped, added)
+        return self._edit(entities, dropped, added)
 
     # -- indexes ------------------------------------------------------------
 
     def _build_indexes(self, kind: str) -> dict:
         """Build, keep and return the one index of ``kind``: ``"objects"``,
         keyed on (subject, relation), or ``"subjects"``, keyed on
-        (relation, object) with text case folded."""
-        groups: dict = {}
-        if kind == "objects":
-            for t in self.triples:
-                groups.setdefault((t.subject, t.relation), []).append(t.object)
+        (relation, object) with text case folded. A derived state starts
+        from its root's and recomputes the keys its changes touch."""
+        root = self._root
+        if root is None:
+            groups: dict = {}
+            if kind == "objects":
+                for t in self._triples:
+                    groups.setdefault((t.subject, t.relation), []).append(t.object)
+            else:
+                for t in self._triples:
+                    groups.setdefault((t.relation, _text_key(t.object)), []).append(t.subject)
+            idx = {key: frozenset(members) for key, members in groups.items()}
         else:
-            for t in self.triples:
-                groups.setdefault((t.relation, _text_key(t.object)), []).append(t.subject)
-        idx = {key: frozenset(members) for key, members in groups.items()}
+            base = root._obj_idx if kind == "objects" else root._subj_idx
+            if base is None:
+                base = root._build_indexes(kind)
+            idx = dict(base)
+            changed: dict = {}
+            refold = []
+            for keep, triples in ((False, self._dropped), (True, self._added)):
+                for t in triples:
+                    if kind == "objects":
+                        key, member = (t.subject, t.relation), t.object
+                    else:
+                        key, member = (t.relation, _text_key(t.object)), t.subject
+                        if not keep and isinstance(t.object, TextVal):
+                            refold.append((key, t.subject))
+                    members = changed.get(key)
+                    if members is None:
+                        members = changed[key] = set(base.get(key, _EMPTY))
+                    if keep:
+                        members.add(member)
+                    else:
+                        members.discard(member)
+            # a subject dropped under a folded text key stays while another
+            # of its objects folds to the same text
+            for (relation, folded), subject in refold:
+                if subject in self.entities and any(
+                        _text_key(o) is folded for o in self.objects(subject, relation)):
+                    changed[relation, folded].add(subject)
+            for key, members in changed.items():
+                if members:
+                    idx[key] = frozenset(members)
+                else:
+                    idx.pop(key, None)
         if kind == "objects":
             self._obj_idx = idx
         else:
@@ -330,31 +447,35 @@ class State:
 
     # -- derivation helpers (used by application logic) ----------------------
     # each checks only the triples and entities it adds; kept triples were
-    # checked when this state was built
+    # checked when the root was built
 
     def replace_triples(self, remove: Iterable[Triple], add: Iterable[Triple]) -> "State":
+        remove = frozenset(remove)
         add = frozenset(add)
-        triples = (self.triples - frozenset(remove)) | add
         if not self.entities.issuperset([t.subject for t in add]):
-            _check(self.entities, triples)  # raises the full check's error
-        return State(self.domain_id, self.entities, triples, _checked=True)
+            _check(self.entities, (self.triples - remove) | add)  # raises the full check's error
+        return self._edit(self.entities, remove, add)
 
     def without_entities(self, gone: Iterable[Entity]) -> "State":
         """Drop entities together with every triple they touch (either side).
         Needs no check: kept subjects are kept entities, and a subset of
-        entities with unique ids has unique ids."""
+        entities with unique ids has unique ids. Hashes each dropped triple
+        once, and no kept one."""
         gone = frozenset(gone)
-        dropped = [t for t in self.triples if t.subject in gone or t.object in gone]
-        return State(self.domain_id, self.entities - gone, self.triples.difference(dropped),
-                     _checked=True)
+        dropped = self._dropped.union([t for t in (self._root or self)._triples
+                                       if t.subject in gone or t.object in gone])
+        added = self._added
+        lost = [t for t in added if t.subject in gone or t.object in gone]
+        if lost:
+            added = added.difference(lost)
+        return self._derive(self.entities - gone, dropped, added)
 
     def with_entity(self, entity: Entity, triples: Iterable[Triple]) -> "State":
         entities = self.entities | {entity}
         new = frozenset(triples)
-        all_triples = self.triples | new
         if not entities.issuperset([t.subject for t in new]) or (
             len(entities) > len(self.entities)
             and any(e.id == entity.id for e in self.entities)
         ):
-            _check(entities, all_triples)  # raises the full check's error
-        return State(self.domain_id, entities, all_triples, _checked=True)
+            _check(entities, self.triples | new)  # raises the full check's error
+        return self._edit(entities, _EMPTY, new)

@@ -23,7 +23,8 @@ the pair (node class, printed form), so distinct value literals must print
 distinctly: text that is not a bare lower-case word is quoted, with
 backslashes and quotes escaped, so a quoted literal ends at its first
 unescaped quote. A composite's printed form comes from one of the
-``render_*`` functions below, applied to its parts' printed forms.
+``render_*`` functions below, applied to its parts' printed forms; each
+takes last the part that the chart's pair walk varies (the right child).
 The constructors print through them, and so does the parser's chart, which
 renders each candidate before it builds anything: it deduplicates chart
 entries on (category, printed form, anchored spans) and breaks score ties
@@ -75,7 +76,7 @@ def render_intersect(a: str, b: str) -> str:
     return f"Intersect({a}, {b})"
 
 
-def render_superlative(kind: str, set_form: str, key: str) -> str:
+def render_superlative(kind: str, key: str, set_form: str) -> str:
     return f"{kind}({set_form}, R[{key}])"
 
 
@@ -181,7 +182,7 @@ class Superlative(LogicalForm):
         self.kind = kind
         self.set_lf = set_lf
         self.key = key
-        self.printed = render_superlative(kind, set_lf.printed, key)
+        self.printed = render_superlative(kind, key, set_lf.printed)
 
 
 class Call(LogicalForm):

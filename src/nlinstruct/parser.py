@@ -74,8 +74,9 @@ So a dropped pair is never span-merged, rendered, deduplicated or stored.
 Every cell, leaf, set or root, settles by one rule: its offers are put in
 rank order, (-score, printed form, spans), and the first ``beam_size`` of
 them survive, in that order. Only those get a logical form and a
-``Derivation``; a root's ``Call`` takes its offer's string as its printed
-form rather than rendering it again.
+``Derivation`` (with the logic filter on, only the root survivors whose
+arguments pass; see below); a root's ``Call`` takes its offer's string as
+its printed form rather than rendering it again.
 
 Dropping is exact, with no float margin. The running cut only rises, so a
 dropped offer is below the final cut too, and ties with the cut are never
@@ -104,10 +105,14 @@ change nothing. Training and evaluation reach it through
 :meth:`Pipeline.analyze`, ``nlinstruct parse`` directly. The filter judges
 arguments, not roots: many roots share an argument derivation, and each
 (argument, method, parameter position) is evaluated and checked once per
-parse, so a root is assembled only from arguments that passed. It pays
-only for new work across parses too: argument sets and call outcomes are
-memoized on the state (see :class:`~nlinstruct.kb.State`), so a state
-parsed again in a later epoch, fold or grid point reuses them.
+parse. The roots that survive a root cell's beam are judged on their
+arguments when the cell settles, and only those whose arguments all pass
+get a ``Call`` and a ``Derivation``; their calls are executed once the
+chart is done. It pays only for new work across parses too: argument sets
+and call outcomes are memoized on the state (see
+:class:`~nlinstruct.kb.State`), so a state parsed again in a later epoch,
+fold or grid point reuses them. An executed call's result is a state
+derived from the parsed one, held as its few changed triples.
 
 :func:`infer` runs with the cycle collector paused. A parse fills its chart
 with short-lived offers, forms, derivations and states, which the
@@ -124,7 +129,6 @@ from __future__ import annotations
 import gc
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappush, heapreplace
 from math import inf
 from typing import Callable, NamedTuple
@@ -340,11 +344,16 @@ def generate_candidates(
     config: ParserConfig | None = None,
     weights: dict | None = None,
     featurizer: Featurizer | None = None,
+    judge: Callable[[tuple], bool] | None = None,
 ) -> list[Derivation]:
     """All root derivations that survive their beams, ordered by (size, rank).
 
-    Returns an empty list when the grammar produces no root at all (reported
-    upstream as a parse failure).
+    With ``judge``, a root cell's survivors are passed to it as their
+    children (method, argument, ...) when the cell settles, and only those
+    it accepts are built and returned; the beam is cut before judging, so
+    a rejected root still holds its place. Returns an empty list when the
+    grammar produces no root at all (reported upstream as a parse
+    failure).
     """
     config = config or ParserConfig()
     weights = weights if weights is not None else {}
@@ -401,6 +410,8 @@ def generate_candidates(
             offers = [o for o in offers if o[0] <= cut]
         offers.sort()
         del offers[beam:]
+        if judge is not None and category == CAT_ROOT:
+            offers = [o for o in offers if judge(o[3])]
         cells[category, size_used] = [_build(o, category, size_used, ctx) for o in offers]
 
     # ---- size 1: anchored and floating leaves -----------------------------
@@ -478,13 +489,15 @@ def generate_candidates(
     memos = scorer.memo
 
     def walk(cell: _Open, is_root: bool, rule: str, left: tuple, lbits: int, lpacked: int,
-             lspans: tuple, render: Callable[[str], str], rights, exclude=None) -> None:
+             lspans: tuple, render: Callable[..., str], fixed: tuple, rights,
+             exclude=None) -> None:
         """Offer to ``cell`` the composites of ``rule`` made of the left
         part ``left`` (its children; ``lbits`` and ``lpacked``, its share of
         the score key, the rule's own share included; ``lspans``) and each
-        derivation of ``rights`` in turn. ``render`` makes the printed form
-        from the right child's, and a right child that prints as
-        ``exclude`` is skipped. See the module docstring for the steps."""
+        derivation of ``rights`` in turn. ``render(*fixed, right)`` makes
+        the printed form from the right child's, and a right child that
+        prints as ``exclude`` is skipped. See the module docstring for the
+        steps."""
         memo = memos[is_root]
         category = CAT_ROOT if is_root else CAT_SET
         for b in rights:
@@ -504,7 +517,7 @@ def generate_candidates(
                     continue
             else:
                 spans = b.spans
-            printed = render(printed)
+            printed = render(*fixed, printed)
             key = (category, printed, spans)
             if key in seen:
                 continue
@@ -530,7 +543,7 @@ def generate_candidates(
                     if rights:
                         bits, packed = local[rule]
                         walk(sets, False, rule, (rd,), bits | rd.bits, packed + rd.packed,
-                             rd.spans, partial(render_join, op, rel), rights)
+                             rd.spans, render_join, (op, rel), rights)
             # directly nested superlatives only breed permutation twins that
             # no feature can tell apart
             plain = [c for c in set_children if not isinstance(c.lf, Superlative)]
@@ -538,7 +551,7 @@ def generate_candidates(
                 for kind in (ARGMAX, ARGMIN):
                     bits, packed = local[kind]
                     walk(sets, False, kind, (rd,), bits | rd.bits, packed + rd.packed, rd.spans,
-                         partial(render_superlative, kind, key=rd.lf.name), plain)
+                         render_superlative, (kind, rd.lf.name), plain)
 
         int_bits, int_packed = local["intersect"]
         for i in range(1, (k - 1) // 2 + 1):
@@ -549,7 +562,7 @@ def generate_candidates(
                 ap = a.lf.printed
                 # x-with-x adds nothing; at i == j each pair is met once
                 walk(sets, False, "intersect", (a,), int_bits | a.bits, int_packed + a.packed,
-                     a.spans, partial(render_intersect, ap), right[x:] if i == j else right, ap)
+                     a.spans, render_intersect, (ap,), right[x:] if i == j else right, ap)
         settle(CAT_SET, k)
 
     # a call is a method, one application and at least one argument; the
@@ -566,7 +579,7 @@ def generate_candidates(
             mpacked = call_packed + md.packed
             if len(params) == 1:
                 walk(roots, True, "call", (md,), mbits, mpacked, md.spans,
-                     partial(render_call, method.name), arg_pool(params[0], budget))
+                     render_call, (method.name,), arg_pool(params[0], budget))
             elif len(params) == 2:
                 p0, p1 = params
                 for i in range(1, budget):
@@ -576,7 +589,7 @@ def generate_candidates(
                         continue
                     for a in pool0:
                         walk(roots, True, "call", (md, a), mbits | a.bits, mpacked + a.packed,
-                             a.spans, partial(render_call, method.name, a.lf.printed), pool1)
+                             a.spans, render_call, (method.name, a.lf.printed), pool1)
         settle(CAT_ROOT, k)
 
     out: list[Derivation] = []
@@ -588,41 +601,50 @@ def generate_candidates(
 _MISSING = object()
 
 
-def _denotation(d: Derivation, state: State, domain: Domain, verdicts: dict) -> State | None:
-    """Resulting state of a root derivation, or None when its call is
-    rejected (an argument that does not fit its parameter, a domain
-    exception, or no state change).
+def _arguments(children: tuple, state: State, verdicts: dict) -> tuple | None:
+    """The argument sets of a root made of ``children`` (method, argument,
+    ...), or None when one does not fit its parameter.
 
     The filter judges arguments, not roots: ``verdicts`` holds, per parse,
     the verdict on each (argument derivation, method, parameter position)
     met so far, which is the argument's set when it conforms to that
     parameter (``domains.base._conforms``, the rule ``MethodCall``
     checks) and None when it does not. Roots share their argument
-    derivations, so each is evaluated and judged once per parse. A root
-    with a failing argument is dropped without building a call; one whose
-    arguments all pass gets its ``MethodCall`` without a second check.
-    Sets are read through the state's denotation memo.
-
-    Each call's outcome is kept in the state's call-outcome memo under
-    (application logic, call). A kept result is stored as its changes to
-    the state and a weak reference to it: between parses the memo holds
-    only the few changed triples, and a call met again while its result
-    is alive (later in the same parse) gets that same object."""
-    method = d.lf.method
-    params = method.params
-    children = d.children  # (method, argument, ...)
+    derivations, so each is evaluated and judged once per parse. Sets are
+    read through the state's denotation memo."""
+    method = children[0].lf.method
     args = []
-    for i in range(len(params)):
+    for i, param in enumerate(method.params):
         arg = children[i + 1]
         key = (arg, method.name, i)
         verdict = verdicts.get(key, _MISSING)
         if verdict is _MISSING:
             value = evaluate(arg.lf, state, state.denotations)
-            verdict = verdicts[key] = None if _conforms(params[i], value) else value
+            verdict = verdicts[key] = None if _conforms(param, value) else value
         if verdict is None:
             return None
         args.append(verdict)
-    call = MethodCall.conforming(method, tuple(args))
+    return tuple(args)
+
+
+def _denotation(d: Derivation, state: State, domain: Domain, verdicts: dict) -> State | None:
+    """Resulting state of a root derivation, or None when its call is
+    rejected (an argument that does not fit its parameter, a domain
+    exception, or no state change).
+
+    A root with a failing argument (see :func:`_arguments`) is dropped
+    without building a call; one whose arguments all pass gets its
+    ``MethodCall`` without a second check.
+
+    Each call's outcome is kept in the state's call-outcome memo under
+    (application logic, call). A kept result is stored as its changes to
+    the state and a weak reference to it: between parses the memo holds
+    only the few changed entities and triples, and a call met again while
+    its result is alive (later in the same parse) gets that same object."""
+    args = _arguments(d.children, state, verdicts)
+    if args is None:
+        return None
+    call = MethodCall.conforming(d.lf.method, args)
     outcomes = state.call_outcomes
     key = (domain.logic, call)
     entry = outcomes.get(key, _MISSING)
@@ -634,7 +656,8 @@ def _denotation(d: Derivation, state: State, domain: Domain, verdicts: dict) -> 
         if result is None or result == state:
             outcomes[key] = None
             return None
-        outcomes[key] = [state.changes_to(result), weakref.ref(result)]
+        # as tuples, which take a third of the room of small frozensets
+        outcomes[key] = [tuple(map(tuple, state.changes_to(result))), weakref.ref(result)]
         return result
     if entry is None:
         return None
@@ -668,10 +691,16 @@ def infer(
     derivation, and with ``use_filter`` drop those with an argument that
     does not fit its parameter, or whose call raises or leaves the state
     unchanged. Each argument is judged once per parse (see
-    :func:`_denotation`); argument sets and invocation outcomes are
+    :func:`_arguments`); argument sets and invocation outcomes are
     memoized per state, so a state parsed again (another epoch, fold or
     grid point) reuses them. Candidates keep the chart's order; an empty
     list is a parse failure.
+
+    With ``use_filter``, roots are judged on their arguments as each root
+    cell settles, so a root with a failing argument gets no ``Call`` and
+    no ``Derivation``; the rest are executed after the chart is done.
+    Without it every root is built and executed, and a rejected one is kept
+    with the denotation None.
 
     The cycle collector is paused while it runs (see the module docstring):
     a parse makes no reference cycle, so reference counting frees what it
@@ -681,8 +710,13 @@ def infer(
     if paused:
         gc.disable()
     try:
-        cands = generate_candidates(tokens, state, domain, config, weights, featurizer)
         verdicts: dict = {}
+        if use_filter:
+            def judge(children: tuple) -> bool:
+                return _arguments(children, state, verdicts) is not None
+        else:
+            judge = None
+        cands = generate_candidates(tokens, state, domain, config, weights, featurizer, judge)
         out = []
         for d in cands:
             denot = _denotation(d, state, domain, verdicts)

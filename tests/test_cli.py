@@ -616,6 +616,9 @@ _TOO_LONG = "not valid JSON (Exceeds the limit"
 _TOO_DEEP = "not valid JSON (maximum recursion depth exceeded"
 _TWICE = ('{"entities": [{"id": "f1", "type": "File"}, {"id": "f1", "type": "Directory"}], '
           '"triples": []}')
+# a type triple naming another type than the entity's own, which no kind is
+_MISTYPED = ('{"entities": [{"id": "room1", "type": "Room"}], '
+             '"triples": [["room1", "type", {"sym": "Light"}]]}')
 
 
 def _generate_with(tmp_path, generation, domain="lighting"):
@@ -754,6 +757,8 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
     (lambda p: _parse_with_state(p, _DEEP), 3, "bad_state.json: " + _TOO_DEEP),
     (lambda p: _parse_with_state(p, _TWICE), 3,
      "bad_state.json: malformed state object: entity 'f1' declared twice"),
+    (lambda p: _parse_with_state(p, _MISTYPED), 3,
+     "bad_state.json: lighting: entity 'room1' has type 'Room', but a type triple gives it 'Light'"),
     (lambda p: _eval_with_dataset(p, [{"header": {}}, '{"id": %s}' % _LONG_INT]), 3,
      "data.jsonl:2: " + _TOO_LONG),
     (lambda p: _eval_with_dataset(p, [_DEEP]), 3, "data.jsonl:1: " + _TOO_DEEP),
@@ -781,7 +786,7 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
         "generation-messenger-users-above", "generation-messenger-users-zero",
         "generation-calendar-events", "generation-file-directories",
         "generation-workforce-employees",
-        "state-long-int", "state-deep", "state-repeated-id", "dataset-long-int", "dataset-deep",
+        "state-long-int", "state-deep", "state-repeated-id", "state-mistyped", "dataset-long-int", "dataset-deep",
         "config-long-int", "config-deep", "tune-two-sources", "eval-two-sources",
         "eval-two-sources-one-point", "eval-in-domain-one-example", "significance-unaligned",
         "significance-empty", "eval-in-domain-no-test-split"])

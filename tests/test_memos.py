@@ -5,7 +5,8 @@ A state keeps the set denotations of the forms evaluated on it and the
 logic filter's outcome of each call, so a state parsed again reuses them.
 These tests hold the memoized path to the from-scratch executor and to the
 brute-force oracle, across parses and weights, and hold the derivation
-helpers, which check only what they add, to the full ``State(...)`` check.
+helpers, which check only what they add, to the full ``State(...)`` check,
+and states derived as changes to their root to states built from scratch.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlinstruct.domains import builtin_domains, get_domain
 from nlinstruct.domains.base import invoke, typed_entity
@@ -21,8 +23,19 @@ from nlinstruct.errors import DomainLogicError, ExecutionError, NlinstructError
 from nlinstruct.features import tokenize
 from nlinstruct.kb import Entity, IntVal, State, SymVal, TextVal, Triple
 from nlinstruct.logic import MethodRef, ValueLit, evaluate, execute_to_call, print_value
-from nlinstruct.parser import NUMBER_WORDS, ORDINAL_WORDS, ParserConfig, generate_candidates, infer
+from nlinstruct import parser
+from nlinstruct.parser import (
+    CAT_ROOT,
+    NUMBER_WORDS,
+    ORDINAL_WORDS,
+    Derivation,
+    ParserConfig,
+    Pipeline,
+    generate_candidates,
+    infer,
+)
 from nlinstruct.synthetic import CORPUS_DOMAINS, build_domain_corpus
+from nlinstruct.training import TrainConfig, adagrad
 
 from conftest import lighting_paper_state
 from oracles import brute_force_denotation
@@ -145,6 +158,56 @@ def test_argument_verdicts_give_the_scratch_outcome_of_every_root():
             kept += want is not None
             rejected += want is None
     assert kept > 50 and rejected > 50, (kept, rejected)
+
+
+@pytest.fixture(scope="module")
+def weight_regimes() -> dict[str, dict]:
+    examples = [ex for d in CORPUS_DOMAINS for ex, _ in build_domain_corpus(get_domain(d), 1, seed=3)]
+    trained = adagrad(examples, {}, TrainConfig(iterations=1, seed=7), Pipeline(get_domain, CONFIG))
+    assert len(trained) > 20
+    return {"trained": trained, "empty": {}, "sign-flipped": {k: -w for k, w in trained.items()}}
+
+
+@pytest.mark.parametrize("regime", ["trained", "empty", "sign-flipped"])
+def test_roots_judged_as_their_cells_settle_give_what_judging_every_built_root_gives(
+        weight_regimes, regime, monkeypatch):
+    """``infer`` judges a root cell's survivors on their arguments when the
+    cell settles and builds only those that pass. It must return what
+    building every root and running ``_denotation`` on each returns, in
+    the same order, with the filter on and off; and with the filter on it
+    must build no root whose argument fails."""
+    weights = weight_regimes[regime]
+    built = []
+    original = Derivation.__init__
+
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self.category == CAT_ROOT:
+            built.append(self.lf.printed)
+
+    monkeypatch.setattr(Derivation, "__init__", record)
+    unbuilt = 0
+    for domain, ex in LARGE:
+        tokens = tokenize(ex.utterance)
+        for use_filter in (True, False):
+            built.clear()
+            got = infer(tokens, _copy(ex.initial), domain, CONFIG, weights, use_filter=use_filter)
+            judged = list(built)
+            state = _copy(ex.initial)
+            roots = generate_candidates(tokens, state, domain, CONFIG, weights)
+            verdicts: dict = {}
+            want = []
+            for d in roots:
+                denotation = parser._denotation(d, state, domain, verdicts)
+                if denotation is not None or not use_filter:
+                    want.append((d.lf.printed, d.spans, repr(d.score), denotation))
+            assert [(c.deriv.lf.printed, c.deriv.spans, repr(c.deriv.score), c.denotation)
+                    for c in got] == want, (ex.id, use_filter)
+            passing = [d.lf.printed for d in roots if not use_filter
+                       or parser._arguments(d.children, state, verdicts) is not None]
+            assert judged == passing, (ex.id, use_filter)
+            unbuilt += len(roots) - len(passing)
+    assert unbuilt > 100, unbuilt
 
 
 def test_memo_entries_belong_to_their_own_state():
@@ -386,3 +449,173 @@ def test_changes_round_trip_to_an_equal_state():
         changes = state.changes_to(other)
         assert state.with_changes(changes) == other
         assert sum(map(len, changes)) < len(other.triples)
+
+
+# ---------------------------------------------------------------------------
+# Derived states are changes to their root, and read like built states
+# ---------------------------------------------------------------------------
+
+DELTA_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+def _by_repr(items) -> list:
+    """A run-independent order: sets of interned values iterate by address."""
+    return sorted(items, key=repr)
+
+
+def _recased(t: Triple) -> Triple:
+    """The triple with its text object's case swapped."""
+    return Triple(t.subject, t.relation, TextVal(t.object.value.swapcase()))
+
+
+class _Chain:
+    """A chain of derived states from one corpus state, with the entities
+    and triples each must hold, kept apart as plain sets."""
+
+    def __init__(self, state: State):
+        """``state`` becomes the root of the chain and of its twin."""
+        self.domain = get_domain(state.domain_id)
+        self.states = [_copy(state)]
+        self.twins = [_copy(state)]  # the same chain on another root
+        self.models = [(frozenset(state.entities), frozenset(state.triples))]
+        # every entity, relation and (relation, object) any state of the
+        # chain may hold, so reads also cover the keys a change emptied
+        self.entities = set(state.entities)
+        self.pairs = set()
+        for t in state.triples:
+            self.pairs.add((t.relation, t.object))
+            if isinstance(t.object, TextVal):
+                for variant in (t.object.value.upper(), t.object.value.title()):
+                    self.pairs.add((t.relation, TextVal(variant)))
+                self.pairs.add((t.relation, _recased(t).object))
+        self.fresh = 0
+
+    def draw_triples(self, data, subjects, max_size: int) -> list:
+        if not subjects:
+            return []
+        relation_objects = _by_repr(self.pairs)
+        return [Triple(s, r, o) for s, (r, o) in data.draw(st.lists(
+            st.tuples(st.sampled_from(subjects), st.sampled_from(relation_objects)),
+            max_size=max_size))]
+
+    def step(self, data) -> None:
+        """Draw one derivation, apply it to the last state of the chain and
+        of its twin, and record what the result must hold."""
+        entities, triples = self.models[-1]
+        present = _by_repr(entities)
+        kind = data.draw(st.sampled_from(
+            ("replace_triples", "without_entities", "with_entity", "with_changes") if present else
+            ("with_entity", "with_changes")))
+        if kind == "with_changes":
+            i = data.draw(st.integers(0, len(self.states) - 1))
+            as_tuples = data.draw(st.booleans())
+            for states, others in ((self.states, self.twins), (self.twins, self.states)):
+                # a state of the chain's own root, and one of the twin's
+                for target in (states[i], others[i]):
+                    changes = states[-1].changes_to(target)
+                    if as_tuples:
+                        changes = tuple(map(tuple, changes))
+                    derived = states[-1].with_changes(changes)
+                    assert derived == target
+                states.append(derived)
+            self.models.append(self.models[i])
+            return
+        if kind == "replace_triples":
+            gone_root = _by_repr(self.models[0][1] - triples)
+            remove = data.draw(st.lists(st.sampled_from(_by_repr(triples)), max_size=4))
+            if gone_root:  # what is no longer there removes nothing
+                remove += data.draw(st.lists(st.sampled_from(gone_root), max_size=2))
+                back = [t for t in data.draw(st.lists(st.sampled_from(gone_root), max_size=2))
+                        if t.subject in entities]
+            else:
+                back = []
+            add = self.draw_triples(data, present, 4) + back
+            # two objects of one subject and relation that fold alike, then
+            # one of them gone: the subject must still match the text
+            text = [t for t in _by_repr(triples) if isinstance(t.object, TextVal)]
+            twinned = [t for t in text if _recased(t) != t and _recased(t) in triples]
+            if twinned and data.draw(st.booleans()):
+                remove.append(data.draw(st.sampled_from(twinned)))
+            elif text and data.draw(st.booleans()):
+                add.append(_recased(data.draw(st.sampled_from(text))))
+            args = (remove, add)
+            model = (entities, (triples - frozenset(remove)) | frozenset(add))
+        elif kind == "without_entities":
+            gone = data.draw(st.lists(st.sampled_from(present), max_size=3))
+            absent = _by_repr(self.entities - entities)
+            if absent:
+                gone += data.draw(st.lists(st.sampled_from(absent), max_size=1))
+            gone = frozenset(gone)
+            args = (gone,)
+            model = (entities - gone, frozenset(
+                t for t in triples if t.subject not in gone and t.object not in gone))
+        else:
+            back = _by_repr(self.models[0][0] - entities)
+            choice = data.draw(st.sampled_from(
+                ("new",) + (("present",) if present else ()) + (("back",) if back else ())))
+            if choice == "new":
+                etype = data.draw(st.sampled_from(self.domain.entity_types))
+                entity, typed = typed_entity(f"zz{self.fresh}", etype)
+                self.fresh += 1
+                self.entities.add(entity)
+                added = [typed]
+            elif choice == "present":
+                entity, added = data.draw(st.sampled_from(present)), []
+            else:  # a root entity dropped earlier, with its root triples
+                entity = data.draw(st.sampled_from(back))
+                added = [t for t in self.models[0][1] if t.subject == entity
+                         and (not isinstance(t.object, Entity) or t.object in entities)]
+            added += self.draw_triples(data, [entity], 3)
+            added += self.draw_triples(data, present, 1)
+            args = (entity, added)
+            model = (entities | {entity}, triples | frozenset(added))
+        for states in (self.states, self.twins):
+            states.append(getattr(states[-1], kind)(*args))
+        self.models.append(model)
+
+    def check_last(self) -> None:
+        state, twin = self.states[-1], self.twins[-1]
+        entities, triples = self.models[-1]
+        built = State(state.domain_id, entities, triples)
+        assert state.entities == entities and state.triples == triples
+        assert state.triples is state.triples  # built once and kept
+        for a, b in ((state, built), (built, state), (state, twin), (twin, state)):
+            assert a == b and hash(a) == hash(b)
+        for earlier, other_root, model in zip(self.states, self.twins, self.models[:-1]):
+            same = model == self.models[-1]
+            assert (earlier == state) == same and (other_root == state) == same
+        for a, b in ((state, twin), (twin, state), (self.states[0], state)):
+            assert a.with_changes(a.changes_to(b)) == b
+        _assert_reads_alike(state, built, self.entities, self.pairs)
+
+
+def _assert_reads_alike(state, built, entities, pairs) -> None:
+    relations = {r for r, _ in pairs}
+    for e in _by_repr(entities):
+        for r in relations:
+            assert state.objects(e, r) == built.objects(e, r), (e, r)
+    for r, o in _by_repr(pairs):
+        assert state.subjects(r, o) == built.subjects(r, o), (r, o)
+        assert state.subjects_matching(r, o) == built.subjects_matching(r, o), (r, o)
+
+
+@pytest.mark.parametrize("domain_id", CORPUS_DOMAINS)
+@DELTA_SETTINGS
+@given(data=st.data())
+def test_derived_states_equal_and_read_like_states_built_from_their_triples(domain_id, data):
+    """Random chains of the four derivations on a corpus state at three
+    times the default size: every state derived must equal, hash like and
+    read on every key like ``State(...)`` of the entities and triples it
+    should hold, also against the same chain run on another root, and
+    ``changes_to``/``with_changes`` must lead from any state of the chain
+    to any other, across roots too."""
+    states = [s for d, ex in LARGE if d.id == domain_id for s in (ex.initial, ex.desired)]
+    state = data.draw(st.sampled_from(states))
+    # a root may hold two objects of one subject and relation that fold alike
+    text = [t for t in _by_repr(state.triples) if isinstance(t.object, TextVal)]
+    twins = [_recased(t) for t in data.draw(st.lists(st.sampled_from(text), max_size=3))] \
+        if text else []
+    chain = _Chain(State(state.domain_id, state.entities, state.triples | frozenset(twins)))
+    for _ in range(data.draw(st.integers(1, 5))):
+        chain.step(data)
+        chain.check_last()
