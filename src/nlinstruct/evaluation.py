@@ -136,10 +136,14 @@ class InstrumentedRegistry:
         finally:
             self.phase = previous
 
-    def violations(self, target: str) -> list[tuple[str, str, str]]:
+    def violations(self, target: str, since: int = 0) -> list[tuple[str, str, str]]:
+        """The accesses to ``target`` logged while tuning or training, from
+        the ``since``-th access on: an experiment on a shared registry
+        passes the count logged before it began, so that earlier
+        experiments, which may train on its target, do not count."""
         return [
             entry
-            for entry in self.accesses
+            for entry in self.accesses[since:]
             if entry[2] == target and entry[0] in (PHASE_TUNING, PHASE_TRAINING)
         ]
 
@@ -270,6 +274,7 @@ def run_experiment(
         raise DataError(f"in-domain experiments need a test split; target {target!r} has none")
     pipeline = spec.pipeline(registry, parser_config)
     started = time.time()
+    logged = len(registry.accesses)  # isolation is checked on this experiment's accesses alone
 
     with registry.in_phase(PHASE_TUNING):
         examples_by_domain = training_examples(spec, registry)
@@ -286,7 +291,7 @@ def run_experiment(
 
     # in-domain training touches the target by design; isolation is a
     # zero-shot property
-    violations = [] if spec.in_domain else registry.violations(target)
+    violations = [] if spec.in_domain else registry.violations(target, logged)
     report = {
         "experiment": {
             "target_domain": target,
@@ -335,18 +340,24 @@ def ablation_table(
     seed: int = 0,
 ) -> dict:
     """The eight-row trainer/feature/filter comparison over every target
-    domain, plus a per-row average."""
+    domain, plus a per-row average. Each row also records, per domain,
+    whether its experiment kept the target out of tuning and training
+    (``isolation_clean``, its report's ``isolation.clean``)."""
     domains = registry.domain_ids
     table: dict = {"domains": domains, "rows": []}
     for label, *flags in ABLATION_ROWS:
-        per_domain = {
-            target: run_experiment(ExperimentSpec(target, *flags, seed=seed), registry,
-                                   parser_config, grid_overrides)["accuracy"]
-            for target in domains
-        }
+        reports = {target: run_experiment(ExperimentSpec(target, *flags, seed=seed), registry,
+                                          parser_config, grid_overrides)
+                   for target in domains}
+        per_domain = {target: report["accuracy"] for target, report in reports.items()}
         values = [v for v in per_domain.values() if v is not None]
-        table["rows"].append({"label": label, "per_domain": per_domain,
-                              "average": sum_in_order(values) / len(values) if values else None})
+        table["rows"].append({
+            "label": label, "per_domain": per_domain,
+            "average": sum_in_order(values) / len(values) if values else None,
+            # None for a report without an isolation section
+            "isolation_clean": {target: report.get("isolation", {}).get("clean")
+                                for target, report in reports.items()},
+        })
     return table
 
 

@@ -768,12 +768,24 @@ class Pipeline:
             self._tokens[utterance] = t
         return t
 
-    def analyze(self, example, weights: dict) -> list[Candidate]:
+    def analyze(self, example, weights: dict, parses: dict | None = None) -> list[Candidate]:
         """:func:`infer` on one example under this pipeline's settings.
 
         Denotations are computed for all kept candidates because both the
         training objective and scoring need them. Empty result = parse
-        failure."""
+        failure.
+
+        ``parses``, when given, maps examples to candidate lists that this
+        pipeline parsed under weights of the same content as ``weights``:
+        a list it holds is returned as it is, and one parsed here is added
+        to it. The domain is looked up either way, so a logging
+        ``domain_source`` sees the same accesses. A returned list may go
+        to several callers: read it, never change it."""
         domain = self.domain_source(example.domain_id)
-        return infer(self.tokens_of(example.utterance), example.initial, domain,
-                     self.config, weights, self.featurizer(domain), self.use_filter)
+        cands = None if parses is None else parses.get(example)
+        if cands is None:
+            cands = infer(self.tokens_of(example.utterance), example.initial, domain,
+                          self.config, weights, self.featurizer(domain), self.use_filter)
+            if parses is not None:
+                parses[example] = cands
+        return cands

@@ -18,15 +18,20 @@ saw, which is also how the trained parser will be used.
 
 One grid search (:func:`tune_hyperparameters`), for zero-shot and in-domain
 tuning alike, trains each shared prefix once through a content-keyed
-:class:`PrefixStore`. Two facts make the sharing exact. An AdaGrad epoch reads only the weights and
+:class:`PrefixStore`, and parses each example once per run start. Three
+facts make the sharing exact. An AdaGrad epoch reads only the weights and
 squared-gradient sums it starts from, the example list, ``l1``,
 ``step_size`` and the shuffle generator, which is seeded from ``seed``
 and draws one shuffle per epoch; so epoch k of an n-epoch run is bit for
 bit the last epoch of a k-epoch run, and a run resumed from a k-epoch
 snapshot (its shuffles drawn again but not trained) goes on exactly as
-the uninterrupted one. And the first step of two-step training depends on
+the uninterrupted one. The first step of two-step training depends on
 the fold only through its first-step examples, so leave-one-domain-out
-folds that hold out a domain outside them share it.
+folds that hold out a domain outside them share it. And a parse is a
+function of the pipeline, the example and the weights alone, so the
+parses a run makes before its first update depend only on its start
+weights: every run from zero starts under the same empty weights, and
+the second steps of several folds start from one shared first step.
 """
 
 from __future__ import annotations
@@ -171,6 +176,7 @@ def adagrad(
     iterations: int | None = None,
     sumsq: dict | None = None,
     start: int = 0,
+    parses: dict | None = None,
 ) -> dict:
     """Stochastic per-example ascent with per-coordinate AdaGrad step sizes
     and proximal L1 truncation. Examples are reshuffled every pass with a
@@ -179,7 +185,12 @@ def adagrad(
     ``sumsq``, the squared-gradient sums, is updated in place. A run
     resumes at epoch ``start`` when ``init`` and ``sumsq`` are its state
     after that many epochs: their shuffles are drawn again but not
-    trained, so the run goes on exactly as an uninterrupted one."""
+    trained, so the run goes on exactly as an uninterrupted one.
+
+    ``parses``, when given, holds parses under weights of the exact
+    content of ``init`` (see :meth:`Pipeline.analyze`). The run reads and
+    fills it until its first update, even one that leaves the weights as
+    they were, and parses each example itself from then on."""
     weights = dict(init)
     if sumsq is None:
         sumsq = {}
@@ -192,7 +203,7 @@ def adagrad(
             continue
         skipped_parse = skipped_gold = 0
         for ex in order:
-            cands = pipeline.analyze(ex, weights)
+            cands = pipeline.analyze(ex, weights, parses)
             if not cands:
                 skipped_parse += 1
                 continue
@@ -202,6 +213,7 @@ def adagrad(
                 continue
             _, grad = result
             kernels.adagrad_update(weights, sumsq, grad, config.step_size, config.l1, ADAGRAD_EPS)
+            parses = None
         log.info(
             "epoch %d: %d examples, %d parse failures, %d without gold candidate",
             epoch, len(order), skipped_parse, skipped_gold,
@@ -220,10 +232,18 @@ class PrefixStore:
     count asked for, and trains a longer count on from the longest it
     holds, so a prefix shared by several counts, folds or grid points
     trains once and every result equals that of a fresh run bit for bit.
-    The dicts it hands out are its own: read them, never change them."""
+    The dicts it hands out are its own: read them, never change them.
+
+    It also keeps the parses each run makes before its first update, keyed
+    by the exact bits of the run's start weights (so 0.0 and -0.0 differ)
+    and by the example, so that a later run from weights of the same
+    content reads them instead of parsing again (see :func:`adagrad`).
+    They live as long as the store: one candidate list per (start,
+    example) parsed before a first update."""
 
     def __init__(self):
         self._runs: dict = {}
+        self._parses: dict = {}  # start weights' (key, float.hex) pairs -> {example: candidates}
 
     def train(self, examples: list, config: TrainConfig, pipeline: Pipeline, epochs: int,
               after: tuple[list, int] | None = None, keep_sums: bool = False) -> tuple[dict, dict]:
@@ -242,8 +262,9 @@ class PrefixStore:
         if done < epochs:
             weights, sums = snapshots[done]
             sums = dict(sums)  # the snapshot stays as it was
+            bits = frozenset((k, w.hex()) for k, w in weights.items())
             weights = adagrad(examples, weights, config, pipeline, iterations=epochs, sumsq=sums,
-                              start=done)
+                              start=done, parses=self._parses.setdefault(bits, {}))
             snapshots[epochs] = weights, sums
         return snapshots[epochs]
 

@@ -196,6 +196,34 @@ def test_zero_shot_experiment_isolates_the_target_domain():
     assert eval_hits and all(e[0] == "evaluation" for e in eval_hits)
 
 
+def test_isolation_is_checked_on_each_experiments_own_accesses(monkeypatch):
+    registry = _toy_registry(("toya", "toyb", "toyc", "toyd"))
+    config = ParserConfig(beam_size=20, max_rules=7)
+    # the first experiment tunes and trains on toya; the second targets it
+    run_experiment(ExperimentSpec("toyd"), registry, config, _FAST_GRID)
+    assert any(e[0] == "tuning" and e[2] == "toya" for e in registry.accesses)
+    report = run_experiment(ExperimentSpec("toya"), registry, config, _FAST_GRID)
+    assert report["isolation"] == {"target_accesses_outside_evaluation": 0, "clean": True}
+    # a real read of the target while tuning is still flagged, and only it
+    original = evaluation.tune_config
+
+    def leaky(spec, examples_by_domain, pipeline, grid_overrides=None):
+        registry.examples(spec.target_domain, "train")
+        return original(spec, examples_by_domain, pipeline, grid_overrides)
+
+    monkeypatch.setattr(evaluation, "tune_config", leaky)
+    report = run_experiment(ExperimentSpec("toyb"), registry, config, _FAST_GRID)
+    assert report["isolation"] == {"target_accesses_outside_evaluation": 1, "clean": False}
+
+
+def test_ablation_table_records_isolation_per_cell(monkeypatch):
+    registry = _toy_registry(("toya", "toyb", "toyc", "toyd"), per_domain=2)
+    monkeypatch.setattr(evaluation, "ABLATION_ROWS", evaluation.ABLATION_ROWS[:2])
+    table = evaluation.ablation_table(registry, ParserConfig(beam_size=10, max_rules=5), _FAST_GRID)
+    assert [row["isolation_clean"] for row in table["rows"]] == [
+        {d: True for d in table["domains"]}] * 2
+
+
 def test_experiment_uses_test_split_when_present():
     registry = _toy_registry(with_test=True)
     spec = ExperimentSpec(target_domain="toya", use_gmdp=False)

@@ -250,12 +250,12 @@ def test_epoch_k_of_an_n_epoch_run_is_a_k_epoch_run():
     calls = 0
 
     class Spy:
-        def analyze(self, example, weights):
+        def analyze(self, example, weights, parses=None):
             nonlocal calls
             if calls % len(toya) == 0:
                 at_epoch.append((_bits(weights), _bits(sumsq)))
             calls += 1
-            return pipeline.analyze(example, weights)
+            return pipeline.analyze(example, weights, parses)
 
     full = adagrad(toya, {}, cfg, Spy(), iterations=3, sumsq=sumsq)
     at_epoch.append((_bits(full), _bits(sumsq)))

@@ -6,7 +6,10 @@ The two must pick the same grid entry and so train the same final model.
 Every (fold, configuration) pair the tuner scores, the reference scores on
 the same weights, bit for bit; the pairs it skips are exactly those the
 reference bound proves cannot win. The work counts hold the sharing and
-the bound to the figures the grid's shape gives.
+the bound to the figures the grid's shape gives. Runs that start from
+weights of the same content share the parses they make before their
+first update; the parse counts show which parses are shared and which
+are not.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from nlinstruct import evaluation, training
+from nlinstruct import evaluation, parser, training
 from nlinstruct.errors import NlinstructError
 from nlinstruct.evaluation import ExperimentSpec, _cv_folds, mean_credit, tune_config
+from nlinstruct.parser import ParserConfig, Pipeline
 from nlinstruct.training import (
     TrainConfig,
+    adagrad,
     build_grid,
     final_partition,
     gmdp,
@@ -210,7 +215,7 @@ class _NoParse:
     """A pipeline that parses nothing, so every example is skipped and a
     run costs only its epochs."""
 
-    def analyze(self, example, weights):
+    def analyze(self, example, weights, parses=None):
         return []
 
 
@@ -233,10 +238,11 @@ def runs(monkeypatch):
     out = []
     original = training.adagrad
 
-    def counting(examples, init, config, pipeline, iterations=None, sumsq=None, start=0):
+    def counting(examples, init, config, pipeline, iterations=None, sumsq=None, start=0,
+                 parses=None):
         epochs = (config.iterations if iterations is None else iterations) - start
         out.append((frozenset(ex.domain_id for ex in examples), epochs))
-        return original(examples, init, config, pipeline, iterations, sumsq, start)
+        return original(examples, init, config, pipeline, iterations, sumsq, start, parses)
 
     monkeypatch.setattr(training, "adagrad", counting)
     return out
@@ -323,3 +329,141 @@ def test_a_fold_accuracy_outside_0_1_is_an_error(accuracy):
     with pytest.raises(NlinstructError, match=r"outside \[0, 1\]"):
         tune_hyperparameters(grid, leave_one_out(_examples(sources)), "adagrad", _NoParse(),
                              lambda w, held: accuracy)
+
+
+# ---------------------------------------------------------------------------
+# Parses shared between runs that start from equal weights
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The initial state of every example ``parser.infer`` parsed, in call
+    order."""
+    out = []
+    original = parser.infer
+
+    def counting(tokens, state, *args):
+        out.append(state)
+        return original(tokens, state, *args)
+
+    monkeypatch.setattr(parser, "infer", counting)
+    return out
+
+
+def test_shared_parses_give_the_references_weights_and_credits(world, parses):
+    examples, pipeline = world
+    domains = list(DOMAINS)
+    grid = build_grid("gmdp", domains, 0, {
+        "l1": [0.001, 0.01], "step_size": [0.05, 0.1], "iterations": [1, 2],
+        "partition_sizes": [1, 2], "iterations_step1": [1], "num_orderings": 1})
+
+    def run(tune):
+        """The chosen entry, the per-example scores of every fold weight
+        scored, and the parse count."""
+        parses.clear()
+        seen: dict = {}
+
+        def accuracy(weights, held):
+            scores = [evaluation.score_example(pipeline, weights, ex).to_json() for ex in held]
+            seen.setdefault(tuple(ex.id for ex in held), {})[_bits(weights)] = scores
+            return sum(s["credit"] for s in scores) / len(scores)
+
+        return tune(accuracy), seen, len(parses)
+
+    chosen, seen, shared = run(lambda acc: tune_hyperparameters(
+        grid, leave_one_out(examples), "gmdp", pipeline, acc))
+    want, want_seen, unshared = run(lambda acc: reference_tune(
+        domains, examples, grid, "gmdp", pipeline, acc))
+    assert chosen is want
+    # each fold weight the search scored, by float.hex, is one the reference
+    # scored on that fold, with the same per-example credits
+    assert seen.keys() == want_seen.keys()
+    for held, scored in seen.items():
+        assert scored.items() <= want_seen[held].items()
+    assert shared < unshared
+
+
+def test_shared_parses_log_the_same_registry_accesses(parses, monkeypatch):
+    domains, examples, _ = make_toy_world(DOMAINS, per_domain=3)
+    # the huge l1 keeps the first entry's weights at zero, so that it does
+    # not score a perfect mean and stop the second, which starts as it does
+    grid = {"l1": [1000.0, 0.001], "step_size": [0.1], "iterations": [1],
+            "partition_sizes": [1], "iterations_step1": [1], "num_orderings": 1}
+
+    def experiment():
+        parses.clear()
+        registry = evaluation.InstrumentedRegistry(
+            domains, {d: {"train": examples[d]} for d in DOMAINS})
+        report = evaluation.run_experiment(ExperimentSpec("toyd", seed=1), registry,
+                                           ParserConfig(beam_size=20, max_rules=7), grid)
+        del report["runtime_seconds"]
+        return registry.accesses, report, len(parses)
+
+    accesses, report, shared = experiment()
+    analyze = Pipeline.analyze  # without sharing: every example parsed anew
+    monkeypatch.setattr(Pipeline, "analyze",
+                        lambda self, ex, weights, parses=None: analyze(self, ex, weights))
+    want_accesses, want_report, unshared = experiment()
+    assert accesses == want_accesses and report == want_report
+    assert shared < unshared
+
+
+def test_two_l1_values_share_the_first_parse(world, parses):
+    examples, pipeline = world
+    toya = examples["toya"]
+    store = training.PrefixStore()
+    for l1 in (0.001, 0.01):
+        store.train(toya, TrainConfig(l1=l1, seed=2), pipeline, 1)
+    # both runs take the examples in one order; the second reads its first
+    # parse, made under {} by the first run, and parses the others itself
+    # after its first update
+    assert len(parses) == 2 * len(toya) - 1
+    assert [s is parses[0] for s in parses].count(True) == 1
+    assert {id(s) for s in parses[len(toya):]} == {id(s) for s in parses[1:len(toya)]}
+
+
+@pytest.mark.parametrize("changes", [True, False], ids=["update", "update-that-changes-nothing"])
+def test_a_run_reads_shared_parses_only_until_its_first_update(world, parses, monkeypatch,
+                                                               changes):
+    examples, pipeline = world
+    toya = examples["toya"]
+    cfg = TrainConfig(seed=2)
+    want = adagrad(toya, {}, cfg, pipeline, iterations=1)
+    shared: dict = {}
+    for ex in toya:  # every example parsed under {}
+        pipeline.analyze(ex, {}, shared)
+    kept = dict(shared)
+    updates = []
+    if not changes:
+        monkeypatch.setattr(training.kernels, "adagrad_update", lambda *args: updates.append(args))
+    parses.clear()
+    weights = adagrad(toya, {}, cfg, pipeline, iterations=1, parses=shared)
+    # the first example yields a gradient, so each later one is parsed again
+    assert len(parses) == len(toya) - 1
+    if changes:
+        assert _bits(weights) == _bits(want)
+    else:
+        assert weights == {} and len(updates) == len(toya)
+    assert shared.keys() == kept.keys() and all(shared[ex] is kept[ex] for ex in toya)
+
+
+@pytest.mark.parametrize("zero, shares", [(0.0, True), (-0.0, False)])
+def test_starts_that_differ_in_the_sign_of_a_zero_do_not_share(world, parses, monkeypatch, zero,
+                                                               shares):
+    examples, pipeline = world
+
+    def update(weights, sumsq, grad, step_size, l1, eps):
+        # a first step ends at {"w": 0.0}, or with l1 0.01 at {"w": zero}
+        weights["w"] = zero if l1 == 0.01 else 0.0
+
+    monkeypatch.setattr(training.kernels, "adagrad_update", update)
+    store = training.PrefixStore()
+    partition = training.DomainPartition(("toya",), ("toyb",))
+    for l1 in (0.001, 0.01):
+        gmdp(partition, examples, TrainConfig(l1=l1, iterations=1, iterations_step1=1, seed=2),
+             pipeline, store)
+    n = len(examples["toya"]) + len(examples["toyb"])
+    # both first steps start under {} and share their first parse; the
+    # second steps share theirs only if the two zeros are the same float
+    assert len(parses) == 2 * n - 1 - shares
