@@ -20,10 +20,10 @@ from .errors import ConfigError, DataError, NlinstructError
 from .parser import Candidate, ParserConfig, Pipeline
 from .training import (
     DomainPartition,
+    PrefixStore,
     TrainConfig,
     _is_int,
     _is_real,
-    adagrad,
     build_grid,
     final_partition,
     gmdp,
@@ -166,7 +166,7 @@ class ExperimentSpec:
         return "gmdp" if self.use_gmdp and not self.in_domain else "adagrad"
 
     def label(self) -> str:
-        name = "gmdp" if self.use_gmdp else "adagrad"
+        name = self.algorithm
         if not self.use_new_features:
             name += "-F"
         if not self.use_logic_filter:
@@ -208,14 +208,16 @@ def training_examples(spec: ExperimentSpec, registry: InstrumentedRegistry) -> d
 
 
 def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example]],
-                pipeline: Pipeline, grid_overrides: dict | None = None) -> TrainConfig:
+                pipeline: Pipeline, grid_overrides: dict | None = None,
+                store: PrefixStore | None = None) -> TrainConfig:
     """The protocol's tuning step: :func:`training.tune_hyperparameters`
-    over folds that each hold out one source domain zero-shot, and over a
-    3-fold cross-validation of the target's train split in-domain (its mean
-    credit ranks configs as their summed credit would, except where two
-    sums divide to the same double: the earlier grid entry wins). Partition
-    sizes that leave a two-step side empty are a ``ConfigError``, and a
-    target too small to cross-validate a grid on is a ``DataError``."""
+    through ``store`` over folds that each hold out one source domain
+    zero-shot, and over a 3-fold cross-validation of the target's train
+    split in-domain (its mean credit ranks configs as their summed credit
+    would, except where two sums divide to the same double: the earlier
+    grid entry wins). Partition sizes that leave a two-step side empty are
+    a ``ConfigError``, and a target too small to cross-validate a grid on
+    is a ``DataError``."""
     domains = list(examples_by_domain)
     grid = build_grid(spec.algorithm, domains, spec.seed, grid_overrides)
     sizes = sorted({cfg.partition_size for cfg in grid})
@@ -233,24 +235,25 @@ def tune_config(spec: ExperimentSpec, examples_by_domain: dict[str, list[Example
         folds = [({d: examples_by_domain[d] for d in domains if d != held},
                   examples_by_domain[held]) for held in domains]
     return tune_hyperparameters(grid, folds, spec.algorithm, pipeline,
-                                lambda weights, examples: mean_credit(pipeline, weights, examples))
+                                lambda weights, examples: mean_credit(pipeline, weights, examples),
+                                store)
 
 
 def train_model(spec: ExperimentSpec, config: TrainConfig,
                 examples_by_domain: dict[str, list[Example]], pipeline: Pipeline,
-                split=final_partition) -> tuple[dict, DomainPartition | None]:
+                split=final_partition,
+                store: PrefixStore | None = None) -> tuple[dict, DomainPartition | None]:
     """The protocol's training step: the weights and the partition (None
-    for AdaGrad). Two-step training runs over ``split(config, domains)``,
-    ``final_partition`` for a tuned configuration; plain AdaGrad pools
-    every example. A split that leaves a side empty is a ``ConfigError``."""
-    if spec.algorithm != "gmdp":
-        pool = [ex for examples in examples_by_domain.values() for ex in examples]
-        return adagrad(pool, {}, config, pipeline), None
-    partition = split(config, list(examples_by_domain))
-    if partition is None:
-        raise ConfigError(f"partition_size {config.partition_size} leaves a side of the "
-                          f"two-step partition of {list(examples_by_domain)} empty")
-    return gmdp(partition, examples_by_domain, config, pipeline), partition
+    for AdaGrad), by :func:`training.gmdp` through ``store``. Two-step
+    training runs over ``split(config, domains)``, ``final_partition`` for
+    a tuned configuration. A split that leaves a side empty is a ``ConfigError``."""
+    partition = None
+    if spec.algorithm == "gmdp":
+        partition = split(config, list(examples_by_domain))
+        if partition is None:
+            raise ConfigError(f"partition_size {config.partition_size} leaves a side of the "
+                              f"two-step partition of {list(examples_by_domain)} empty")
+    return gmdp(partition, examples_by_domain, config, pipeline, store), partition
 
 
 def run_experiment(
@@ -273,16 +276,17 @@ def run_experiment(
     if spec.in_domain and target in registry.domain_ids and not registry.has_split(target, "test"):
         raise DataError(f"in-domain experiments need a test split; target {target!r} has none")
     pipeline = spec.pipeline(registry, parser_config)
+    store = PrefixStore()  # tuning's runs and parses, read again by the final training
     started = time.time()
     logged = len(registry.accesses)  # isolation is checked on this experiment's accesses alone
 
     with registry.in_phase(PHASE_TUNING):
         examples_by_domain = training_examples(spec, registry)
-        tuned = tune_config(spec, examples_by_domain, pipeline, grid_overrides)
+        tuned = tune_config(spec, examples_by_domain, pipeline, grid_overrides, store)
     with registry.in_phase(PHASE_TRAINING):
         if spec.in_domain:  # read again, so the registry logs the training phase's use
             examples_by_domain = training_examples(spec, registry)
-        weights, partition = train_model(spec, tuned, examples_by_domain, pipeline)
+        weights, partition = train_model(spec, tuned, examples_by_domain, pipeline, store=store)
 
     with registry.in_phase(PHASE_EVALUATION):
         split = "test" if registry.has_split(target, "test") else "train"

@@ -750,7 +750,6 @@ class Pipeline:
         self.use_new_features = use_new_features
         self.use_filter = use_filter
         self._featurizers: dict[str, Featurizer] = {}
-        self._tokens: dict[str, list[str]] = {}
 
     def featurizer(self, domain: Domain) -> Featurizer:
         f = self._featurizers.get(domain.id)
@@ -758,15 +757,6 @@ class Pipeline:
             f = Featurizer(domain, self.use_new_features)
             self._featurizers[domain.id] = f
         return f
-
-    def tokens_of(self, utterance: str) -> list[str]:
-        t = self._tokens.get(utterance)
-        if t is None:
-            if len(self._tokens) > 4096:
-                self._tokens.clear()
-            t = tokenize(utterance)
-            self._tokens[utterance] = t
-        return t
 
     def analyze(self, example, weights: dict, parses: dict | None = None) -> list[Candidate]:
         """:func:`infer` on one example under this pipeline's settings.
@@ -784,7 +774,7 @@ class Pipeline:
         domain = self.domain_source(example.domain_id)
         cands = None if parses is None else parses.get(example)
         if cands is None:
-            cands = infer(self.tokens_of(example.utterance), example.initial, domain,
+            cands = infer(tokenize(example.utterance), example.initial, domain,
                           self.config, weights, self.featurizer(domain), self.use_filter)
             if parses is not None:
                 parses[example] = cands

@@ -16,22 +16,24 @@ remaining training domains; the second run starts with fresh step-size
 accumulators. The point is to optimize for domains the first step never
 saw, which is also how the trained parser will be used.
 
-One grid search (:func:`tune_hyperparameters`), for zero-shot and in-domain
-tuning alike, trains each shared prefix once through a content-keyed
-:class:`PrefixStore`, and parses each example once per run start. Three
-facts make the sharing exact. An AdaGrad epoch reads only the weights and
-squared-gradient sums it starts from, the example list, ``l1``,
-``step_size`` and the shuffle generator, which is seeded from ``seed``
-and draws one shuffle per epoch; so epoch k of an n-epoch run is bit for
-bit the last epoch of a k-epoch run, and a run resumed from a k-epoch
-snapshot (its shuffles drawn again but not trained) goes on exactly as
-the uninterrupted one. The first step of two-step training depends on
-the fold only through its first-step examples, so leave-one-domain-out
-folds that hold out a domain outside them share it. And a parse is a
-function of the pipeline, the example and the weights alone, so the
-parses a run makes before its first update depend only on its start
-weights: every run from zero starts under the same empty weights, and
-the second steps of several folds start from one shared first step.
+An experiment's grid search (:func:`tune_hyperparameters`) and its final
+training, zero-shot and in-domain alike, train by :func:`gmdp` (whose
+AdaGrad baseline is two-step training without a first step) through one
+content-keyed :class:`PrefixStore`: each shared prefix trains once, and
+each example is parsed once per run start. Three facts make it exact. An
+AdaGrad epoch reads only the weights and squared-gradient sums it starts
+from, the example list, ``l1``, ``step_size`` and the shuffle generator,
+which is seeded from ``seed`` and draws one shuffle per epoch; so epoch k
+of an n-epoch run is bit for bit the last epoch of a k-epoch run, and a run
+resumed from a k-epoch snapshot (its shuffles drawn again but not trained)
+goes on exactly as the uninterrupted one. The first step of two-step
+training depends on the fold only through its first-step examples, so
+leave-one-domain-out folds that hold out a domain outside them share it, as
+does a final model whose first side is a fold's. And a parse is a function
+of the pipeline, the example and the weights alone, so the parses a run
+makes before its first update depend only on its start weights: every run
+from zero, a fold's or the final model's, starts under the same empty
+weights, and several second steps start from one first step.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ class PrefixStore:
 
 
 def gmdp(
-    partition: DomainPartition,
+    partition: DomainPartition | None,
     examples_by_domain: dict[str, list],
     config: TrainConfig,
     pipeline: Pipeline,
@@ -278,16 +280,20 @@ def gmdp(
 ) -> dict:
     """Two-step training: AdaGrad over the first partition side from zero,
     then AdaGrad over the second side initialized at the first result.
-    Both steps train through ``store`` (a fresh one by default), which
-    grid search shares between its runs."""
-    missing = [d for d in partition.d1 + partition.d2 if d not in examples_by_domain]
+    With ``partition`` None it is the AdaGrad baseline, GMDP without a
+    first step: one run from zero over every example, in domain order.
+    Every run trains through ``store`` (a fresh one by default), which an
+    experiment shares between its tuning runs and its final training."""
+    d1, d2 = (partition.d1, partition.d2) if partition else ((), tuple(examples_by_domain))
+    missing = [d for d in d1 + d2 if d not in examples_by_domain]
     if missing:
         raise NlinstructError(f"partition names domains without examples: {missing}")
-    d1_examples = [ex for d in partition.d1 for ex in examples_by_domain[d]]
-    d2_examples = [ex for d in partition.d2 for ex in examples_by_domain[d]]
-    weights, _ = (store or PrefixStore()).train(d2_examples, config, pipeline, config.iterations,
-                                                after=(d1_examples, config.iterations_step1),
-                                                keep_sums=not config.reset_accumulators)
+    d1_examples = [ex for d in d1 for ex in examples_by_domain[d]]
+    d2_examples = [ex for d in d2 for ex in examples_by_domain[d]]
+    weights, _ = (store or PrefixStore()).train(
+        d2_examples, config, pipeline, config.iterations,
+        after=(d1_examples, config.iterations_step1) if partition else None,
+        keep_sums=not config.reset_accumulators)
     return dict(weights)
 
 
@@ -358,8 +364,12 @@ def build_grid(
 def partition_for_fold(config: TrainConfig, sources: list[str]) -> DomainPartition | None:
     """Split the fold's source domains by the config's ordering: the first
     ``partition_size`` of the ordering (restricted to the fold) go to the
-    first step. None when a side would be empty."""
+    first step. None when a side would be empty; an ordering that omits a
+    source domain is a ``ConfigError``."""
     ordering = [d for d in (config.domain_ordering or sources) if d in sources]
+    if omitted := [d for d in sources if d not in ordering]:
+        raise ConfigError(f"domain_ordering {list(config.domain_ordering)} omits the source "
+                          f"domains {omitted}")
     m = config.partition_size
     if not 0 < m < len(ordering):
         return None
@@ -367,16 +377,17 @@ def partition_for_fold(config: TrainConfig, sources: list[str]) -> DomainPartiti
 
 
 def tune_hyperparameters(grid: list[TrainConfig], folds, algorithm: str, pipeline: Pipeline,
-                         accuracy_fn) -> TrainConfig:
+                         accuracy_fn, store: PrefixStore | None = None) -> TrainConfig:
     """The grid search: the configuration with the highest mean accuracy
     over the folds where it is valid wins, ties going to the earliest grid
     entry; a single-point grid wins untrained. A fold is an (examples by
     domain to train on, held-out examples) pair: one per held-out domain
     zero-shot, one per cross-validation split of the target in-domain. A
-    configuration trains on it by :func:`gmdp` over
-    :func:`partition_for_fold` (not valid where a side would be empty) or
-    by AdaGrad over the pooled examples; ``accuracy_fn(weights, held)``
-    scores it, and an accuracy outside [0, 1] is an ``NlinstructError``.
+    configuration trains on it by :func:`gmdp`, over
+    :func:`partition_for_fold` for two-step training (not valid where a
+    side would be empty) and over None for AdaGrad;
+    ``accuracy_fn(weights, held)`` scores it, and an accuracy outside
+    [0, 1] is an ``NlinstructError``.
 
     The search goes configuration by configuration in grid order, each over
     its valid folds in fold order, its accuracies summed in that order, so
@@ -390,25 +401,25 @@ def tune_hyperparameters(grid: list[TrainConfig], folds, algorithm: str, pipelin
     incumbent is earlier and wins a tie), and its remaining folds are
     neither trained nor scored; one INFO line names them.
 
-    All runs share one :class:`PrefixStore`, which keys runs by their
-    content, so the visiting order moves no weight: a first step serves
-    every fold that leaves its examples in, and the grid's epoch counts
-    share their shorter prefixes (at most 1,296 epochs instead of 4,320 on
-    the default 144-point grid over six domains). Every configuration is
-    scored on the weights a fresh run would give it, so the same one wins."""
+    All runs share ``store`` (a fresh one by default), which keys runs by
+    their content, so the visiting order moves no weight: a first step
+    serves every fold that leaves its examples in, and the grid's epoch
+    counts share their shorter prefixes (at most 1,296 epochs instead of
+    4,320 on the default 144-point grid over six domains). Every
+    configuration is scored on the weights a fresh run would give it, so
+    the same one wins."""
     if not grid:
         raise NlinstructError("empty hyper-parameter grid")
     if len(grid) == 1:
         return grid[0]
     folds = list(folds)
-    store = PrefixStore()
+    store, two_step = store or PrefixStore(), algorithm == "gmdp"
     best = best_mean = None  # the incumbent: the earliest entry with the highest mean so far
     for gi, cfg in enumerate(grid):
-        if algorithm != "gmdp":
-            valid = [(fold, train, held, None) for fold, (train, held) in enumerate(folds)]
-        else:
-            valid = [(fold, train, held, partition) for fold, (train, held) in enumerate(folds)
-                     if (partition := partition_for_fold(cfg, list(train))) is not None]
+        # AdaGrad trains on every fold, two-step training on those it can split
+        valid = [(fold, train, held, partition) for fold, (train, held) in enumerate(folds)
+                 if (partition := partition_for_fold(cfg, list(train)) if two_step else None)
+                 or not two_step]
         total = 0.0
         for done, (fold, train, held, partition) in enumerate(valid):
             if best is not None:
@@ -421,12 +432,7 @@ def tune_hyperparameters(grid: list[TrainConfig], folds, algorithm: str, pipelin
                              "folds %s skipped", gi, best, bound, best_mean,
                              [f for f, _, _, _ in valid[done:]])
                     break
-            if algorithm != "gmdp":
-                pool = [ex for examples in train.values() for ex in examples]
-                weights = store.train(pool, cfg, pipeline, cfg.iterations)[0]
-            else:
-                weights = gmdp(partition, train, cfg, pipeline, store)
-            acc = accuracy_fn(weights, held)
+            acc = accuracy_fn(gmdp(partition, train, cfg, pipeline, store), held)
             if not 0.0 <= acc <= 1.0:
                 raise NlinstructError(f"fold {fold} grid[{gi}] accuracy {acc!r} lies outside [0, 1]")
             total += acc

@@ -207,9 +207,9 @@ def test_isolation_is_checked_on_each_experiments_own_accesses(monkeypatch):
     # a real read of the target while tuning is still flagged, and only it
     original = evaluation.tune_config
 
-    def leaky(spec, examples_by_domain, pipeline, grid_overrides=None):
+    def leaky(spec, examples_by_domain, pipeline, grid_overrides=None, store=None):
         registry.examples(spec.target_domain, "train")
-        return original(spec, examples_by_domain, pipeline, grid_overrides)
+        return original(spec, examples_by_domain, pipeline, grid_overrides, store)
 
     monkeypatch.setattr(evaluation, "tune_config", leaky)
     report = run_experiment(ExperimentSpec("toyb"), registry, config, _FAST_GRID)
@@ -222,6 +222,18 @@ def test_ablation_table_records_isolation_per_cell(monkeypatch):
     table = evaluation.ablation_table(registry, ParserConfig(beam_size=10, max_rules=5), _FAST_GRID)
     assert [row["isolation_clean"] for row in table["rows"]] == [
         {d: True for d in table["domains"]}] * 2
+
+
+@pytest.mark.parametrize("spec, label", [
+    (ExperimentSpec("list"), "gmdp"),
+    (ExperimentSpec("list", use_gmdp=False, use_new_features=False), "adagrad-F"),
+    # in-domain there is one domain to partition, so both train by AdaGrad
+    (ExperimentSpec("list", in_domain=True), "adagrad (in-domain)"),
+    (ExperimentSpec("list", use_logic_filter=False, in_domain=True), "adagrad-A (in-domain)"),
+    (ExperimentSpec("list", use_gmdp=False, in_domain=True), "adagrad (in-domain)"),
+])
+def test_a_label_names_the_trainer_the_experiment_runs(spec, label):
+    assert spec.label() == label and label.startswith(spec.algorithm)
 
 
 def test_experiment_uses_test_split_when_present():
@@ -290,7 +302,7 @@ def test_float_sums_do_not_follow_a_compensated_builtin_sum(monkeypatch):
     monkeypatch.setattr(evaluation, "score_example",
                         lambda pipeline, weights, ex: ExampleScore(ex.id, 0.1, 10, 1, False))
     monkeypatch.setattr(evaluation, "tune_config", lambda *args: training.TrainConfig())
-    monkeypatch.setattr(evaluation, "train_model", lambda *args: ({}, None))
+    monkeypatch.setattr(evaluation, "train_model", lambda *args, **kwargs: ({}, None))
     spec = ExperimentSpec("toya", use_gmdp=False, in_domain=True)
 
     def sums():

@@ -602,7 +602,7 @@ def test_gradient_reads_the_reference_feature_dicts(trained):
     gradients = 0
     for ex in _examples(1, seed=19):
         cands = pipeline.analyze(ex, trained)
-        tokens = pipeline.tokens_of(ex.utterance)
+        tokens = tokenize(ex.utterance)
         lexicon = pipeline.featurizer(get_domain(ex.domain_id)).lexicon
         want = []
         for c in cands:

@@ -224,6 +224,10 @@ def test_gmdp_zero_first_step_is_bitwise_plain_adagrad():
     two_step = gmdp(part, examples, cfg, pipeline)
     plain = adagrad(examples["toyb"], {}, cfg, pipeline, iterations=2)
     assert two_step == plain  # dict equality on floats, i.e. bit-for-bit
+    # no partition at all: the AdaGrad baseline over every example, in domain order
+    baseline = gmdp(None, examples, cfg, pipeline)
+    pool = examples["toya"] + examples["toyb"]
+    assert _bits(baseline) == _bits(adagrad(pool, {}, cfg, pipeline)) and baseline != plain
 
 
 def test_gmdp_swapped_partitions_is_still_deterministic():

@@ -9,7 +9,8 @@ reference bound proves cannot win. The work counts hold the sharing and
 the bound to the figures the grid's shape gives. Runs that start from
 weights of the same content share the parses they make before their
 first update; the parse counts show which parses are shared and which
-are not.
+are not. An experiment's final model trains through the store its tuning
+filled, and gets the weights a fresh store gives it.
 """
 
 from __future__ import annotations
@@ -467,3 +468,72 @@ def test_starts_that_differ_in_the_sign_of_a_zero_do_not_share(world, parses, mo
     # both first steps start under {} and share their first parse; the
     # second steps share theirs only if the two zeros are the same float
     assert len(parses) == 2 * n - 1 - shares
+
+
+# ---------------------------------------------------------------------------
+# One store per experiment: the final training reads tuning's runs and parses
+# ---------------------------------------------------------------------------
+
+_ONE_ORDERING = {"l1": [0.001, 0.01], "step_size": [0.1], "iterations": [1, 2],
+                 "partition_sizes": [1], "iterations_step1": [1], "num_orderings": 1}
+
+
+def _experiment(spec, domains, fresh_final_store):
+    """The report of ``run_experiment`` without its runtime, the registry's
+    access list, and the number of parses made while the final model
+    trains. With ``fresh_final_store`` the final model trains through a
+    store of its own instead of the one tuning filled."""
+    toys, examples, _ = make_toy_world(domains, per_domain=5)
+    registry = evaluation.InstrumentedRegistry(
+        toys, {d: {"train": found[:-1], "test": found[-1:]} for d, found in examples.items()})
+    training_parses = 0
+    infer, train_model = parser.infer, evaluation.train_model
+
+    def counting(*args):
+        nonlocal training_parses
+        training_parses += registry.phase == evaluation.PHASE_TRAINING
+        return infer(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "infer", counting)
+        if fresh_final_store:
+            patch.setattr(evaluation, "train_model", lambda *args, store: train_model(
+                *args, store=training.PrefixStore()))
+        report = evaluation.run_experiment(spec, registry, ParserConfig(beam_size=20, max_rules=7),
+                                           _ONE_ORDERING)
+    del report["runtime_seconds"]
+    return report, registry.accesses, training_parses
+
+
+@pytest.mark.parametrize("use_gmdp", [True, False], ids=["gmdp", "adagrad"])
+@pytest.mark.parametrize("in_domain", [False, True], ids=["zero-shot", "in-domain"])
+def test_the_tuning_store_trains_the_model_a_fresh_store_trains(use_gmdp, in_domain):
+    spec = ExperimentSpec("toyd", use_gmdp=use_gmdp, in_domain=in_domain, seed=1)
+    report, accesses, shared = _experiment(spec, DOMAINS, fresh_final_store=False)
+    want, want_accesses, fresh = _experiment(spec, DOMAINS, fresh_final_store=True)
+    # tuned configuration, partition, per-example credits and isolation
+    assert report == want and report["isolation"]["clean"]
+    assert (report["partition"] is None) == (spec.algorithm == "adagrad")
+    assert _bits(report["weights"]) == _bits(want["weights"]) and report["weights"]
+    # a parse read from the store still looks its domain up
+    assert accesses == want_accesses
+    assert shared <= fresh
+
+
+def test_a_final_first_step_that_a_fold_trained_is_read_not_trained():
+    # five sources with partition size 1: a fold's first side holds one
+    # domain and so does the final model's (the fold's second side was the
+    # larger), so every fold that keeps the ordering's first domain trained
+    # the final model's first step
+    domains = ("toya", "toyb", "toyc", "toyd", "toye", "toyf")
+    spec = ExperimentSpec("toyf", seed=1)
+    report, accesses, shared = _experiment(spec, domains, fresh_final_store=False)
+    want, want_accesses, fresh = _experiment(spec, domains, fresh_final_store=True)
+    assert len(report["partition"]["d1"]) == 1
+    assert report == want and _bits(report["weights"]) == _bits(want["weights"])
+    # the first step's parses, and the domain lookups they make, are gone
+    d1 = report["partition"]["d1"][0]
+    first_step = len([e for e in want_accesses if e == ("training", "domain", d1)])
+    assert first_step and shared <= fresh - first_step
+    assert [e for e in accesses if e != ("training", "domain", d1)] == [
+        e for e in want_accesses if e != ("training", "domain", d1)]
