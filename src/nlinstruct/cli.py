@@ -361,12 +361,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _refuse_directory_outputs(args) -> None:
-    """Refuse, before any work, an ``--out`` that would be written over a
-    directory: the path itself, and for ``generate`` its gold sidecar."""
+def _refuse_unwritable_outputs(args) -> None:
+    """Refuse, before any work, an ``--out`` whose directory does not exist
+    or that would be written over a directory: the path itself, and for
+    ``generate`` its gold sidecar."""
     out = getattr(args, "out", None)
     if out is None:
         return
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"{out}: output directory does not exist")
     paths = [out, out + ".gold.jsonl"] if args.command == "generate" else [out]
     for path in paths:
         if os.path.isdir(path):
@@ -376,7 +379,7 @@ def _refuse_directory_outputs(args) -> None:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        _refuse_directory_outputs(args)
+        _refuse_unwritable_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

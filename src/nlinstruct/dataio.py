@@ -29,16 +29,20 @@ DATASET_VERSION = 1
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe partial files."""
+    """Write-then-rename so readers never observe partial files. An
+    ``OSError`` names ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import DataError, DomainLogicError, ExecutionError, NlinstructError
-from ..kb import TYPE_RELATION, Entity, IntVal, State, SymVal, Triple, Value
+from ..kb import SINGLETONS, TYPE_RELATION, Entity, IntVal, State, SymVal, Triple, Value
 
 # Parameter kinds
 COLLECTION = "collection"
@@ -256,7 +256,12 @@ def the(arg: frozenset[Value]) -> Value:
 
 
 def int_of(state: State, e: Entity, relation: str) -> int:
-    objs = [o for o in state.objects(e, relation) if isinstance(o, IntVal)]
+    objs = state.objects(e, relation)
+    if len(objs) == 1:
+        (o,) = objs
+        if isinstance(o, IntVal):
+            return o.value
+    objs = [o for o in objs if isinstance(o, IntVal)]
     if len(objs) != 1:
         raise NlinstructError(f"{e.id}: expected one integer {relation}, got {len(objs)}")
     return objs[0].value
@@ -274,16 +279,24 @@ def set_value(state: State, entities, relation: str, value: Value) -> State:
     return state.replace_triples(remove, add)
 
 
-def reindex(state: State, *orders: list[Entity]) -> State:
+def reindex(state: State, *orders: list[Entity], old: State | None = None) -> State:
     """Reassign the ``index`` relation contiguously from 1 over each given
-    order, leaving alone an entity whose only index is its position."""
+    order, leaving alone an entity whose only index is its position.
+
+    Each entity's current indexes are read from ``old`` (default
+    ``state``), which must give every ordered entity the index triples it
+    has in ``state``. Application logic passes the state it was called on,
+    whose index is already built, so that ``state``, a state derived from
+    it, never builds its own."""
+    read = (old or state).objects
     remove, add = [], []
     for order in orders:
         for i, e in enumerate(order, start=1):
-            old = state.objects(e, "index")
-            if old != {IntVal(i)}:
-                remove.extend(Triple(e, "index", o) for o in old)
-                add.append(Triple(e, "index", IntVal(i)))
+            index = IntVal(i)
+            current = read(e, "index")
+            if current != SINGLETONS[index]:
+                remove.extend(Triple(e, "index", o) for o in current)
+                add.append(Triple(e, "index", index))
     return state.replace_triples(remove, add)
 
 

@@ -62,8 +62,8 @@ def logic(state: State, call: MethodCall) -> State:
     events = call.args[0]
     if call.method.name == "removeEvents":
         new = state.without_entities(events)
-        order = sorted(new.entities, key=lambda e: (int_of(new, e, "startTime"), e.id))
-        return reindex(new, order)
+        order = sorted(new.entities, key=lambda e: (int_of(state, e, "startTime"), e.id))
+        return reindex(new, order, old=state)
     # setEventColor(events, color)
     return set_value(state, events, "color", the(call.args[1]))
 

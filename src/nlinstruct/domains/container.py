@@ -48,7 +48,7 @@ def logic(state: State, call: MethodCall) -> State:
         return set_value(state, containers, "contentState", SymVal("UNLOADED"))
     # removeContainers: drop and close the index gaps
     new = state.without_entities(containers)
-    return reindex(new, by_index(state, new.entities))
+    return reindex(new, by_index(state, new.entities), old=state)
 
 
 def make_domain() -> Domain:

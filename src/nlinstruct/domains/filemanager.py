@@ -85,17 +85,16 @@ def _directory_of(state: State, f: Entity) -> Entity:
 def logic(state: State, call: MethodCall) -> State:
     files = call.args[0]
     if call.method.name == "removeFiles":
-        touched = {_directory_of(state, f) for f in files}
+        leaving = files
         new = state.without_entities(files)
     else:  # moveFiles(files, directory)
         target = the(call.args[1])
-        moving = [f for f in by_index(state, files) if _directory_of(state, f) != target]
-        if not moving:
+        leaving = [f for f in by_index(state, files) if _directory_of(state, f) != target]
+        if not leaving:
             return state
-        touched = {_directory_of(state, f) for f in moving}
         remove, add = [], []
         slot = len(state.objects(target, "childFiles"))
-        for f in moving:
+        for f in leaving:
             src = _directory_of(state, f)
             remove.append(Triple(src, "childFiles", f))
             remove.append(Triple(f, "index", IntVal(int_of(state, f, "index"))))
@@ -103,9 +102,12 @@ def logic(state: State, call: MethodCall) -> State:
             add.append(Triple(target, "childFiles", f))
             add.append(Triple(f, "index", IntVal(slot)))
         new = state.replace_triples(remove, add)
-    # close the index gaps that the files left behind, in one new state
-    return reindex(new, *(by_index(new, new.objects(d, "childFiles"))
-                          for d in sorted(touched, key=lambda e: e.id)))
+    # close the index gaps that the files left behind, in one new state;
+    # the files a directory keeps have in ``state`` the triples they have in
+    # ``new``, so their order and indexes are read there
+    touched = {_directory_of(state, f) for f in leaving}
+    return reindex(new, *(by_index(state, state.objects(d, "childFiles").difference(leaving))
+                          for d in sorted(touched, key=lambda e: e.id)), old=state)
 
 
 def make_domain() -> Domain:

@@ -43,7 +43,7 @@ def logic(state: State, call: MethodCall) -> State:
     if name == "remove":
         elements = call.args[0]
         new = state.without_entities(elements)
-        return reindex(new, by_index(state, new.entities))
+        return reindex(new, by_index(state, new.entities), old=state)
     element = the(call.args[0])
     others = [e for e in by_index(state, state.entities) if e != element]
     order = [element] + others if name == "moveToBeginning" else others + [element]

@@ -82,7 +82,7 @@ def logic(state: State, call: MethodCall) -> State:
     if name == "deleteChatGroups":
         groups = call.args[0]
         new = state.without_entities(groups)
-        return reindex(new, by_index(state, new.entities_of_type("ChatGroup")))
+        return reindex(new, by_index(state, new.entities_of_type("ChatGroup")), old=state)
     # createChatGroup(users)
     users = call.args[0]
     taken = [

@@ -12,9 +12,14 @@ its full triple set is built only if something reads it (see
 Values are interned. ``Entity``, ``IntVal``, ``TextVal`` and ``SymVal``
 return the one object of their class for the given fields, so equal values
 are the same object and compare and hash by identity, in C. Each class
-keeps its own table (``TextVal("ON") != SymVal("ON")``). The tables are
-never emptied: they grow only with the distinct values a process makes (a
-few hundred in a benchmark pass). A ``Triple`` is a named tuple of interned
+keeps its own table (``TextVal("ON") != SymVal("ON")``). Beside them,
+:data:`SINGLETONS` holds the one frozenset of each single value: every
+set of exactly one value that a state's indexes or its denotation memo
+hold is that set, so the many keys with one value, such as (room3,
+lightMode) -> {OFF}, across every state of a process share one object per
+value (hash-consing; Filliatre & Conchon, ML 2006). The tables are never
+emptied: they grow only with the distinct values a process makes (a few
+hundred in a benchmark pass). A ``Triple`` is a named tuple of interned
 fields, so it hashes and compares in C as well. Since a value's hash is its
 address, a set of values iterates in an order that changes from run to run:
 whatever reaches an output must not depend on it.
@@ -132,6 +137,24 @@ Value = Entity | IntVal | TextVal | SymVal
 TYPE_RELATION = "type"
 
 
+class _Singletons(dict):
+    """Interned value -> the one frozenset that holds only it, made on the
+    first lookup of the value (``__missing__``); any other lookup runs in
+    C."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: Value) -> frozenset:
+        single = self[value] = frozenset((value,))
+        return single
+
+
+#: ``SINGLETONS[v]`` is the shared ``frozenset({v})``. Like the interning
+#: tables it is never emptied, and it grows only with the distinct values
+#: whose one-value set a process asks for.
+SINGLETONS = _Singletons()
+
+
 class Triple(NamedTuple):
     subject: Entity
     relation: str
@@ -143,6 +166,19 @@ class Triple(NamedTuple):
 
 #: What a query returns when nothing matches: one shared empty set.
 _EMPTY: frozenset = frozenset()
+
+
+def frozen(values) -> frozenset:
+    """``values`` (a sized collection of interned values) as a frozenset
+    that shares what it can: the shared empty set or :data:`SINGLETONS`'
+    set when it holds fewer than two values, ``values`` itself when it is
+    a frozenset, else a new one."""
+    n = len(values)
+    if n > 1:
+        return values if type(values) is frozenset else frozenset(values)
+    for value in values:
+        return SINGLETONS[value]
+    return _EMPTY
 
 
 def _text_key(value: Value) -> Value:
@@ -189,14 +225,16 @@ class State:
     Queries read two indexes keyed on interned values, each built on its
     first read: ``objects`` maps (subject, relation) and ``subjects`` maps
     (relation, object with text case folded) to a frozenset, which a read
-    returns without copying. A value the state does not hold, such as
-    another state's entity with the same id, misses. A root builds an index
-    from its triples; a derived state copies its root's (building it first
-    if need be) and recomputes only the keys its changes touch. Many states
-    exist only long enough to be compared against another state (e.g.
-    results of filtered method calls) or are read for a key or two
-    (intermediate states inside application logic), so paying for indexing
-    up front would be wasted work.
+    returns without copying. A set of one value is the shared
+    :data:`SINGLETONS` set, so equal states built apart, and a root and the
+    states derived from it, hold one object for it. A value the state does
+    not hold, such as another state's entity with the same id, misses. A
+    root builds an index from its triples; a derived state copies its
+    root's (building it first if need be) and recomputes only the keys its
+    changes touch. Many states exist only long enough to be compared
+    against another state (e.g. results of filtered method calls) or are
+    read for a key or two (intermediate states inside application logic),
+    so paying for indexing up front would be wasted work.
 
     A state also keeps two memos, made on first use and living exactly as
     long as the state, so they carry over between parses of the same state
@@ -373,7 +411,9 @@ class State:
             else:
                 for t in self._triples:
                     groups.setdefault((t.relation, _text_key(t.object)), []).append(t.subject)
-            idx = {key: frozenset(members) for key, members in groups.items()}
+            single = SINGLETONS
+            idx = {key: single[members[0]] if len(members) == 1 else frozenset(members)
+                   for key, members in groups.items()}
         else:
             base = root._obj_idx if kind == "objects" else root._subj_idx
             if base is None:
@@ -402,8 +442,12 @@ class State:
                 if subject in self.entities and any(
                         _text_key(o) is folded for o in self.objects(subject, relation)):
                     changed[relation, folded].add(subject)
+            single = SINGLETONS
             for key, members in changed.items():
-                if members:
+                if len(members) == 1:
+                    (member,) = members
+                    idx[key] = single[member]
+                elif members:
                     idx[key] = frozenset(members)
                 else:
                     idx.pop(key, None)
@@ -428,7 +472,9 @@ class State:
             idx = self._build_indexes("subjects")
         if isinstance(obj, TextVal):
             found = idx.get((relation, _text_key(obj)), _EMPTY)
-            return frozenset(s for s in found if (s, relation, obj) in self.triples)
+            triples = self.triples
+            exact = [s for s in found if (s, relation, obj) in triples]
+            return found if len(exact) == len(found) else frozen(exact)
         return idx.get((relation, obj), _EMPTY)
 
     def subjects_matching(self, relation: str, obj: Value) -> frozenset[Entity]:

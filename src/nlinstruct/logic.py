@@ -43,9 +43,8 @@ import re
 
 from .domains.base import InterfaceMethod, MethodCall
 from .errors import ExecutionError
-from .kb import TYPE_RELATION, IntVal, State, SymVal, TextVal, Value
+from .kb import SINGLETONS, TYPE_RELATION, IntVal, State, SymVal, TextVal, Value, frozen
 
-_EMPTY: frozenset = frozenset()
 _BARE_TEXT = re.compile(r"[a-z][a-z0-9]*$")
 
 
@@ -217,36 +216,48 @@ def evaluate(lf: LogicalForm, state: State, memo: dict | None = None) -> frozens
     ``state``), every node's set, children included, is read from the memo
     when it holds the node and written to it when computed. The memo is
     keyed by the node's (class, printed form) identity, which determines
-    its denotation because distinct value literals print distinctly."""
+    its denotation because distinct value literals print distinctly.
+
+    A set of one value is :data:`~nlinstruct.kb.SINGLETONS`' shared set
+    and an empty one is one shared empty set, with or without ``memo``;
+    a join of one value returns the state's index set itself. So a
+    state's memo, the filter's argument verdicts and the ``MethodCall``
+    arguments built from them hold no copies of these sets. The shared
+    table is never emptied; it grows only with the distinct values."""
     if memo is None:
         return _denote(lf, state, None)
     key = (lf.__class__, lf.printed)
     out = memo.get(key)
     if out is None:
-        # about half the sets a chart asks for are empty: store one object
-        out = memo[key] = _denote(lf, state, memo) or _EMPTY
+        out = memo[key] = _denote(lf, state, memo)
     return out
 
 
 def _denote(lf: LogicalForm, state: State, memo: dict | None) -> frozenset[Value]:
     if isinstance(lf, ValueLit):
-        return frozenset((lf.value,))
+        return SINGLETONS[lf.value]
     if isinstance(lf, TypeSet):
         return state.subjects(TYPE_RELATION, SymVal(lf.etype))
     if isinstance(lf, ReverseJoin):
         child = evaluate(lf.child, state, memo)
+        if len(child) == 1:
+            (obj,) = child
+            return state.subjects_matching(lf.relation, obj)
         out: set[Value] = set()
         for obj in child:
             out.update(state.subjects_matching(lf.relation, obj))
-        return frozenset(out)
+        return frozen(out)
     if isinstance(lf, ForwardJoin):
         child = evaluate(lf.child, state, memo)
+        if len(child) == 1:
+            (sub,) = child
+            return state.objects(sub, lf.relation)
         out = set()
         for sub in child:
             out.update(state.objects(sub, lf.relation))
-        return frozenset(out)
+        return frozen(out)
     if isinstance(lf, Intersect):
-        return evaluate(lf.left, state, memo) & evaluate(lf.right, state, memo)
+        return frozen(evaluate(lf.left, state, memo) & evaluate(lf.right, state, memo))
     if isinstance(lf, Superlative):
         members = evaluate(lf.set_lf, state, memo)
         best: int | None = None
@@ -261,7 +272,7 @@ def _denote(lf: LogicalForm, state: State, memo: dict | None) -> frozenset[Value
                 winners = [m]
             elif score == best:
                 winners.append(m)
-        return frozenset(winners)
+        return frozen(winners)
     raise ExecutionError(f"cannot evaluate {type(lf).__name__} as a set")
 
 

@@ -327,3 +327,36 @@ def test_an_output_path_that_is_a_directory_is_refused_up_front(inputs, monkeypa
         assert os.listdir(workdir) == [os.path.basename(blocked)]
     _assert_contract(code, stdout, err, command)
     assert code == 2 and err == f"config error: {blocked}: output path is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "tune", "train", "eval"])
+def test_an_output_path_in_a_missing_directory_is_refused_up_front(inputs, monkeypatch, command):
+    # exit 2 with one line naming the path given, not a temporary file,
+    # before any state is generated or any model tuned, trained or scored
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for name in ("generate_state_pair", "tune_config", "train_model", "run_experiment"):
+        monkeypatch.setattr(f"nlinstruct.cli.{name}", no_work)
+    _, files = inputs
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "missing", "out.json")
+        if command == "generate":
+            argv = ["generate", "--domain", "list", "--count", "1", "--out", out]
+        else:
+            argv = [command, "--config", files["config"], "--out", out]
+        code, stdout, err = _run(argv)
+        assert not os.listdir(workdir)
+    _assert_contract(code, stdout, err, command)
+    assert code == 2 and err == f"config error: {out}: output directory does not exist\n"
+
+
+def test_a_failed_atomic_write_names_its_target_and_leaves_no_temporary_file():
+    with tempfile.TemporaryDirectory() as workdir:
+        for target, error in ((os.path.join(workdir, "missing", "out.json"), FileNotFoundError),
+                              (workdir, IsADirectoryError)):
+            with pytest.raises(error) as caught:
+                dataio.atomic_write_text(target, "{}\n")
+            assert caught.value.filename == target and ".part" not in str(caught.value)
+            assert str(caught.value).endswith(f": {target!r}")
+        assert not os.listdir(workdir)
