@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import DataError, DomainLogicError, ExecutionError, NlinstructError
-from ..kb import SINGLETONS, TYPE_RELATION, Entity, IntVal, State, SymVal, Triple, Value
+from ..kb import SINGLETONS, TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Triple, Value
 
 # Parameter kinds
 COLLECTION = "collection"
@@ -188,26 +188,40 @@ class Domain:
         raise KeyError(f"{self.id}: no method {name!r}")
 
 
+# the value class of each relation object kind, and its name in messages
+_OBJECT_CLASS = {OBJ_INT: (IntVal, "an integer"), OBJ_TEXT: (TextVal, "text"),
+                 OBJ_SYM: (SymVal, "a symbol"), OBJ_ENTITY: (Entity, "an entity")}
+
+
 def validate_state_for_domain(state: State, domain: Domain) -> None:
     """Every entity type and relation in a state must be declared by its
-    domain, and a ``type`` triple must give its subject the subject's own
-    entity type or one of the domain's symbols (a file's kind); loaders
-    call this so mismatches fail with a message instead of an empty or
-    wrong parse."""
+    domain, every other triple's object must be of its relation's declared
+    object kind (an integer, text, a symbol or an entity), and a ``type``
+    triple must give its subject the subject's own entity type or one of
+    the domain's symbols (a file's kind); loaders call this so mismatches
+    fail with a message instead of an empty or wrong parse, or an error
+    from application logic."""
     if state.domain_id != domain.id:
         raise DataError(f"state belongs to {state.domain_id!r}, not {domain.id!r}")
     for e in state.entities:
         if e.etype not in domain.entity_types:
             raise DataError(f"{domain.id}: undeclared entity type {e.etype!r} ({e.id})")
     for t in state.triples:
-        if t.relation not in domain.relations:
+        spec = domain.relations.get(t.relation)
+        if spec is None:
             raise DataError(f"{domain.id}: undeclared relation {t.relation!r}")
-        if t.relation == TYPE_RELATION and t.object is not SymVal(t.subject.etype):
-            name = t.object.name if isinstance(t.object, SymVal) else None
-            if name not in domain.enum_symbols or name in domain.entity_types:
-                raise DataError(f"{domain.id}: entity {t.subject.id!r} has type "
-                                f"{t.subject.etype!r}, but a type triple gives it "
-                                f"{name or t.object!r}")
+        if t.relation == TYPE_RELATION:
+            if t.object is not SymVal(t.subject.etype):
+                name = t.object.name if isinstance(t.object, SymVal) else None
+                if name not in domain.enum_symbols or name in domain.entity_types:
+                    raise DataError(f"{domain.id}: entity {t.subject.id!r} has type "
+                                    f"{t.subject.etype!r}, but a type triple gives it "
+                                    f"{name or t.object!r}")
+            continue
+        cls, what = _OBJECT_CLASS[spec.object_kind]
+        if not isinstance(t.object, cls):
+            raise DataError(f"{domain.id}: relation {t.relation!r} holds {what}, but "
+                            f"entity {t.subject.id!r} has {t.object!r}")
 
 
 def invoke(domain: Domain, state: State, call: MethodCall) -> State:

@@ -56,15 +56,27 @@ Keys compose: a form's predicate multiset is the union of its children's
 plus its rule's own, and its rule counts and size are its children's plus
 one application. So a composite's key is its rule's local key (the
 :meth:`UtteranceContext.key` of the rule's own predicates, ``{rule: 1}``
-and size 1) with the children's ``bits`` OR-ed in and their ``packed``
+and size 1; :attr:`UtteranceContext.local` holds them for the life of the
+context) with the children's ``bits`` OR-ed in and their ``packed``
 added. The parser's chart composes keys this way and never collects a
 form's predicates or a derivation's rule counts.
 
-:meth:`UtteranceContext.features` decodes a key into the feature dict,
-for the gradient and ``parse --explain``. :class:`ChartScorer` turns a key
-into the same float, bit for bit, as ``kernels.dot`` over that dict,
-without building it. The trainer reads that float as the candidate's
-score.
+A key is read two ways, both in sorted feature-key order:
+
+- :meth:`UtteranceContext.add_features` is the one decoder. It adds
+  ``scale`` times each feature of a key to an accumulator, first the
+  head terms (:meth:`UtteranceContext.head`, cached per ``bits`` for the
+  life of the context), then the packed fields' terms
+  (:func:`packed_terms`, cached per ``packed`` for the life of the
+  process, as the layout is fixed), so it adds each key exactly as
+  ``kernels.add_scaled`` does over the decoded dict. The gradient calls
+  it on the candidates' keys and builds no dict;
+  :meth:`UtteranceContext.features` is the same accumulation into an
+  empty dict at scale 1.0, for ``parse --explain`` and the tests.
+- :class:`ChartScorer` turns a key into the same float, bit for bit, as
+  ``kernels.dot`` over that dict, without building it, from the same two
+  cached term lists. The trainer reads that float as the candidate's
+  score.
 """
 
 from __future__ import annotations
@@ -103,12 +115,43 @@ SIZE_SHIFT = (len(RULES) + len(KINDS)) * WIDTH
 # prefixes of the templates that the packed fields give
 RULE, UNEVOKED, SIZE = "rule|", "unevoked|", "size>"
 
-# (feature key, field shift) of the packed fields, in sorted key order;
-# and per size, its size>n keys in sorted order
-_RULE_FIELDS = tuple(sorted((RULE + rule, shift) for rule, shift in RULE_SHIFT.items()))
-_UNEVOKED_FIELDS = tuple(sorted((UNEVOKED + kind, shift) for kind, shift in KIND_SHIFT.items()))
-_SIZE_KEYS = tuple(tuple(sorted(f"{SIZE}{n}" for n in range(2, size)))
-                   for size in range(MAX_RULES_LIMIT + 1))
+# per packed field, in sorted key order, its shift and the (feature key,
+# value) pair of each count; per size, its size>n pairs in sorted key
+# order. The terms that packed_terms() gives are these shared pairs
+_RULE_PAIRS = tuple((shift, tuple((k, float(c)) for c in range(MASK + 1)))
+                    for k, shift in sorted((RULE + r, shift) for r, shift in RULE_SHIFT.items()))
+_UNEVOKED_PAIRS = tuple((shift, tuple((k, float(c)) for c in range(MASK + 1)))
+                        for k, shift in sorted((UNEVOKED + kind, shift)
+                                               for kind, shift in KIND_SHIFT.items()))
+_SIZE_PAIRS = tuple(tuple((k, 1.0) for k in sorted(f"{SIZE}{n}" for n in range(2, size)))
+                    for size in range(MAX_RULES_LIMIT + 1))
+
+# packed -> packed_terms(), without and with the new templates
+_PACKED_TERMS: tuple[dict, dict] = ({}, {})
+
+
+def packed_terms(use_new_features: bool, packed: int) -> tuple[tuple[str, float], ...]:
+    """The ``(key, value)`` terms that a score key's packed fields give,
+    zero counts left out, in sorted key order: the ``rule|`` counts, then
+    the ``size>n`` indicators, then the ``unevoked|`` counts (the last two
+    only with the new templates). A function of the fixed layout alone, so
+    kept for the life of the process: even a pass over the paper-setting
+    parses meets only a few thousand distinct values, and the memo is
+    cleared past 16,384 of them."""
+    memo = _PACKED_TERMS[use_new_features]
+    terms = memo.get(packed)
+    if terms is None:
+        if len(memo) >= 1 << 14:
+            memo.clear()
+        out = [pairs[packed >> shift & MASK] for shift, pairs in _RULE_PAIRS
+               if packed >> shift & MASK]
+        if use_new_features:
+            out += _SIZE_PAIRS[packed >> SIZE_SHIFT]
+            out += [pairs[packed >> shift & MASK] for shift, pairs in _UNEVOKED_PAIRS
+                    if packed >> shift & MASK]
+        terms = memo[packed] = tuple(out)
+    return terms
+
 
 OPERATOR_PHRASES: dict[str, tuple[str, ...]] = {
     "argmax": ("largest", "longest", "biggest", "most", "last", "highest"),
@@ -156,11 +199,12 @@ class UtteranceContext:
     lacks it. ``bit`` gives each of them its bit in a key's ``bits``.
 
     :meth:`key` encodes a derivation's predicate counts, rule counts and
-    size as a score key; :meth:`features` decodes a key into the feature
-    dict, and :class:`ChartScorer` weighs one. A dict's keys come in sorted
-    order: :meth:`head`'s ``cooc`` and ``missing`` terms, then the
-    ``rule|``, ``size>`` and ``unevoked|`` keys of the packed fields, whose
-    prefixes sort after both."""
+    size as a score key, and ``local`` maps each composite rule to its own
+    share of a key (see the module docstring). :meth:`add_features`
+    decodes a key into an accumulator, and :class:`ChartScorer` weighs
+    one. Features come in sorted key order: :meth:`head`'s ``cooc`` and
+    ``missing`` terms, then the ``rule|``, ``size>`` and ``unevoked|``
+    keys of the packed fields, whose prefixes sort after both."""
 
     def __init__(self, tokens: tuple[str, ...], lexicon: dict, use_new_features: bool):
         self.use_new_features = use_new_features
@@ -191,6 +235,12 @@ class UtteranceContext:
                 self.triggers[kind, name] = (tuple(terms), tuple(absent))
         self.bit = {key: 1 << i for i, key in enumerate(self.triggers)}
         self._heads: tuple[dict, dict] = ({}, {})  # bits -> head(), of fragments and of roots
+        # a composite's own share of its score key: one application of its
+        # rule, plus the operator predicate that a superlative introduces
+        self.local = {rule: self.key({}, {rule: 1}, 1)
+                      for rule in ("rjoin", "fjoin", "intersect", "call")}
+        for kind in ("argmax", "argmin"):
+            self.local[kind] = self.key({(KIND_OPERATOR, kind): 1}, {kind: 1}, 1)
 
     def key(self, preds: dict, rules: dict, size_used: int) -> tuple[int, int]:
         """``(bits, packed)`` of a derivation with these predicate counts,
@@ -226,23 +276,26 @@ class UtteranceContext:
             terms = memo[bits] = tuple(sorted(values.items()))
         return terms
 
+    def add_features(self, acc: dict, is_root: bool, bits: int, packed: int,
+                     scale: float) -> None:
+        """``acc += scale * features`` of the score key ``(bits,
+        packed)``, in place: the terms of :meth:`head`, then those of
+        :func:`packed_terms`, each key once and in sorted key order, so the
+        same float operations, bit for bit, as ``kernels.add_scaled`` over
+        the decoded dict, with no dict decoded and nothing sorted."""
+        get = acc.get
+        for k, value in self.head(is_root, bits):
+            acc[k] = get(k, 0.0) + value * scale
+        for k, value in packed_terms(self.use_new_features, packed):
+            acc[k] = get(k, 0.0) + value * scale
+
     def features(self, deriv, is_root: bool) -> dict[str, float]:
         """The feature dict of a derivation, decoded from its score key
-        (``bits`` and ``packed``, the only attributes read), keys in
+        (``bits`` and ``packed``, the only attributes read) by
+        :meth:`add_features` into an empty dict at scale 1.0, keys in
         sorted order."""
-        feats = dict(self.head(is_root, deriv.bits))
-        packed = deriv.packed
-        for k, shift in _RULE_FIELDS:
-            count = packed >> shift & MASK
-            if count:
-                feats[k] = float(count)
-        if self.use_new_features:
-            for k in _SIZE_KEYS[packed >> SIZE_SHIFT]:
-                feats[k] = 1.0
-            for k, shift in _UNEVOKED_FIELDS:
-                uses = packed >> shift & MASK
-                if uses:
-                    feats[k] = float(uses)
+        feats: dict[str, float] = {}
+        self.add_features(feats, is_root, deriv.bits, deriv.packed, 1.0)
         return feats
 
 
@@ -258,25 +311,18 @@ class ChartScorer:
     (``rule|``, ``size>``, ``unevoked|``), so ``dot``'s running total
     passes through the head's total before the first packed term. That
     partial total is memoized on (root flag, ``bits``); a miss adds to it
-    only the weighted packed terms, read straight from their fields.
-    ``weights`` must not change while the scorer is in use.
+    the weighted terms of :func:`packed_terms`, which are in sorted key
+    order already: that order is fixed by the key layout, so it is worked
+    out once per packed value for the whole process, not per parse or per
+    weight vector. ``weights`` must not change while the scorer is in use.
     """
 
     def __init__(self, ctx: UtteranceContext, weights: dict, max_rules: int):
         assert 1 <= max_rules <= MAX_RULES_LIMIT, max_rules
         self.weights = weights
         self.max_rules = max_rules
+        self.use_new_features = ctx.use_new_features
         self._head = ctx.head
-        # (weighted key, its weight, shift of the field it counts, or None
-        # for size>n, n) for every key whose value the packed fields give,
-        # in sorted key order
-        fields = _RULE_FIELDS + (_UNEVOKED_FIELDS if ctx.use_new_features else ())
-        tail = [(k, weights[k], shift, 0) for k, shift in fields if k in weights]
-        if ctx.use_new_features:
-            tail += [(k, weights[k], None, n) for k, n in
-                     ((f"{SIZE}{n}", n) for n in range(2, max_rules)) if k in weights]
-        tail.sort()
-        self._tail = tuple(tail)
         # (bits, packed) -> score, of fragments and of roots: a caller may
         # read a score here and must call score() when it is missing
         self.memo: tuple[dict, dict] = ({}, {})
@@ -292,24 +338,20 @@ class ChartScorer:
     def _total(self, is_root: bool, bits: int, packed: int) -> float:
         size = packed >> SIZE_SHIFT
         assert size <= self.max_rules, f"size {size} exceeds max_rules {self.max_rules}"
+        get = self.weights.get
         prefix = self._prefix[is_root]
         total = prefix.get(bits)
         if total is None:
             total = 0.0
-            get = self.weights.get
             for k, value in self._head(is_root, bits):
                 weight = get(k)
                 if weight is not None:
                     total += weight * value
             prefix[bits] = total
-        for _, weight, shift, n in self._tail:
-            if shift is None:
-                if n < size:  # value 1, and weight * 1 == weight
-                    total += weight
-            else:
-                value = packed >> shift & MASK
-                if value:
-                    total += weight * value
+        for k, value in packed_terms(self.use_new_features, packed):
+            weight = get(k)
+            if weight is not None:
+                total += weight * value
         return total
 
 

@@ -236,7 +236,7 @@ class State:
     read for a key or two (intermediate states inside application logic),
     so paying for indexing up front would be wasted work.
 
-    A state also keeps two memos, made on first use and living exactly as
+    A state also keeps three memos, made on first use and living exactly as
     long as the state, so they carry over between parses of the same state
     object (training epochs, tuning folds, grid points) but never between
     two equal states built apart:
@@ -245,7 +245,14 @@ class State:
       the form's (class, printed form) identity (see ``logic.evaluate``);
     - :attr:`call_outcomes`, the logic filter's outcome of each method call
       on this state, a kept result stored as its :meth:`changes_to` this
-      state (see ``parser.infer``).
+      state (see ``parser.infer``);
+    - :attr:`leaf_tables`, the parser's leaf layer per utterance context:
+      the leaf offers with their score keys, their dedup keys and the twin
+      flag, none of which reads the weights (see
+      ``parser.generate_candidates``). The first parse under a context
+      stores only None, to mark that it happened; the second stores the
+      table, which later parses replay. So a state parsed once keeps no
+      table.
 
     A derived state refers to its root and a root to nothing, so states
     make no reference cycle.
@@ -268,6 +275,7 @@ class State:
         "_subj_idx",
         "_denotations",
         "_call_outcomes",
+        "_leaf_tables",
         "__weakref__",
     )
 
@@ -283,6 +291,7 @@ class State:
         self._subj_idx: dict | None = None
         self._denotations: dict | None = None
         self._call_outcomes: dict | None = None
+        self._leaf_tables: dict | None = None
 
     def _derive(self, entities: frozenset[Entity], dropped: frozenset[Triple],
                 added: frozenset[Triple]) -> State:
@@ -298,7 +307,7 @@ class State:
         new._dropped = dropped
         new._added = added
         new._hash = new._obj_idx = new._subj_idx = None
-        new._denotations = new._call_outcomes = None
+        new._denotations = new._call_outcomes = new._leaf_tables = None
         return new
 
     def _edit(self, entities: frozenset[Entity], remove: frozenset[Triple],
@@ -362,6 +371,15 @@ class State:
         memo = self._call_outcomes
         if memo is None:
             memo = self._call_outcomes = {}
+        return memo
+
+    @property
+    def leaf_tables(self) -> dict:
+        """The parser's leaf table per utterance context parsed on this
+        state; None for a context parsed once so far."""
+        memo = self._leaf_tables
+        if memo is None:
+            memo = self._leaf_tables = {}
         return memo
 
     # -- changes ------------------------------------------------------------

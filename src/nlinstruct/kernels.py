@@ -2,12 +2,15 @@
 
 Iteration is in sorted key order, so that summation order never depends
 on dict insertion history and trained weights are reproducible bit for
-bit. The trainer calls :func:`add_scaled` and :func:`adagrad_update`.
-:func:`dot` has no caller in the package: it is the reference that tests
-and the benchmark harness check scores against. The parser's
-:class:`~nlinstruct.features.ChartScorer` sums ``weight * value`` in the
-same sorted key order, so its scores equal ``dot`` over the feature dict
-bit for bit; change both or neither.
+bit. The trainer calls :func:`adagrad_update`. :func:`dot` and
+:func:`add_scaled` have no caller in the package: they are the
+references that tests and the benchmark harness check against. The
+parser's :class:`~nlinstruct.features.ChartScorer` sums ``weight *
+value`` in the same sorted key order, so its scores equal ``dot`` over the
+feature dict bit for bit, and the gradient adds each candidate's features
+from its score key (``UtteranceContext.add_features``) in the order and
+with the float operations of ``add_scaled`` over that dict; change each
+pair together or not at all.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ rule counts, its untriggered predicate uses per kind and its size, in
 fixed-width fields; see :mod:`nlinstruct.features`). Keys compose: a
 leaf's key comes from its one predicate and rule, and a composite's is
 its rule's local key with its children's ``bits`` OR-ed in and their
-``packed`` added. The scorer built once per parse, a
+``packed`` added. The scorer built once per parse (its weights are the
+parse's), a
 :class:`~nlinstruct.features.ChartScorer`, maps a key to the same float,
 bit for bit, as ``kernels.dot`` over the feature dict the key decodes to.
 That float is the derivation's ``score``, which the trainer reads too.
@@ -92,11 +93,25 @@ leaves have such a twin (an ordinal word and the same number as a digit,
 a text value matched twice) can build one form at two spans or two
 sizes, the first of which must win, so its cells drop nothing.
 
-The score key is the only description of a derivation's features: its
-feature dict (``Derivation.feats``) is decoded from the key on first read.
-Readers are the gradient, ``Candidate.features`` and ``parse --explain``,
-all of which see only the candidates that survive the beams and the
-filter.
+The score key is the only description of a derivation's features. The
+gradient adds a candidate's features straight from its key
+(``Candidate.add_features``) and builds no dict; ``parse --explain`` and
+``Candidate.features`` read the feature dict (``Derivation.feats``),
+decoded from the key on first read. All of them see only the candidates
+that survive the beams and the filter.
+
+A re-parse pays only for what its weights change. The leaf layer (the
+anchored and floating leaves with their spans, rules and score keys, the
+dedup keys they leave and the twin flag; see :func:`_leaves`) reads only
+the utterance context and the state's text values, so the state keeps it
+per context (``State.leaf_tables``) from its second parse on, and a later
+parse scores and offers the recorded leaves in their order instead of
+building them. The first parse of a (state, context) only marks that it
+happened, so a state parsed once (a test example, ``nlinstruct parse``)
+keeps nothing. Leaf forms are immutable, so parses share them; each parse
+builds its own derivations. The rules' own shares of a key are kept on
+the context (``UtteranceContext.local``), and the order of a key's packed
+terms for the whole process (``features.packed_terms``).
 
 Inference has one path, :func:`infer`: parse, execute each root's call
 against the state and, with the logic filter on, drop the roots with an
@@ -150,7 +165,6 @@ from .domains.base import (
 from .errors import ConfigError, DomainLogicError
 from .features import (
     KIND_METHOD,
-    KIND_OPERATOR,
     KIND_RELATION,
     MAX_RULES_LIMIT,
     ChartScorer,
@@ -337,53 +351,27 @@ class _Open:
             self.cut = best[0]
 
 
-def generate_candidates(
-    tokens,
-    state: State,
-    domain: Domain,
-    config: ParserConfig | None = None,
-    weights: dict | None = None,
-    featurizer: Featurizer | None = None,
-    judge: Callable[[tuple], bool] | None = None,
-) -> list[Derivation]:
-    """All root derivations that survive their beams, ordered by (size, rank).
+_MISSING = object()
 
-    With ``judge``, a root cell's survivors are passed to it as their
-    children (method, argument, ...) when the cell settles, and only those
-    it accepts are built and returned; the beam is cut before judging, so
-    a rejected root still holds its place. Returns an empty list when the
-    grammar produces no root at all (reported upstream as a parse
-    failure).
-    """
-    config = config or ParserConfig()
-    weights = weights if weights is not None else {}
-    featurizer = featurizer or Featurizer(domain)
-    ctx = featurizer.context(tuple(tokens))
-    beam = config.beam_size
-    max_rules = config.max_rules
 
-    # a cell holds an _Open of offers, (-score, printed, spans, children,
-    # rule, bits, packed, lf), until it is settled, then the derivations of
-    # the offers that survive its beam; lf is None for a composite until it
-    # is built. Offers rank as plain tuples: (printed, spans) is unique in a
-    # cell
-    cells: dict[tuple[str, int], _Open | list] = {}
+def _leaves(tokens: tuple, state: State, domain: Domain, ctx: UtteranceContext) -> tuple:
+    """The leaf offers of a parse before scoring, as ``(offers, seen,
+    twin)``: each offer is (category, printed form, spans, rule, bits,
+    packed, form) in offer order, ``seen`` holds their dedup keys, and
+    ``twin`` says whether two leaves of one category print alike at
+    different spans. None of it reads the weights: only the tokens, the
+    domain and the template setting (all fixed by ``ctx``) and the
+    state's text values."""
+    offers: list[tuple] = []
     seen: set = set()
     # (category, printed) -> spans of the first leaf that prints so; a
     # second leaf that prints alike at other spans is a twin
     leaf_spans: dict[tuple[str, str], tuple] = {}
     twin = False
-    scorer = ChartScorer(ctx, weights, max_rules)
-    score = scorer.score
-    # a composite's own share of its score key: one application of its
-    # rule, plus the operator predicate that a superlative introduces
-    local = {rule: ctx.key({}, {rule: 1}, 1) for rule in ("rjoin", "fjoin", "intersect", "call")}
-    for kind in (ARGMAX, ARGMIN):
-        local[kind] = ctx.key({(KIND_OPERATOR, kind): 1}, {kind: 1}, 1)
 
     def leaf(category: str, lf: LogicalForm, spans: tuple, rule: str, pred=None) -> None:
         """Offer a leaf; ``pred`` is the one predicate its form uses, as
-        (kind, name), if any. Leaves are never dropped."""
+        (kind, name), if any."""
         nonlocal twin
         key = (category, lf.printed, spans)
         if key in seen:
@@ -392,33 +380,10 @@ def generate_candidates(
         if leaf_spans.setdefault(key[:2], spans) != spans:
             twin = True
         bits, packed = ctx.key({pred: 1} if pred else {}, {rule: 1}, 1)
-        total = score(False, bits, packed)
-        cell = cells.get((category, 1))
-        if cell is None:
-            cell = cells[category, 1] = _Open(beam, False)
-        cell.add((-total, lf.printed, spans, (), rule, bits, packed, lf), total)
+        offers.append((category, lf.printed, spans, rule, bits, packed, lf))
 
-    def settle(category: str, size_used: int) -> None:
-        cell = cells.get((category, size_used))
-        if cell is None:
-            return
-        offers = cell.offers
-        if len(offers) > beam:
-            # the first `beam` in rank order score at or above the beam-th
-            # best score, so sort only those
-            cut = -cell.best[0]
-            offers = [o for o in offers if o[0] <= cut]
-        offers.sort()
-        del offers[beam:]
-        if judge is not None and category == CAT_ROOT:
-            offers = [o for o in offers if judge(o[3])]
-        cells[category, size_used] = [_build(o, category, size_used, ctx) for o in offers]
-
-    # ---- size 1: anchored and floating leaves -----------------------------
-
-    toks = list(tokens)
     has_index = "index" in domain.relations
-    for i, tok in enumerate(toks):
+    for i, tok in enumerate(tokens):
         try:
             n = int(tok) if tok.isdigit() else NUMBER_WORDS.get(tok)
         except ValueError:  # a digit run too long for int() anchors no integer
@@ -443,9 +408,9 @@ def generate_candidates(
                 text_values[key].append(t.object)
     if text_values:
         longest = max(len(k) for k in text_values)
-        for i in range(len(toks)):
-            for j in range(i + 1, min(i + longest, len(toks)) + 1):
-                for v in text_values.get(tuple(toks[i:j]), ()):
+        for i in range(len(tokens)):
+            for j in range(i + 1, min(i + longest, len(tokens)) + 1):
+                for v in text_values.get(tokens[i:j], ()):
                     leaf(CAT_VALUE, ValueLit(v), ((i, j),), "anchor-text")
 
     for rel in sorted(domain.relations):
@@ -456,6 +421,80 @@ def generate_candidates(
         leaf(CAT_METHOD, MethodRef(method), (), "float-method", (KIND_METHOD, method.name))
     for sym in sorted(domain.enum_symbols):
         leaf(CAT_VALUE, ValueLit(SymVal(sym)), (), "float-sym")
+    return offers, seen, twin
+
+
+def generate_candidates(
+    tokens,
+    state: State,
+    domain: Domain,
+    config: ParserConfig | None = None,
+    weights: dict | None = None,
+    featurizer: Featurizer | None = None,
+    judge: Callable[[tuple], bool] | None = None,
+) -> list[Derivation]:
+    """All root derivations that survive their beams, ordered by (size, rank).
+
+    With ``judge``, a root cell's survivors are passed to it as their
+    children (method, argument, ...) when the cell settles, and only those
+    it accepts are built and returned; the beam is cut before judging, so
+    a rejected root still holds its place. Returns an empty list when the
+    grammar produces no root at all (reported upstream as a parse
+    failure).
+    """
+    config = config or ParserConfig()
+    weights = weights if weights is not None else {}
+    featurizer = featurizer or Featurizer(domain)
+    tokens = tuple(tokens)
+    ctx = featurizer.context(tokens)
+    beam = config.beam_size
+    max_rules = config.max_rules
+
+    # a cell holds an _Open of offers, (-score, printed, spans, children,
+    # rule, bits, packed, lf), until it is settled, then the derivations of
+    # the offers that survive its beam; lf is None for a composite until it
+    # is built. Offers rank as plain tuples: (printed, spans) is unique in a
+    # cell
+    cells: dict[tuple[str, int], _Open | list] = {}
+    scorer = ChartScorer(ctx, weights, max_rules)
+    score = scorer.score
+    local = ctx.local
+
+    def settle(category: str, size_used: int) -> None:
+        cell = cells.get((category, size_used))
+        if cell is None:
+            return
+        offers = cell.offers
+        if len(offers) > beam:
+            # the first `beam` in rank order score at or above the beam-th
+            # best score, so sort only those
+            cut = -cell.best[0]
+            offers = [o for o in offers if o[0] <= cut]
+        offers.sort()
+        del offers[beam:]
+        if judge is not None and category == CAT_ROOT:
+            offers = [o for o in offers if judge(o[3])]
+        cells[category, size_used] = [_build(o, category, size_used, ctx) for o in offers]
+
+    # ---- size 1: anchored and floating leaves -----------------------------
+    # read from the state's leaf table from its third parse under this
+    # context on; the second parse fills it, the first only marks it
+
+    tables = state.leaf_tables
+    table = tables.get(ctx, _MISSING)
+    if table is _MISSING or table is None:
+        leaves, seen, twin = _leaves(tokens, state, domain, ctx)
+        tables[ctx] = None if table is _MISSING else (tuple(leaves), frozenset(seen), twin)
+    else:
+        leaves, keys, twin = table
+        seen = set(keys)
+    # leaves are never dropped
+    for category, printed, spans, rule, bits, packed, lf in leaves:
+        total = score(False, bits, packed)
+        cell = cells.get((category, 1))
+        if cell is None:
+            cell = cells[category, 1] = _Open(beam, False)
+        cell.add((-total, printed, spans, (), rule, bits, packed, lf), total)
 
     for cat in (CAT_VALUE, CAT_SET, CAT_REL, CAT_METHOD):
         settle(cat, 1)
@@ -598,9 +637,6 @@ def generate_candidates(
     return out
 
 
-_MISSING = object()
-
-
 def _arguments(children: tuple, state: State, verdicts: dict) -> tuple | None:
     """The argument sets of a root made of ``children`` (method, argument,
     ...), or None when one does not fit its parameter.
@@ -676,6 +712,13 @@ class Candidate(NamedTuple):
     def features(self) -> dict | None:
         """The derivation's feature dict, built on first read."""
         return self.deriv.feats
+
+    def add_features(self, acc: dict, scale: float) -> None:
+        """``acc += scale * features``, read from the derivation's score
+        key without building the dict (see
+        :meth:`~nlinstruct.features.UtteranceContext.add_features`)."""
+        d = self.deriv
+        d._context.add_features(acc, d.category == CAT_ROOT, d.bits, d.packed, scale)
 
 
 def infer(

@@ -8,7 +8,13 @@ The model assigns each candidate z the probability
 and the objective is the L1-regularized log-likelihood of the desired
 denotation, i.e. of the total probability mass on candidates whose
 execution yields the desired state. Candidates are re-generated with the
-current weights at every visit, because beam contents depend on the scores.
+current weights at every visit, because beam contents depend on the scores;
+a re-parse of a state rebuilds only what the weights change (see
+:mod:`nlinstruct.parser`). The gradient comes from the candidates' score
+keys: each candidate adds ``coef * features`` straight from its key, head
+terms then packed fields, in sorted key order, so no feature dict is
+decoded or sorted and every weight is bit for bit what
+``kernels.add_scaled`` over the feature dicts would give.
 
 Two-step training first runs AdaGrad over the examples of one domain subset
 and uses the learned weights to initialize a second AdaGrad run over the
@@ -148,8 +154,10 @@ def example_log_likelihood(candidates: list, denotations: list,
     A candidate's score is its derivation's ``score``, which the parser
     computed under the current weights. The gradient is the difference
     between the feature expectation over correct candidates and the full
-    feature expectation. Returns None when no candidate denotes the
-    desired state (such examples are skipped)."""
+    feature expectation, which each candidate adds as ``coef * features``
+    (``add_features``, read from its score key; no feature dict is built).
+    Returns None when no candidate denotes the desired state (such
+    examples are skipped)."""
     if not candidates:
         raise NlinstructError("no candidates")
     scores = [c.deriv.score for c in candidates]
@@ -166,7 +174,7 @@ def example_log_likelihood(candidates: list, denotations: list,
         if i in correct_set:
             coef += math.exp(scores[i] - lse_correct)
         if coef:
-            kernels.add_scaled(grad, c.features, coef)
+            c.add_features(grad, coef)
     return logp, grad
 
 

@@ -620,6 +620,16 @@ _TWICE = ('{"entities": [{"id": "f1", "type": "File"}, {"id": "f1", "type": "Dir
 _MISTYPED = ('{"entities": [{"id": "room1", "type": "Room"}], '
              '"triples": [["room1", "type", {"sym": "Light"}]]}')
 
+# a list state whose second element's index is text
+_TEXT_INDEX = ('{"entities": [{"id": "el1", "type": "Element"}, {"id": "el2", "type": "Element"}], '
+               '"triples": [["el1", "index", {"int": 1}], ["el1", "value", {"int": 7}], '
+               '["el2", "index", {"str": "two"}], ["el2", "value", {"int": 3}]]}')
+
+
+def _parse_list_state(tmp_path, state_text):
+    return ["parse", "remove the first element", "--domain", "list",
+            "--state", _bad_file(tmp_path, "bad_state.json", state_text)]
+
 
 def _generate_with(tmp_path, generation, domain="lighting"):
     """``generate`` for ``domain`` under a config whose ``generation``
@@ -759,6 +769,8 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
      "bad_state.json: malformed state object: entity 'f1' declared twice"),
     (lambda p: _parse_with_state(p, _MISTYPED), 3,
      "bad_state.json: lighting: entity 'room1' has type 'Room', but a type triple gives it 'Light'"),
+    (lambda p: _parse_list_state(p, _TEXT_INDEX), 3,
+     "bad_state.json: list: relation 'index' holds an integer, but entity 'el2' has TextVal('two')"),
     (lambda p: _eval_with_dataset(p, [{"header": {}}, '{"id": %s}' % _LONG_INT]), 3,
      "data.jsonl:2: " + _TOO_LONG),
     (lambda p: _eval_with_dataset(p, [_DEEP]), 3, "data.jsonl:1: " + _TOO_DEEP),
@@ -790,7 +802,8 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
         "generation-messenger-users-above", "generation-messenger-users-zero",
         "generation-calendar-events", "generation-file-directories",
         "generation-workforce-employees",
-        "state-long-int", "state-deep", "state-repeated-id", "state-mistyped", "dataset-long-int", "dataset-deep",
+        "state-long-int", "state-deep", "state-repeated-id", "state-mistyped", "state-text-index",
+        "dataset-long-int", "dataset-deep",
         "config-long-int", "config-deep", "tune-two-sources", "eval-two-sources",
         "eval-two-sources-one-point", "eval-in-domain-one-example", "significance-unaligned",
         "significance-empty", "eval-in-domain-no-test-split", "train-ordering"])

@@ -290,3 +290,37 @@ def test_set_value_leaves_alone_an_entity_without_the_relation():
     assert result == State("lighting", [r1, r2, r3], [
         t1, t2, t3, Triple(r1, "lightMode", SymVal("ON")), Triple(r2, "lightMode", SymVal("ON"))])
     assert set_value(result, {r1, r2, r3}, "lightMode", SymVal("ON")) == result
+
+
+def test_generated_states_conform_to_their_relations_object_kinds():
+    # every generated pair of every domain, default and large sizes, loads
+    # through the validator; each non-type triple given an object of
+    # another kind is refused
+    from test_memos import LARGE_RANGES
+
+    from nlinstruct.domains.base import OBJ_ENTITY, OBJ_INT, OBJ_SYM, OBJ_TEXT, validate_state_for_domain
+    from nlinstruct.errors import DataError
+    from nlinstruct.kb import TYPE_RELATION
+
+    other = {OBJ_INT: TextVal("two"), OBJ_TEXT: IntVal(2), OBJ_SYM: TextVal("ON"),
+             OBJ_ENTITY: SymVal("ON")}
+    refused = 0
+    for domain in builtin_domains():
+        rng = random.Random(41)
+        for ranges in (None, LARGE_RANGES[domain.id]):
+            for method in domain.methods:
+                for _ in range(3):
+                    initial, _, desired = generate_state_pair(domain, method, rng, ranges)
+                    validate_state_for_domain(initial, domain)
+                    validate_state_for_domain(desired, domain)
+        kinds = set()
+        for t in sorted(initial.triples, key=repr):
+            kind = domain.relations[t.relation].object_kind
+            if t.relation == TYPE_RELATION or kind in kinds:
+                continue
+            kinds.add(kind)
+            bad = initial.replace_triples([t], [Triple(t.subject, t.relation, other[kind])])
+            with pytest.raises(DataError, match=f"relation {t.relation!r} holds"):
+                validate_state_for_domain(bad, domain)
+            refused += 1
+    assert refused >= 15

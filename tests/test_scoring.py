@@ -596,8 +596,10 @@ def test_mean_credit_builds_no_feature_dict(trained, monkeypatch):
 
 def test_gradient_reads_the_reference_feature_dicts(trained):
     # the reference candidates carry the string-template dicts and the
-    # score kernels.dot gives over them; the trainer reads the chart's
-    # scores and the package's dicts, and must agree bit for bit
+    # score kernels.dot gives over them, and add their features with
+    # kernels.add_scaled; the trainer reads the chart's scores and adds
+    # each candidate's features from its score key, and must agree bit for
+    # bit
     pipeline = Pipeline(get_domain, CONFIG)
     gradients = 0
     for ex in _examples(1, seed=19):
@@ -609,23 +611,38 @@ def test_gradient_reads_the_reference_feature_dicts(trained):
             d = c.deriv
             feats = reference_features(tokens, lexicon, True, d.lf, reference_rules(d),
                                        d.size_used, True)
-            want.append(SimpleNamespace(features=feats,
-                                        deriv=SimpleNamespace(score=kernels.dot(trained, feats))))
+            want.append(SimpleNamespace(
+                features=feats, deriv=SimpleNamespace(score=kernels.dot(trained, feats)),
+                add_features=lambda acc, scale, feats=feats: kernels.add_scaled(acc, feats, scale)))
         denots = [c.denotation for c in cands]
         got = example_log_likelihood(cands, denots, ex.desired)
-        assert got == example_log_likelihood(want, denots, ex.desired)
-        gradients += got is not None
+        ref = example_log_likelihood(want, denots, ex.desired)
+        assert got == ref
+        if got is not None:
+            gradients += 1
+            assert got[0].hex() == ref[0].hex()
+            assert list(got[1]) == list(ref[1]), ex.id
+            assert {k: v.hex() for k, v in got[1].items()} == \
+                {k: v.hex() for k, v in ref[1].items()}, ex.id
         for c, ref in zip(cands, want):
             assert c.features == ref.features and list(c.features) == sorted(ref.features)
             assert repr(c.deriv.score) == repr(ref.deriv.score)
     assert gradients >= 5
 
 
+# a gradient part way through, with values whose sums round differently
+# depending on the order of the additions
+ACCUMULATED = {"rule|call": 0.1, "size>2": 1e16, "cooc-any|method|desc": -1 / 3,
+               "unevoked|relation": 2.5e-8, "missing-any|relation": -0.0}
+
+
 def _check_feature_dicts(built, examples, config, use_new_features) -> tuple[Counter, set]:
     """Every root and fragment the eager chart builds for ``examples``,
     pruned ones too, each read both as a root and as a fragment, decodes
-    to the reference dict, keys in sorted order; returns the derivations
-    checked per (domain, category) and the template families seen."""
+    to the reference dict, keys in sorted order, and adds to a gradient
+    exactly as ``kernels.add_scaled`` adds the reference dict; returns the
+    derivations checked per (domain, category) and the template families
+    seen."""
     checked: Counter = Counter()
     templates = set()
     for ex in examples:
@@ -643,6 +660,14 @@ def _check_feature_dicts(built, examples, config, use_new_features) -> tuple[Cou
                                           rules, d.size_used, is_root)
                 assert got == want and list(got) == sorted(want), (ex.id, d, is_root)
                 templates.update(re.match(r"[a-z-]+[|>]", k).group() for k in got)
+                # the gradient's accumulation into a filled dict, against
+                # kernels.add_scaled over the reference dict
+                acc, ref = dict(ACCUMULATED), dict(ACCUMULATED)
+                ctx.add_features(acc, is_root, d.bits, d.packed, -0.37)
+                kernels.add_scaled(ref, want, -0.37)
+                assert list(acc) == list(ref), (ex.id, d, is_root)
+                assert [v.hex() for v in acc.values()] == [v.hex() for v in ref.values()], \
+                    (ex.id, d, is_root)
             checked[ex.domain_id, d.category] += 1
     return checked, templates
 

@@ -37,6 +37,9 @@ class FakeCandidate:
         self.denotation = denotation
         self.deriv = SimpleNamespace(score=kernels.dot(theta, features))
 
+    def add_features(self, acc, scale):
+        kernels.add_scaled(acc, self.features, scale)
+
 
 def test_score_is_a_sparse_dot_product():
     assert kernels.dot({}, {}) == 0.0
