@@ -16,10 +16,13 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
+import random
 import sys
 
-from . import dataio, training
+from . import dataio
 from .domains import builtin_domains, generate_state_pair, get_domain
+from .domains.base import validate_state_for_domain
 from .errors import ConfigError, DataError, NlinstructError
 from .evaluation import (
     BOOTSTRAP_ITERATIONS_LIMIT,
@@ -36,9 +39,6 @@ from .evaluation import (
 from .features import Featurizer, tokenize
 from .parser import ParserConfig, infer
 from .training import TrainConfig, final_partition, partition_for_fold
-
-import os
-import random
 
 
 def _load_splits(path) -> dict[str, dict[str, list]]:
@@ -82,8 +82,6 @@ def _registry(config) -> InstrumentedRegistry:
     unknown = sorted(set(splits) - set(domains))
     if unknown:
         raise DataError(f"dataset references unregistered domains: {unknown}")
-    from .domains.base import validate_state_for_domain
-
     for domain_id, by_split in splits.items():
         for examples in by_split.values():
             for ex in examples:
@@ -108,17 +106,17 @@ def _train_config(config) -> TrainConfig:
 
 
 def _apply_flag_overrides(args, config) -> dict:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config["seed"] = args.seed
-    if getattr(args, "target_domain", None):
+    if args.target_domain:
         config["target_domain"] = args.target_domain
-    if getattr(args, "algorithm", None):
+    if args.algorithm:
         config["algorithm"] = args.algorithm
-    if getattr(args, "no_new_features", False):
+    if args.no_new_features:
         config["use_new_features"] = False
-    if getattr(args, "no_logic_filter", False):
+    if args.no_logic_filter:
         config["use_logic_filter"] = False
-    if getattr(args, "in_domain", False):
+    if args.in_domain:
         config["in_domain"] = True
     return config
 
@@ -198,13 +196,10 @@ def cmd_train(args) -> int:
     registry = _registry(config)
     weights, partition = train_model(spec, tconfig, training_examples(spec, registry),
                                      spec.pipeline(registry, parser_config), split)
-    training.save_model(
-        args.out, weights, tconfig, partition,
-        extra={"ablation": {
-            "use_new_features": config["use_new_features"],
-            "use_logic_filter": config["use_logic_filter"],
-        }},
-    )
+    dataio.save_model(args.out, weights, tconfig, partition, ablation={
+        "use_new_features": config["use_new_features"],
+        "use_logic_filter": config["use_logic_filter"],
+    })
     print(f"model written to {args.out} ({len(weights)} weights)")
     return 0
 
@@ -237,8 +232,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    from .domains.base import validate_state_for_domain
-
     if args.nbest < 1:
         raise ConfigError(f"--nbest must be >= 1, got {args.nbest}")
     config = ParserConfig(beam_size=args.beam_size, max_rules=args.max_rules)
@@ -251,7 +244,7 @@ def cmd_parse(args) -> int:
         raise DataError(f"{args.state}: {exc}") from None
     weights, use_new_features, use_logic_filter = {}, True, True
     if args.model:  # parse with the feature set and filter the model was trained with
-        weights, _, _, use_new_features, use_logic_filter = training.load_model(args.model)
+        weights, _, _, use_new_features, use_logic_filter = dataio.load_model(args.model)
     cands = infer(tokenize(args.utterance), state, domain, config, weights,
                   Featurizer(domain, use_new_features),
                   use_filter=use_logic_filter and not args.no_logic_filter)
@@ -284,7 +277,7 @@ def cmd_significance(args) -> int:
             return [ExampleScore.from_json(r) for r in report["per_example"]]
         except KeyError as exc:
             raise DataError(f"{path}: report lacks {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed report ({exc})") from None
 
     try:
@@ -345,8 +338,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="JSON file with one state object")
     p.add_argument("--model", default=None)
     p.add_argument("--nbest", type=int, default=5)
-    p.add_argument("--beam-size", type=int, default=200)
-    p.add_argument("--max-rules", type=int, default=15)
+    p.add_argument("--beam-size", type=int, default=ParserConfig.beam_size)
+    p.add_argument("--max-rules", type=int, default=ParserConfig.max_rules)
     p.add_argument("--no-logic-filter", action="store_true")
     p.add_argument("--explain", action="store_true", help="print feature values")
     p.set_defaults(func=cmd_parse)

@@ -1,4 +1,10 @@
-"""File formats: line-delimited datasets, gold-call sidecars, run configs.
+"""File formats: line-delimited datasets, gold-call sidecars, run configs
+and model files.
+
+A run config's ``train`` keys, ``grid`` axes and parser defaults are read
+from ``training.TrainConfig``, ``training.GRID`` and ``parser.ParserConfig``,
+and a model file's ``train_config`` and ``partition`` are the JSON forms of
+``TrainConfig`` and ``training.DomainPartition``.
 
 Dataset records are one JSON object per line:
 
@@ -18,11 +24,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from typing import Iterable
 
+from .domains import builtin_domains
 from .domains.base import Example, MethodCall
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NlinstructError
 from .kb import TYPE_RELATION, Entity, IntVal, State, SymVal, TextVal, Triple, Value
+from .parser import ParserConfig
+from .training import GRID, DomainPartition, TrainConfig, _is_int, _is_real
 
 DATASET_FORMAT = "nlinstruct-dataset"
 DATASET_VERSION = 1
@@ -251,18 +261,14 @@ _TOP_KEYS = {
     "generation": dict,
 }
 
-_GRID_KEYS = {"l1", "step_size", "iterations", "iterations_step1", "partition_sizes", "num_orderings"}
-_TRAIN_KEYS = {"l1", "step_size", "iterations", "iterations_step1", "partition_size",
-               "domain_ordering", "seed", "reset_accumulators"}
-
 DEFAULTS = {
     "algorithm": "gmdp",
     "use_new_features": True,
     "use_logic_filter": True,
     "in_domain": False,
     "seed": 0,
-    "beam_size": 200,
-    "max_rule_applications": 15,
+    "beam_size": ParserConfig.beam_size,
+    "max_rule_applications": ParserConfig.max_rules,
 }
 
 
@@ -270,8 +276,6 @@ def _check_generation(path, section: dict) -> None:
     """``generation`` maps built-in domain ids to objects of that domain's
     range names, each a [lo, hi] pair of integers with 0 <= lo <= hi, and
     within the domain's ``range_limits`` where it has one."""
-    from .domains import builtin_domains
-
     domains = {d.id: d for d in builtin_domains()}
     for domain_id, ranges in section.items():
         where = f"{path}: generation.{domain_id}"
@@ -312,7 +316,7 @@ def load_run_config(path) -> dict:
             raise ConfigError(f"{path}: key {key!r} must be an integer")
         if not isinstance(value, want):
             raise ConfigError(f"{path}: key {key!r} must be {want.__name__}")
-    for section, allowed in (("grid", _GRID_KEYS), ("train", _TRAIN_KEYS)):
+    for section, allowed in (("grid", GRID), ("train", {f.name for f in fields(TrainConfig)})):
         for key in raw.get(section, {}):
             if key not in allowed:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
@@ -322,3 +326,59 @@ def load_run_config(path) -> dict:
     config = dict(DEFAULTS)
     config.update(raw)
     return config
+
+
+# ---------------------------------------------------------------------------
+# Model files
+# ---------------------------------------------------------------------------
+
+MODEL_FORMAT = "nlinstruct-model"
+MODEL_VERSION = 1
+
+
+def save_model(path, weights: dict, config: TrainConfig,
+               partition: DomainPartition | None = None, ablation: dict | None = None) -> None:
+    """Write a model file; ``ablation``, when given, holds the flags the
+    model was trained with."""
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "weights": {k: weights[k] for k in sorted(weights)},
+        "train_config": config.to_json(),
+        "partition": partition.to_json() if partition else None,
+    }
+    if ablation is not None:
+        payload["ablation"] = ablation
+    atomic_write_json(path, payload)
+
+
+def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool, bool]:
+    """Weights, config, partition, ``use_new_features`` and
+    ``use_logic_filter`` (each true when the ``ablation`` block lacks it)
+    of a model file; :class:`DataError` if malformed."""
+    payload = read_json_object(path, "model")
+    if payload.get("format") != MODEL_FORMAT:
+        raise DataError(f"{path}: not a model file")
+    version = payload.get("version")
+    if version != MODEL_VERSION or not _is_int(version):
+        raise DataError(f"{path}: unsupported model version {version!r}")
+    try:
+        weights = payload["weights"]
+        if not isinstance(weights, dict):
+            raise TypeError("weights must be an object")
+        config = TrainConfig.from_json(payload["train_config"])
+        part = payload.get("partition")
+        partition = None if part is None else DomainPartition.from_json(part)
+        ablation = payload.get("ablation", {})
+        if not isinstance(ablation, dict) or not all(isinstance(v, bool) for v in ablation.values()):
+            raise TypeError(f"ablation must map flags to true or false, got {ablation!r}")
+    except KeyError as exc:
+        raise DataError(f"{path}: model file lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from None
+    # a NaN score has no rank, so the chart's beams could not order it
+    bad = sorted(k for k, w in weights.items() if not _is_real(w))
+    if bad:
+        raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
+    return ({k: float(w) for k, w in weights.items()}, config, partition,
+            ablation.get("use_new_features", True), ablation.get("use_logic_filter", True))

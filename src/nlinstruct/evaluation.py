@@ -13,7 +13,7 @@ import contextlib
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .domains.base import Domain, Example
 from .errors import ConfigError, DataError, NlinstructError
@@ -54,13 +54,18 @@ class ExampleScore:
     @classmethod
     def from_json(cls, obj: dict) -> "ExampleScore":
         """The inverse of :meth:`to_json`: KeyError for a missing field,
-        TypeError for a field of the wrong type or a non-finite credit."""
+        TypeError for a field of the wrong type or a non-finite credit,
+        ValueError for an impossible credit or count."""
         score = cls(obj["id"], obj["credit"], obj["tie_count"], obj["correct_in_tie"],
                     obj["parse_failed"])
         if not (isinstance(score.example_id, str) and _is_real(score.credit)
                 and _is_int(score.tie_count) and _is_int(score.correct_in_tie)
                 and isinstance(score.parse_failed, bool)):
             raise TypeError(f"bad per-example entry {obj!r}")
+        if not (0 <= score.credit <= 1 and 0 <= score.correct_in_tie <= score.tie_count):
+            raise ValueError(f"example {score.example_id!r} needs credit in [0, 1] and 0 <= "
+                             f"correct_in_tie <= tie_count, got {score.credit!r}, "
+                             f"{score.correct_in_tie} and {score.tie_count}")
         return score
 
 
@@ -297,17 +302,9 @@ def run_experiment(
     # zero-shot property
     violations = [] if spec.in_domain else registry.violations(target, logged)
     report = {
-        "experiment": {
-            "target_domain": target,
-            "label": spec.label(),
-            "use_gmdp": spec.use_gmdp,
-            "use_new_features": spec.use_new_features,
-            "use_logic_filter": spec.use_logic_filter,
-            "in_domain": spec.in_domain,
-            "seed": spec.seed,
-        },
+        "experiment": dict(asdict(spec), label=spec.label()),
         "tuned_config": tuned.to_json(),
-        "partition": {"d1": list(partition.d1), "d2": list(partition.d2)} if partition else None,
+        "partition": partition.to_json() if partition else None,
         "test_split": split,
         "accuracy": (100.0 * sum_in_order(s.credit for s in scores) / len(scores)) if scores else None,
         "no_data": not scores,

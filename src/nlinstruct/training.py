@@ -40,6 +40,10 @@ of the pipeline, the example and the weights alone, so the parses a run
 makes before its first update depend only on its start weights: every run
 from zero, a fold's or the final model's, starts under the same empty
 weights, and several second steps start from one first step.
+
+:data:`GRID` is the default grid; :class:`TrainConfig` and
+:class:`DomainPartition` own their JSON forms, which :mod:`nlinstruct.dataio`
+writes into files.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import kernels
-from .errors import ConfigError, DataError, NlinstructError
+from .errors import ConfigError, NlinstructError
 from .parser import Pipeline
 
 log = logging.getLogger(__name__)
@@ -104,16 +108,8 @@ class TrainConfig:
             raise ConfigError("iteration counts must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "l1": self.l1,
-            "step_size": self.step_size,
-            "iterations": self.iterations,
-            "iterations_step1": self.iterations_step1,
-            "partition_size": self.partition_size,
-            "domain_ordering": list(self.domain_ordering) if self.domain_ordering else None,
-            "seed": self.seed,
-            "reset_accumulators": self.reset_accumulators,
-        }
+        ordering = self.domain_ordering
+        return dict(asdict(self), domain_ordering=list(ordering) if ordering else None)
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
@@ -130,6 +126,17 @@ class DomainPartition:
             raise NlinstructError("both partition sides must be non-empty")
         if set(self.d1) & set(self.d2):
             raise NlinstructError("partition sides overlap")
+
+    def to_json(self) -> dict:
+        return {"d1": list(self.d1), "d2": list(self.d2)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "DomainPartition":
+        """The inverse of :meth:`to_json`; KeyError, TypeError or NlinstructError if malformed."""
+        sides = obj["d1"], obj["d2"]
+        if not all(isinstance(v, list) and all(isinstance(d, str) for d in v) for v in sides):
+            raise TypeError(f"partition sides must be lists of domain ids, got {obj!r}")
+        return cls(*map(tuple, sides))
 
 
 def sum_in_order(values) -> float:
@@ -309,12 +316,16 @@ def gmdp(
 # Hyper-parameter search
 # ---------------------------------------------------------------------------
 
-GRID_L1 = (0.001, 0.01)
-GRID_STEP_SIZE = (0.01, 0.1)
-GRID_ITERATIONS = (1, 2, 3)
-GRID_PARTITION_SIZES = (3, 4)
-GRID_ITERATIONS_STEP1 = (2, 4)
-GRID_NUM_ORDERINGS = 3
+#: The default grid by axis: value lists, and ``num_orderings``, a count of
+#: random domain orderings. A run config's ``grid`` section takes these keys.
+GRID = {
+    "l1": (0.001, 0.01),
+    "step_size": (0.01, 0.1),
+    "iterations": (1, 2, 3),
+    "partition_sizes": (3, 4),
+    "iterations_step1": (2, 4),
+    "num_orderings": 3,
+}
 
 
 def build_grid(
@@ -328,19 +339,19 @@ def build_grid(
     For two-step training the grid crosses regularization, step size,
     second-step iterations, first-step size of the partition, a few random
     domain orderings, and first-step iterations (144 points by default).
-    ``overrides`` replaces any of the axes with explicit value lists
-    (``num_orderings`` with a count); a given axis that is not a non-empty
-    list, or a count that is not a positive integer, is a ``ConfigError``."""
-    o = overrides or {}
-    for axis, values in o.items():
+    ``overrides`` replaces any of the :data:`GRID` axes with explicit value
+    lists (``num_orderings`` with a count); a given axis that is not a
+    non-empty list, or a count that is not a positive integer, is a
+    ``ConfigError``, as is a two-step count above the number of distinct
+    orderings of ``training_domains``."""
+    for axis, values in (overrides or {}).items():
         if axis == "num_orderings":
             if isinstance(values, bool) or not isinstance(values, int) or values < 1:
                 raise ConfigError(f"grid.num_orderings must be a positive integer, got {values!r}")
         elif not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"grid.{axis} must be a non-empty list, got {values!r}")
-    l1s = tuple(o.get("l1", GRID_L1))
-    steps = tuple(o.get("step_size", GRID_STEP_SIZE))
-    iters = tuple(o.get("iterations", GRID_ITERATIONS))
+    o = dict(GRID, **(overrides or {}))
+    l1s, steps, iters = (tuple(o[axis]) for axis in ("l1", "step_size", "iterations"))
     grid: list[TrainConfig] = []
     if algorithm == "adagrad":
         for l1, step, it in itertools.product(l1s, steps, iters):
@@ -348,9 +359,11 @@ def build_grid(
         return grid
     if algorithm != "gmdp":
         raise NlinstructError(f"unknown algorithm {algorithm!r}")
-    sizes = tuple(o.get("partition_sizes", GRID_PARTITION_SIZES))
-    step1_iters = tuple(o.get("iterations_step1", GRID_ITERATIONS_STEP1))
-    num_orderings = o.get("num_orderings", GRID_NUM_ORDERINGS)
+    sizes, step1_iters = tuple(o["partition_sizes"]), tuple(o["iterations_step1"])
+    num_orderings, distinct = o["num_orderings"], math.factorial(len(training_domains))
+    if num_orderings > distinct:  # more draws would only score repeats
+        raise ConfigError(f"grid.num_orderings {num_orderings} exceeds the {distinct} distinct "
+                          f"orderings of {len(training_domains)} source domains")
     rng = random.Random(seed)
     orderings = []
     for _ in range(num_orderings):
@@ -464,68 +477,3 @@ def final_partition(tuned: TrainConfig, training_domains: list[str]) -> DomainPa
     fold_d1, fold_d2 = m, len(training_domains) - 1 - m
     d1_size = m + 1 if fold_d1 >= fold_d2 else m
     return DomainPartition(tuple(ordering[:d1_size]), tuple(ordering[d1_size:]))
-
-
-# ---------------------------------------------------------------------------
-# Model files
-# ---------------------------------------------------------------------------
-
-MODEL_FORMAT = "nlinstruct-model"
-MODEL_VERSION = 1
-
-
-def save_model(path, weights: dict, config: TrainConfig,
-               partition: DomainPartition | None = None, extra: dict | None = None) -> None:
-    from .dataio import atomic_write_json
-
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "weights": {k: weights[k] for k in sorted(weights)},
-        "train_config": config.to_json(),
-        "partition": {"d1": list(partition.d1), "d2": list(partition.d2)} if partition else None,
-    }
-    if extra:
-        payload.update(extra)
-    atomic_write_json(path, payload)
-
-
-def _domain_ids(v) -> tuple[str, ...]:
-    if not isinstance(v, list) or not all(isinstance(d, str) for d in v):
-        raise TypeError(f"{v!r} is not a list of domain ids")
-    return tuple(v)
-
-
-def load_model(path) -> tuple[dict, TrainConfig, DomainPartition | None, bool, bool]:
-    """Weights, config, partition, ``use_new_features`` and
-    ``use_logic_filter`` (each true when the ``ablation`` block lacks it)
-    of a model file; :class:`DataError` if malformed."""
-    from .dataio import read_json_object
-
-    payload = read_json_object(path, "model")
-    if payload.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path}: not a model file")
-    version = payload.get("version")
-    if version != MODEL_VERSION or not _is_int(version):
-        raise DataError(f"{path}: unsupported model version {version!r}")
-    try:
-        weights = payload["weights"]
-        if not isinstance(weights, dict):
-            raise TypeError("weights must be an object")
-        config = TrainConfig.from_json(payload["train_config"])
-        part = payload.get("partition")
-        partition = (None if part is None
-                     else DomainPartition(_domain_ids(part["d1"]), _domain_ids(part["d2"])))
-        ablation = payload.get("ablation", {})
-        if not isinstance(ablation, dict) or not all(isinstance(v, bool) for v in ablation.values()):
-            raise TypeError(f"ablation must map flags to true or false, got {ablation!r}")
-    except KeyError as exc:
-        raise DataError(f"{path}: model file lacks {exc}") from None
-    except (TypeError, ValueError, AttributeError, NlinstructError) as exc:
-        raise DataError(f"{path}: malformed model file ({exc})") from None
-    # a NaN score has no rank, so the chart's beams could not order it
-    bad = sorted(k for k, w in weights.items() if not _is_real(w))
-    if bad:
-        raise DataError(f"{path}: model weight {bad[0]!r} is not a finite number")
-    return ({k: float(w) for k, w in weights.items()}, config, partition,
-            ablation.get("use_new_features", True), ablation.get("use_logic_filter", True))

@@ -11,11 +11,12 @@ import pytest
 import nlinstruct
 from nlinstruct import dataio
 from nlinstruct.cli import main
+from nlinstruct.dataio import save_model
 from nlinstruct.domains import get_domain
 from nlinstruct.domains.base import MethodCall
 from nlinstruct.kb import SymVal
 from nlinstruct.synthetic import build_domain_corpus
-from nlinstruct.training import TrainConfig, save_model
+from nlinstruct.training import TrainConfig
 
 from conftest import lighting_paper_state
 
@@ -279,6 +280,18 @@ def test_tune_then_train_tuned_builds_the_model_eval_reports(tmp_path, flags):
     assert model["partition"] == report["partition"]
     assert (report["partition"] is None) == bool(flags)
     assert model["weights"] == report["weights"] and report["weights"]
+    # the file schemas, pinned against literals
+    ordering = type(None) if flags else list
+    assert {k: type(v) for k, v in tuned.items()} == {
+        "l1": float, "step_size": float, "iterations": int, "iterations_step1": int,
+        "partition_size": int, "domain_ordering": ordering, "seed": int,
+        "reset_accumulators": bool}
+    assert model.keys() == {"format", "version", "weights", "train_config", "partition", "ablation"}
+    assert (model["format"], model["version"]) == ("nlinstruct-model", 1)
+    assert model["ablation"] == {"use_new_features": True, "use_logic_filter": True}
+    if not flags:
+        assert report["partition"].keys() == {"d1", "d2"}
+        assert all(type(d) is str for side in report["partition"].values() for d in side)
 
 
 def _paper_state_parse_args(tmp_path) -> list[str]:
@@ -667,15 +680,16 @@ def _row_without(key):
     return row
 
 
-def _zero_shot_on_two_sources(tmp_path, command, l1):
+def _zero_shot_on_two_sources(tmp_path, command, l1, grid=_GMDP_GRID):
     """``command`` with the two-step trainer over list, lighting and
     container with target ``list``: no partition size splits one source
-    domain in a tuning fold, nor two in the final model."""
+    domain in a tuning fold, nor two in the final model, and two source
+    domains have two orderings. ``grid`` gives the axes besides ``l1``."""
     examples = [ex for domain_id in ("list", "lighting", "container")
                 for ex, _ in build_domain_corpus(get_domain(domain_id), 3, seed=4)]
     dataio.write_dataset(tmp_path / "data.jsonl", examples)
     config = _write_config(tmp_path / "c.json", dataset=str(tmp_path / "data.jsonl"),
-                           algorithm="gmdp", grid=dict(_GMDP_GRID, l1=l1))
+                           algorithm="gmdp", grid=dict(grid, l1=l1))
     return [command, "--config", config, "--out", str(tmp_path / "out.json")]
 
 
@@ -692,8 +706,16 @@ def _in_domain_on_one_train_example(tmp_path):
     return ["eval", "--config", config, "--out", str(tmp_path / "r.json"), "--in-domain"]
 
 
-_ONE_SCORE = json.dumps({"per_example": [{"id": "list-0000", "credit": 1.0, "tie_count": 1,
-                                          "correct_in_tie": 1, "parse_failed": False}]})
+def _one_score(**fields):
+    """A report holding one per-example entry, its fields changed by ``fields``."""
+    return json.dumps({"per_example": [dict({"id": "list-0000", "credit": 1.0, "tie_count": 1,
+                                             "correct_in_tie": 1, "parse_failed": False},
+                                            **fields)]})
+
+
+_ONE_SCORE = _one_score()
+_IMPOSSIBLE = ("report.json: malformed report (example 'list-0000' needs credit in [0, 1] "
+               "and 0 <= correct_in_tie <= tie_count, got ")
 _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2 source domains empty"
 
 
@@ -779,11 +801,22 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
     (lambda p: _zero_shot_on_two_sources(p, "tune", [0.001, 0.01]), 2, _TWO_SOURCES),
     (lambda p: _zero_shot_on_two_sources(p, "eval", [0.001, 0.01]), 2, _TWO_SOURCES),
     (lambda p: _zero_shot_on_two_sources(p, "eval", [0.001]), 2, _TWO_SOURCES),
+    # the default grid's 3 orderings, before its partition sizes are checked
+    (lambda p: _zero_shot_on_two_sources(p, "eval", [0.001], grid={}), 2,
+     "grid.num_orderings 3 exceeds the 2 distinct orderings of 2 source domains"),
+    (lambda p: _run_with(p, "tune", algorithm="gmdp", grid=dict(_GMDP_GRID, num_orderings=7)),
+     2, "grid.num_orderings 7 exceeds the 6 distinct orderings of 3 source domains"),
     (lambda p: _in_domain_on_one_train_example(p), 3,
      "target 'list' has 1 train example(s); tuning a grid of 2 points needs 2 to cross-validate"),
     (lambda p: _significance(p, _ONE_SCORE), 3,
      "good.json: score lists are not aligned on the same examples"),
     (lambda p: _significance(p, '{"per_example": []}'), 3, "good.json: empty score lists"),
+    (lambda p: _significance(p, _one_score(credit=1.5)), 3, _IMPOSSIBLE + "1.5, 1 and 1)"),
+    (lambda p: _significance(p, _one_score(credit=-0.5)), 3, _IMPOSSIBLE + "-0.5, 1 and 1)"),
+    (lambda p: _significance(p, _one_score(tie_count=-1, correct_in_tie=0, credit=0.0)), 3,
+     _IMPOSSIBLE + "0.0, 0 and -1)"),
+    (lambda p: _significance(p, _one_score(correct_in_tie=-1)), 3, _IMPOSSIBLE + "1.0, -1 and 1)"),
+    (lambda p: _significance(p, _one_score(correct_in_tie=2)), 3, _IMPOSSIBLE + "1.0, 2 and 1)"),
     (lambda p: _run_with(p, "eval", in_domain=True), 3,
      "data.jsonl: in-domain experiments need a test split; target 'list' has none"),
     # a literal split whose ordering leaves a source domain out
@@ -805,8 +838,12 @@ _TWO_SOURCES = "grid partition_sizes [1] leave a side of the two-step split of 2
         "state-long-int", "state-deep", "state-repeated-id", "state-mistyped", "state-text-index",
         "dataset-long-int", "dataset-deep",
         "config-long-int", "config-deep", "tune-two-sources", "eval-two-sources",
-        "eval-two-sources-one-point", "eval-in-domain-one-example", "significance-unaligned",
-        "significance-empty", "eval-in-domain-no-test-split", "train-ordering"])
+        "eval-two-sources-one-point", "eval-two-sources-default-orderings",
+        "tune-orderings-above-three-factorial", "eval-in-domain-one-example",
+        "significance-unaligned", "significance-empty", "significance-credit-above-one",
+        "significance-negative-credit", "significance-negative-ties",
+        "significance-negative-correct", "significance-correct-above-ties",
+        "eval-in-domain-no-test-split", "train-ordering"])
 def test_bad_input_files_and_domains_exit_with_one_line(tmp_path, capsys, make_args, code, words):
     rc = main(make_args(tmp_path))
     captured = capsys.readouterr()

@@ -27,7 +27,7 @@ from nlinstruct.cli import main
 from nlinstruct.domains import builtin_domains, get_domain
 from nlinstruct.evaluation import BOOTSTRAP_ITERATIONS_LIMIT
 from nlinstruct.synthetic import build_domain_corpus
-from nlinstruct.training import DomainPartition, TrainConfig, save_model
+from nlinstruct.training import DomainPartition, TrainConfig
 
 from conftest import lighting_paper_state
 
@@ -116,9 +116,9 @@ def _setup(root: str) -> tuple[dict[str, Kind], dict[str, str]]:
     files["config"] = _write_json(os.path.join(root, "config.json"), config)
     state = dataio.state_to_json(lighting_paper_state())
     files["state"] = _write_json(os.path.join(root, "state.json"), state)
-    save_model(files["model"], {"cooc-any|method|desc": 2.0, "size>3": -0.5}, TrainConfig(),
-               DomainPartition(("list",), ("container",)),
-               extra={"ablation": {"use_new_features": True, "use_logic_filter": True}})
+    dataio.save_model(files["model"], {"cooc-any|method|desc": 2.0, "size>3": -0.5},
+                      TrainConfig(), DomainPartition(("list",), ("container",)),
+                      ablation={"use_new_features": True, "use_logic_filter": True})
     with open(files["model"]) as fh:
         model = json.load(fh)
     report = {"per_example": [{"id": "a", "credit": 1.0, "tie_count": 1, "correct_in_tie": 1,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -8,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from nlinstruct import kernels
-from nlinstruct.errors import NlinstructError
+from nlinstruct.dataio import load_model, save_model
+from nlinstruct.errors import ConfigError, NlinstructError
 from nlinstruct.training import (
     DomainPartition,
     PrefixStore,
@@ -18,9 +20,7 @@ from nlinstruct.training import (
     example_log_likelihood,
     final_partition,
     gmdp,
-    load_model,
     partition_for_fold,
-    save_model,
     tune_hyperparameters,
 )
 
@@ -304,6 +304,18 @@ def test_partition_validation():
         DomainPartition(("a",), ("a", "b"))
 
 
+def test_partition_json_round_trip():
+    partition = DomainPartition(("list",), ("lighting", "container"))
+    assert partition.to_json() == {"d1": ["list"], "d2": ["lighting", "container"]}
+    assert DomainPartition.from_json(json.loads(json.dumps(partition.to_json()))) == partition
+    with pytest.raises(KeyError):
+        DomainPartition.from_json({"d1": ["list"]})
+    with pytest.raises(TypeError):
+        DomainPartition.from_json({"d1": "list", "d2": ["lighting"]})
+    with pytest.raises(NlinstructError):
+        DomainPartition.from_json({"d1": ["list"], "d2": ["list"]})
+
+
 # ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
@@ -315,6 +327,27 @@ def test_gmdp_grid_has_144_points():
     orderings = {g.domain_ordering for g in grid}
     assert len(orderings) == 3
     assert all(sorted(o) == ["d1", "d2", "d3", "d4", "d5", "d6"] for o in orderings)
+
+
+def test_train_config_json_round_trips_over_the_default_grid():
+    grid = build_grid("gmdp", ["d1", "d2", "d3", "d4", "d5", "d6"], seed=0)
+    assert len(grid) == 144
+    for cfg in grid:
+        data = json.loads(json.dumps(cfg.to_json()))
+        assert list(data) == ["l1", "step_size", "iterations", "iterations_step1",
+                              "partition_size", "domain_ordering", "seed", "reset_accumulators"]
+        assert type(data["domain_ordering"]) is list
+        assert TrainConfig.from_json(data) == cfg
+
+
+def test_grid_refuses_more_orderings_than_the_sources_have():
+    sources = ["a", "b", "c"]  # 3! = 6 distinct orderings
+    for count in (7, 10**7):
+        with pytest.raises(ConfigError, match=rf"grid.num_orderings {count} exceeds the 6 "
+                                              r"distinct orderings of 3 source domains"):
+            build_grid("gmdp", sources, overrides={"num_orderings": count})
+    grid = build_grid("gmdp", sources, overrides={"num_orderings": 6})
+    assert len(grid) == 2 * 2 * 3 * 2 * 6 * 2
 
 
 def test_adagrad_grid_has_12_points():
@@ -385,7 +418,7 @@ def test_model_round_trip(tmp_path):
     assert cfg2 == cfg
     assert part2 == DomainPartition(("a",), ("b",))
     assert new_features is True and logic_filter is True  # a model without an ablation block
-    save_model(path, weights, cfg, extra={"ablation": {"use_new_features": False}})
+    save_model(path, weights, cfg, ablation={"use_new_features": False})
     assert load_model(path)[2:] == (None, False, True)
-    save_model(path, weights, cfg, extra={"ablation": {"use_logic_filter": False}})
+    save_model(path, weights, cfg, ablation={"use_logic_filter": False})
     assert load_model(path)[2:] == (None, True, False)
